@@ -49,7 +49,9 @@ class ChoppedTransaction {
   // Acquired (in global order) before the first piece, released after the
   // last; pieces that declare it are marked chain-locked automatically.
   void AddChainLock(int table, uint64_t key) {
-    chain_locks_.push_back(ChainLock{table, key});
+    ChainLock& lock = chain_locks_.emplace_back();
+    lock.table = table;
+    lock.key = key;
   }
 
   size_t piece_count() const { return pieces_.size(); }

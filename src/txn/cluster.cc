@@ -181,7 +181,7 @@ store::LocationCache* Cluster::cache(int local_node, int target_node) {
     // rebuild; all caches owned by one machine share a gauge label.
     slot = std::make_unique<store::LocationCache>(
         store::LocationCache::BudgetFromEnv(config_.location_cache_bytes),
-        "n" + std::to_string(local_node), config_.adaptive_cache_admission);
+        "n" + std::to_string(local_node), /*adaptive_admission=*/true);
   }
   return slot.get();
 }

@@ -63,13 +63,6 @@ struct ClusterConfig {
   // (fallback-only mode) is never overridden; false restores the static
   // knobs exactly.
   bool adaptive_retry_budget = true;
-  // 2PL fallback first tries to acquire *all* locks/leases with one
-  // non-blocking overlapped scatter round (rdma::PhaseScatter) and only
-  // drops to the global-sort-order serial loop when a ref comes back
-  // contended (everything acquired out of order is released first, so
-  // deadlock freedom is preserved). false restores the always-serial
-  // paper fallback.
-  bool optimistic_fallback_locking = true;
   // Auto-chopping planner (paper section 3 / ROADMAP "transaction
   // chopping"): workloads route capacity-bound transactions through
   // txn::ChopPlanner, which splits a declared footprint that exceeds the
@@ -93,13 +86,6 @@ struct ClusterConfig {
   uint64_t durability_epoch_us = 200;
   size_t location_cache_bytes = size_t{16} << 20;
   bool enable_location_cache = true;
-  // Adaptive install admission for the location caches: a shard that is
-  // nearly full and thrashing (live cache.hit/cache.miss window hit
-  // rate < 10%) rations installs to 1 in 2^k, k <= 5, and decays the
-  // throttle when the hit rate recovers (>= 25%). Exported as the
-  // cache.admit_shift.<label> gauge; false restores unconditional
-  // installs.
-  bool adaptive_cache_admission = true;
   // When false, remote reads take exclusive locks instead of leases
   // (the paper's "w/o read lease" ablation, Fig. 17).
   bool enable_read_lease = true;

@@ -134,6 +134,17 @@ class NvramLog {
     return TryAppend(worker, type, txn_id, payload, len) == AppendStatus::kOk;
   }
 
+  // TryAppend for callers outside HTM: a full segment is reclaimed once
+  // and the append retried.
+  AppendStatus AppendReclaiming(int worker, LogType type, uint64_t txn_id,
+                                const void* payload, size_t len) {
+    AppendStatus status = TryAppend(worker, type, txn_id, payload, len);
+    if (status == AppendStatus::kFull && ReclaimSpace(worker)) {
+      status = TryAppend(worker, type, txn_id, payload, len);
+    }
+    return status;
+  }
+
   // Iterates every *sealed* record of every segment in append order per
   // segment. The sealed frontier is the recovery visibility bound: the
   // open tail epoch — and any epoch whose backpatched header fails its

@@ -25,6 +25,24 @@ struct TxnLogState {
   uint32_t chop_total = 0;  // 0 = not a chopped chain
 };
 
+// Clears the lock word at <node, state_off> if the crashed machine still
+// owns it. The CAS from the observed word leaves alone a lock someone
+// else took since. Returns true when it released one.
+bool ReleaseIfOwned(rdma::Fabric& fabric, int node, uint64_t state_off,
+                    int crashed_node) {
+  uint64_t lock_word = 0;
+  if (!fabric.IsAlive(node) ||
+      fabric.Read(node, state_off, &lock_word, sizeof(lock_word)) !=
+          rdma::OpStatus::kOk ||
+      !IsWriteLocked(lock_word) || LockOwner(lock_word) != crashed_node) {
+    return false;
+  }
+  uint64_t observed = 0;
+  return fabric.Cas(node, state_off, lock_word, kStateInit, &observed) ==
+             rdma::OpStatus::kOk &&
+         observed == lock_word;
+}
+
 }  // namespace
 
 RecoveryManager::Report RecoveryManager::Recover(int crashed_node) {
@@ -78,22 +96,8 @@ RecoveryManager::Report RecoveryManager::Recover(int crashed_node) {
         continue;
       }
       for (const LogLock& lock : state.locks) {
-        if (!fabric.IsAlive(lock.node)) {
-          continue;
-        }
-        uint64_t lock_word = 0;
-        if (fabric.Read(lock.node, lock.state_off, &lock_word,
-                        sizeof(lock_word)) != rdma::OpStatus::kOk) {
-          continue;
-        }
-        if (IsWriteLocked(lock_word) && LockOwner(lock_word) == crashed_node) {
-          uint64_t observed = 0;
-          if (fabric.Cas(lock.node, lock.state_off, lock_word, kStateInit,
-                         &observed) == rdma::OpStatus::kOk &&
-              observed == lock_word) {
-            ++report.released_locks;
-          }
-        }
+        report.released_locks +=
+            ReleaseIfOwned(fabric, lock.node, lock.state_off, crashed_node);
       }
       report.pending_chains.push_back(
           PendingChain{txn_id, state.chop_max, state.chop_total});
@@ -136,44 +140,17 @@ RecoveryManager::Report RecoveryManager::Recover(int crashed_node) {
               }
             }
             // Release the exclusive lock if the crashed machine owns it.
-            const uint64_t state_off =
-                update.entry_off + store::kEntryStateOffset;
-            uint64_t lock_word = 0;
-            if (fabric.Read(update.node, state_off, &lock_word,
-                            sizeof(lock_word)) != rdma::OpStatus::kOk) {
-              return;
-            }
-            if (IsWriteLocked(lock_word) &&
-                LockOwner(lock_word) == crashed_node) {
-              uint64_t observed = 0;
-              if (fabric.Cas(update.node, state_off, lock_word, kStateInit,
-                             &observed) == rdma::OpStatus::kOk &&
-                  observed == lock_word) {
-                ++report.released_locks;
-              }
-            }
+            report.released_locks += ReleaseIfOwned(
+                fabric, update.node,
+                update.entry_off + store::kEntryStateOffset, crashed_node);
           });
     } else if (!state.locks.empty()) {
       // Aborted: the lock-ahead log names every record the transaction
       // may have locked; clear the ones still owned by the crashed node.
       ++report.aborted_txns;
       for (const LogLock& lock : state.locks) {
-        if (!fabric.IsAlive(lock.node)) {
-          continue;
-        }
-        uint64_t lock_word = 0;
-        if (fabric.Read(lock.node, lock.state_off, &lock_word,
-                        sizeof(lock_word)) != rdma::OpStatus::kOk) {
-          continue;
-        }
-        if (IsWriteLocked(lock_word) && LockOwner(lock_word) == crashed_node) {
-          uint64_t observed = 0;
-          if (fabric.Cas(lock.node, lock.state_off, lock_word, kStateInit,
-                         &observed) == rdma::OpStatus::kOk &&
-              observed == lock_word) {
-            ++report.released_locks;
-          }
-        }
+        report.released_locks +=
+            ReleaseIfOwned(fabric, lock.node, lock.state_off, crashed_node);
       }
     }
   }

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
-#include <memory>
 #include <thread>
 #include <utility>
 
@@ -12,12 +11,10 @@
 #include "src/common/clock.h"
 #include "src/rdma/phase_scatter.h"
 #include "src/replay/recorder.h"
-#include "src/rdma/verbs_batch.h"
 #include "src/stat/metrics.h"
 #include "src/stat/scatter_stats.h"
 #include "src/stat/timer.h"
 #include "src/store/kv_layout.h"
-#include "src/store/remote_kv.h"
 #include "src/txn/lock_state.h"
 
 namespace drtm {
@@ -26,8 +23,6 @@ namespace txn {
 namespace {
 
 constexpr int kFallbackAttempts = 512;
-constexpr int kWaitTriesLimit = 4096;
-constexpr int kWriteBackRetries = 2000;
 
 void SleepUs(uint64_t us) {
   std::this_thread::sleep_for(std::chrono::microseconds(us));
@@ -49,14 +44,6 @@ class WindowGuard {
   Cluster& cluster_;
   uint64_t token_;
 };
-
-// The elastic freeze gate: false while a live migration has the key's
-// bucket frozen mid-switch. Gated acquisitions fail as conflicts; the
-// retry re-resolves the owner and lands on the new one after the flip.
-bool GateAllows(Cluster& cluster, int table, uint64_t key) {
-  Cluster::ElasticHooks* hooks = cluster.elastic_hooks();
-  return hooks == nullptr || hooks->AllowAcquire(table, key);
-}
 
 // Registry ids for the transaction-layer counters and phase timers,
 // resolved once per process.
@@ -109,6 +96,35 @@ const TxnMetricIds& Ids() {
     return t;
   }();
   return ids;
+}
+
+// Appends and seals the lock-ahead record naming every lock `reqs` is
+// about to take (chain-held ones excepted), so recovery can release them
+// if this machine dies first (§4.6). Sealing makes it recovery-visible
+// before the first lock CAS lands. False when the log cannot take it
+// (full even after reclaiming, or the append faulted): without the
+// record a crash would strand the locks, so none may be acquired.
+bool LogLockAhead(Worker* worker, uint64_t id,
+                  const std::vector<LockRequest*>& reqs) {
+  std::vector<LogLock> locks;
+  for (const LockRequest* r : reqs) {
+    if (r->exclusive && r->found && !r->chain_locked) {
+      locks.push_back(LogLock{r->node, r->table, r->key,
+                              r->entry_off + store::kEntryStateOffset});
+    }
+  }
+  if (locks.empty()) {
+    return true;
+  }
+  NvramLog* log = worker->cluster().log(worker->node());
+  const std::vector<uint8_t> payload = NvramLog::EncodeLocks(locks);
+  if (log->AppendReclaiming(worker->worker_id(), LogType::kLockAhead, id,
+                            payload.data(), payload.size()) !=
+      AppendStatus::kOk) {
+    return false;
+  }
+  log->Externalize(worker->worker_id());
+  return true;
 }
 
 }  // namespace
@@ -223,9 +239,6 @@ void Transaction::AddRead(int table, uint64_t key) {
   Ref ref;
   ref.table = table;
   ref.key = key;
-  ref.write = false;
-  ref.node = cluster_.PartitionOf(table, key);
-  ref.local = (ref.node == worker_->node());
   ref.value_size = cluster_.table(table).value_size;
   refs_.push_back(std::move(ref));
 }
@@ -260,461 +273,39 @@ void Transaction::SortRefs() {
   });
 }
 
-// --- lock helpers ------------------------------------------------------------
-
-rdma::OpStatus Transaction::StateCas(const Ref& ref, uint64_t expected,
-                                     uint64_t desired, uint64_t* observed) {
-  const uint64_t state_off = ref.entry_off + store::kEntryStateOffset;
-  if (ref.local &&
-      cluster_.fabric().atomic_level() == rdma::AtomicLevel::kGlob) {
-    // GLOB-level NICs keep RDMA CAS coherent with processor CAS, so the
-    // cheap local atomic is allowed (section 6.3).
-    SpinFor(cfg_.latency.LocalCasNs());
-    uint64_t* addr =
-        cluster_.hash_table(ref.node, ref.table)->StatePtr(ref.entry_off);
-    // drtm-lint: allow(TX03 local stand-in for an RDMA CAS verb on GLOB-coherent NICs)
-    *observed = htm::StrongCas64(addr, expected, desired);
-    return rdma::OpStatus::kOk;
-  }
-  return cluster_.fabric().Cas(ref.node, state_off, expected, desired,
-                               observed);
-}
-
-void Transaction::UnlockRef(const Ref& ref) {
-  const uint64_t state_off = ref.entry_off + store::kEntryStateOffset;
-  const uint64_t init = kStateInit;
-  for (int attempt = 0; attempt < kWriteBackRetries; ++attempt) {
-    if (cluster_.fabric().Write(ref.node, state_off, &init, sizeof(init)) ==
-        rdma::OpStatus::kOk) {
-      return;
-    }
-    // Target down: the paper's surviving workers wait for recovery
-    // (Fig. 7(d)); recovery also clears locks from lock-ahead logs.
-    SleepUs(1000);
-  }
-}
-
-Transaction::StartResult Transaction::AcquireExclusive(Ref& ref, bool wait) {
-  if (!GateAllows(cluster_, ref.table, ref.key)) {
-    return StartResult::kConflict;
-  }
-  stat::ScopedTimer phase(Ids().lock_acquire_ns);
-  const uint64_t locked_val =
-      MakeWriteLocked(static_cast<uint8_t>(worker_->node()));
-  uint64_t expected = kStateInit;
-  int tries = 0;
-  while (true) {
-    uint64_t observed = 0;
-    if (StateCas(ref, expected, locked_val, &observed) !=
-        rdma::OpStatus::kOk) {
-      return StartResult::kNodeDown;
-    }
-    if (observed == expected) {
-      ref.locked = true;
-      return StartResult::kOk;
-    }
-    if (IsWriteLocked(observed)) {
-      if (!wait || ++tries > kWaitTriesLimit) {
-        return StartResult::kConflict;
-      }
-      SleepUs(10 + worker_->backoff_rng().NextBounded(50));
-      expected = kStateInit;
-      continue;
-    }
-    // A read lease is present; writers must wait for expiry (Fig. 5).
-    const uint64_t end = LeaseEnd(observed);
-    while (true) {
-      const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
-      if (LeaseExpired(end, now, cfg_.delta_us)) {
-        break;
-      }
-      if (!wait || ++tries > kWaitTriesLimit) {
-        return StartResult::kConflict;
-      }
-      SleepUs(20);
-    }
-    expected = observed;  // CAS the expired lease away
-  }
-}
-
-Transaction::StartResult Transaction::AcquireLease(Ref& ref, bool wait) {
-  // Fast path: an 8-byte READ of the state word. If a healthy lease is
-  // already installed, share it without any CAS — an RDMA CAS costs an
-  // order of magnitude more than a small READ (section 6.3), and under
-  // read-heavy sharing the optimistic CAS-on-INIT would fail anyway.
-  const uint64_t state_off = ref.entry_off + store::kEntryStateOffset;
-  uint64_t observed = 0;
-  if (cluster_.fabric().Read(ref.node, state_off, &observed,
-                             sizeof(observed)) != rdma::OpStatus::kOk) {
-    return StartResult::kNodeDown;
-  }
-  return AcquireLeaseWithState(ref, wait, observed);
-}
-
-Transaction::StartResult Transaction::AcquireLeaseWithState(Ref& ref,
-                                                            bool wait,
-                                                            uint64_t probed) {
-  if (!GateAllows(cluster_, ref.table, ref.key)) {
-    return StartResult::kConflict;
-  }
-  stat::ScopedTimer phase(Ids().lease_wait_ns);
-  const uint64_t desired = MakeLease(lease_end_);
-  uint64_t expected = kStateInit;
-  int tries = 0;
-  if (IsWriteLocked(probed)) {
-    if (!wait) {
-      return StartResult::kConflict;
-    }
-    // Leave expected = INIT; the CAS loop below waits the lock out.
-  } else if (HasLease(probed)) {
-    const uint64_t end = LeaseEnd(probed);
-    const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
-    if (end > now + 2 * cfg_.delta_us + cfg_.lease_rw_us / 8) {
-      ref.leased = true;
-      ref.lease_end = end;
-      return StartResult::kOk;
-    }
-    expected = probed;  // expired or short: steal/renew via CAS
-  }
-  while (true) {
-    uint64_t observed = 0;
-    if (StateCas(ref, expected, desired, &observed) != rdma::OpStatus::kOk) {
-      return StartResult::kNodeDown;
-    }
-    if (observed == expected) {
-      ref.leased = true;
-      ref.lease_end = lease_end_;
-      return StartResult::kOk;
-    }
-    if (IsWriteLocked(observed)) {
-      if (!wait || ++tries > kWaitTriesLimit) {
-        return StartResult::kConflict;
-      }
-      SleepUs(10 + worker_->backoff_rng().NextBounded(50));
-      expected = kStateInit;
-      continue;
-    }
-    const uint64_t end = LeaseEnd(observed);
-    const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
-    if (!LeaseExpired(end, now, cfg_.delta_us)) {
-      // Read-read sharing: adopt the existing lease and its end time —
-      // unless too little of it remains for this transaction to confirm
-      // it at commit, in which case renew it in place (extending a lease
-      // only delays writers; readers of the old end stay valid).
-      if (end > now + 2 * cfg_.delta_us + cfg_.lease_rw_us / 8) {
-        ref.leased = true;
-        ref.lease_end = end;
-        return StartResult::kOk;
-      }
-      expected = observed;  // renew
-      continue;
-    }
-    expected = observed;  // replace the expired lease with ours
-  }
-}
-
-Transaction::StartResult Transaction::PrefetchFromRaw(Ref& ref,
-                                                      const uint8_t* raw) {
-  store::EntryHeader header;
-  std::memcpy(&header, raw, sizeof(header));
-  if (header.key != ref.key) {
-    // The entry was deleted (and possibly recycled) between lookup and
-    // lock; undo and let the retry re-resolve.
-    if (ref.locked) {
-      UnlockRef(ref);
-      ref.locked = false;
-    }
-    ref.leased = false;
-    ref.found = false;
-    return StartResult::kConflict;
-  }
-  ref.version = header.version;
-  ref.buf.resize(ref.value_size);
-  std::memcpy(ref.buf.data(), raw + sizeof(header), ref.value_size);
-  return StartResult::kOk;
-}
-
-Transaction::StartResult Transaction::PrefetchRef(Ref& ref) {
-  std::vector<uint8_t> raw(sizeof(store::EntryHeader) + ref.value_size);
-  if (cluster_.fabric().Read(ref.node, ref.entry_off, raw.data(),
-                             raw.size()) != rdma::OpStatus::kOk) {
-    return StartResult::kNodeDown;
-  }
-  return PrefetchFromRaw(ref, raw.data());
-}
-
-bool Transaction::ResolveRef(Ref& ref) {
-  if (ref.local) {
-    ref.entry_off =
-        cluster_.hash_table(ref.node, ref.table)->FindEntry(ref.key);
-    ref.found = ref.entry_off != store::kInvalidOffset;
-    return true;
-  }
-  store::ClusterHashTable* host = cluster_.hash_table(ref.node, ref.table);
-  store::RemoteKv client(&cluster_.fabric(), ref.node, host->geometry(),
-                         cluster_.cache(worker_->node(), ref.node));
-  const store::RemoteEntryRef found = client.Lookup(ref.key);
-  if (!cluster_.fabric().IsAlive(ref.node)) {
-    return false;
-  }
-  ref.found = found.found;
-  ref.entry_off = found.entry_off;
-  return true;
-}
-
-bool Transaction::ResolveRemoteRefs(const std::vector<Ref*>& remote) {
-  if (remote.empty()) {
-    return true;
-  }
-  if (remote.size() == 1) {
-    return ResolveRef(*remote[0]);  // nothing to overlap
-  }
-  // One RemoteKv per ref (geometry is per <node, table>); the scatter
-  // dedups queues per target node, so all chains walk in lockstep with
-  // one overlapped doorbell per node per round.
-  std::vector<std::unique_ptr<store::RemoteKv>> clients;
-  std::vector<store::RemoteKv::LookupTask> tasks(remote.size());
-  clients.reserve(remote.size());
-  for (size_t i = 0; i < remote.size(); ++i) {
-    const Ref& ref = *remote[i];
-    store::ClusterHashTable* host = cluster_.hash_table(ref.node, ref.table);
-    clients.push_back(std::make_unique<store::RemoteKv>(
-        &cluster_.fabric(), ref.node, host->geometry(),
-        cluster_.cache(worker_->node(), ref.node)));
-    tasks[i].client = clients.back().get();
-    tasks[i].key = ref.key;
-  }
-  rdma::PhaseScatter scatter(cluster_.fabric(),
-                             rdma::SendQueue::Config{cfg_.rdma_batch_window},
-                             &stat::ScatterLookupIds());
-  store::RemoteKv::ScatterLookup(scatter, &tasks);
-  for (size_t i = 0; i < remote.size(); ++i) {
-    Ref& ref = *remote[i];
-    if (!cluster_.fabric().IsAlive(ref.node)) {
-      return false;
-    }
-    ref.found = tasks[i].result.found;
-    ref.entry_off = tasks[i].result.entry_off;
-  }
-  return true;
-}
-
 // --- HTM path ----------------------------------------------------------------
 
 Transaction::StartResult Transaction::StartPhase() {
   now_start_ = cluster_.synctime().ReadStrong(worker_->node());
   lease_end_ = now_start_ + cfg_.lease_rw_us;
-
-  // Re-resolve every ref's owner: the elastic tier can flip bucket
-  // ownership between attempts (live migration), and a stale node would
-  // acquire against the old owner's copy after the switch.
+  Acquirer acq = acquirer();
+  std::vector<LockRequest*> remote;
   for (Ref& ref : refs_) {
-    ref.node = cluster_.PartitionOf(ref.table, ref.key);
-    ref.local = (ref.node == worker_->node());
-  }
-
-  std::vector<Ref*> remote_all;
-  for (Ref& ref : refs_) {
+    acq.Route(ref);
     if (!ref.local) {
-      remote_all.push_back(&ref);
-    }
-  }
-  if (!ResolveRemoteRefs(remote_all)) {
-    return StartResult::kNodeDown;
-  }
-  bool any_remote_write = false;
-  for (const Ref* ref : remote_all) {
-    // Chain-locked refs are excluded: their lock belongs to the chain
-    // (logged once under the chain id), and a per-piece lock-ahead entry
-    // would let recovery release the chain lock after a mere piece crash.
-    any_remote_write |= (ref->write && ref->found && !ref->chain_locked);
-  }
-
-  if (cfg_.logging && any_remote_write) {
-    // Lock-ahead log: which remote records this transaction is about to
-    // lock, so recovery can unlock them if we crash pre-commit (§4.6).
-    std::vector<LogLock> locks;
-    for (const Ref& ref : refs_) {
-      if (!ref.local && ref.write && ref.found && !ref.chain_locked) {
-        locks.push_back(LogLock{ref.node, ref.table, ref.key,
-                                ref.entry_off + store::kEntryStateOffset});
-      }
-    }
-    const std::vector<uint8_t> payload = NvramLog::EncodeLocks(locks);
-    NvramLog* log = cluster_.log(worker_->node());
-    AppendStatus logged =
-        log->TryAppend(worker_->worker_id(), LogType::kLockAhead, txn_id_,
-                       payload.data(), payload.size());
-    if (logged == AppendStatus::kFull &&
-        log->ReclaimSpace(worker_->worker_id())) {
-      logged = log->TryAppend(worker_->worker_id(), LogType::kLockAhead,
-                              txn_id_, payload.data(), payload.size());
-    }
-    if (logged != AppendStatus::kOk) {
-      // Log full even after reclaiming, or the append itself faulted:
-      // without a lock-ahead record a pre-commit crash would strand the
-      // remote locks, so the transaction must not acquire them. Retry
-      // as a conflict.
-      return StartResult::kConflict;
-    }
-    // Externalization barrier: the lock-ahead record must be
-    // recovery-visible (sealed) before any remote lock CAS lands, or a
-    // crash inside the locked window could not be repaired (§4.6).
-    log->Externalize(worker_->worker_id());
-  }
-
-  std::vector<Ref*> remote;
-  for (Ref& ref : refs_) {
-    if (!ref.local && ref.found) {
       remote.push_back(&ref);
     }
   }
-  return BatchedStartRemote(remote);
-}
-
-Transaction::StartResult Transaction::BatchedStartRemote(
-    const std::vector<Ref*>& remote) {
   if (remote.empty()) {
-    return StartResult::kOk;
+    return StartResult::kOk;  // local records are guarded by HTM alone
   }
-  // The scatter below posts first-attempt lock CASes directly, bypassing
-  // the scalar acquire helpers — so the elastic freeze gate must be
-  // checked here, before any CAS can land on a frozen bucket.
-  // Chain-locked refs are exempt throughout: the chain already holds
-  // their exclusive lock, so this piece only prefetches them.
-  for (const Ref* ref : remote) {
-    if (!ref->chain_locked && !GateAllows(cluster_, ref->table, ref->key)) {
-      return StartResult::kConflict;
-    }
+  if (!acq.Resolve(remote)) {
+    return StartResult::kNodeDown;
   }
-  const uint64_t locked_val =
-      MakeWriteLocked(static_cast<uint8_t>(worker_->node()));
-  const rdma::SendQueue::Config sq_cfg{cfg_.rdma_batch_window};
+  // Chain-locked refs are excluded from the lock-ahead record: their
+  // lock belongs to the chain (logged once under the chain id), and a
+  // per-piece entry would let recovery release it after a piece crash.
+  if (cfg_.logging && !LogLockAhead(worker_, txn_id_, remote)) {
+    return StartResult::kConflict;
+  }
 
-  // Round 1: first-attempt lock CASes (INIT -> locked) and lease-probe
-  // READs for *all* target nodes ride one overlapped scatter — every
-  // doorbell is rung before any completion is polled, so k nodes cost
-  // ~1 round trip (PhaseScatter). Contended refs drop to the scalar
-  // helpers, which know how to steal expired leases and renew short
-  // ones — that path costs one redundant CAS/READ, but only under
-  // contention.
-  StartResult fail = StartResult::kOk;
-  std::vector<Ref*> contended;
+  // Chain-locked refs are only prefetched: the chain holds their lock.
+  StartResult result;
   {
     stat::ScopedTimer phase(Ids().lock_acquire_ns);
-    std::vector<uint64_t> probes(remote.size(), 0);
-    std::vector<bool> is_cas(remote.size(), false);
-    rdma::PhaseScatter scatter(cluster_.fabric(), sq_cfg,
-                               &stat::ScatterStartLockIds());
-    // (target, wr_id) -> remote index, for matching completions back.
-    std::vector<std::pair<std::pair<int, rdma::WrId>, size_t>> owners;
-    for (size_t i = 0; i < remote.size(); ++i) {
-      const Ref& ref = *remote[i];
-      if (ref.chain_locked) {
-        continue;  // lock already held by the chain; prefetch-only below
-      }
-      const uint64_t state_off = ref.entry_off + store::kEntryStateOffset;
-      rdma::SendQueue& sq = scatter.To(ref.node);
-      rdma::WrId id;
-      if (ref.write || !cfg_.enable_read_lease) {
-        is_cas[i] = true;
-        id = sq.PostCas(state_off, kStateInit, locked_val);
-      } else {
-        id = sq.PostRead(state_off, &probes[i], sizeof(probes[i]));
-      }
-      owners.emplace_back(std::make_pair(ref.node, id), i);
-    }
-    std::vector<rdma::ScatterCompletion> comps;
-    scatter.Gather(&comps);
-    // Mark every acquired lock before acting on any failure, so an
-    // early conflict return still releases everything acquired by
-    // other completions (Run() walks the marked flags).
-    for (const rdma::ScatterCompletion& sc : comps) {
-      size_t i = remote.size();
-      for (const auto& [owner_key, idx] : owners) {
-        if (owner_key.first == sc.target &&
-            owner_key.second == sc.comp.wr_id) {
-          i = idx;
-          break;
-        }
-      }
-      Ref& ref = *remote[i];
-      if (sc.comp.status != rdma::OpStatus::kOk) {
-        fail = StartResult::kNodeDown;
-        continue;
-      }
-      if (!is_cas[i]) {
-        continue;  // lease probes are processed below
-      }
-      if (sc.comp.observed == kStateInit) {
-        ref.locked = true;
-      } else {
-        contended.push_back(&ref);
-      }
-    }
-    if (fail == StartResult::kOk) {
-      for (size_t i = 0; i < remote.size(); ++i) {
-        if (is_cas[i] || remote[i]->chain_locked) {
-          continue;
-        }
-        const StartResult sr =
-            AcquireLeaseWithState(*remote[i], /*wait=*/false, probes[i]);
-        if (sr != StartResult::kOk) {
-          fail = sr;
-          break;
-        }
-      }
-    }
-    if (fail == StartResult::kOk) {
-      for (Ref* ref : contended) {
-        const StartResult sr = AcquireExclusive(*ref, /*wait=*/false);
-        if (sr != StartResult::kOk) {
-          fail = sr;
-          break;
-        }
-      }
-    }
+    result = acq.TryAll(remote, stat::ScatterStartLockIds());
   }
-  if (fail != StartResult::kOk) {
-    return fail;
-  }
-
-  // Round 2: prefetch every acquired ref's header+value image in one
-  // more overlapped scatter round, then parse locally.
-  std::vector<std::vector<uint8_t>> raws(remote.size());
-  {
-    rdma::PhaseScatter scatter(cluster_.fabric(), sq_cfg,
-                               &stat::ScatterPrefetchIds());
-    for (size_t i = 0; i < remote.size(); ++i) {
-      Ref& ref = *remote[i];
-      if (!(ref.locked || ref.leased || ref.chain_locked)) {
-        continue;
-      }
-      raws[i].resize(sizeof(store::EntryHeader) + ref.value_size);
-      scatter.To(ref.node).PostRead(ref.entry_off, raws[i].data(),
-                                    raws[i].size());
-    }
-    std::vector<rdma::ScatterCompletion> comps;
-    scatter.Gather(&comps);
-    for (const rdma::ScatterCompletion& sc : comps) {
-      if (sc.comp.status != rdma::OpStatus::kOk) {
-        fail = StartResult::kNodeDown;
-      }
-    }
-  }
-  if (fail != StartResult::kOk) {
-    return fail;
-  }
-  for (size_t i = 0; i < remote.size(); ++i) {
-    if (raws[i].empty()) {
-      continue;
-    }
-    const StartResult sr = PrefetchFromRaw(*remote[i], raws[i].data());
-    if (sr != StartResult::kOk) {
-      return sr;
-    }
-  }
-  return StartResult::kOk;
+  return result == StartResult::kOk ? acq.Prefetch(remote) : result;
 }
 
 void Transaction::ConfirmLeasesInHtm() {
@@ -825,9 +416,18 @@ void Transaction::WriteWalInHtm() {
   }
 }
 
-bool Transaction::WriteBackAndUnlock() {
-  const uint64_t locked_val =
+std::vector<uint8_t> Transaction::WriteBackImage(const Ref& ref) const {
+  const uint32_t version = ref.version + 1;
+  const uint64_t locked =
       MakeWriteLocked(static_cast<uint8_t>(worker_->node()));
+  std::vector<uint8_t> image(12 + ref.value_size);
+  std::memcpy(image.data(), &version, 4);
+  std::memcpy(image.data() + 4, &locked, 8);
+  std::memcpy(image.data() + 12, ref.buf.data(), ref.value_size);
+  return image;
+}
+
+bool Transaction::WriteBackAndUnlock() {
   const uint64_t init = kStateInit;
   // Chaos crash point, mirrored from the ordered fallback's release
   // loop: a machine dying here posts no further write-backs or unlocks
@@ -872,11 +472,7 @@ bool Transaction::WriteBackAndUnlock() {
     }
     rdma::SendQueue& sq = scatter.To(ref.node);
     if (ref.dirty) {
-      blobs[i].resize(12 + ref.value_size);
-      const uint32_t new_version = ref.version + 1;
-      std::memcpy(blobs[i].data(), &new_version, 4);
-      std::memcpy(blobs[i].data() + 4, &locked_val, 8);
-      std::memcpy(blobs[i].data() + 12, ref.buf.data(), ref.value_size);
+      blobs[i] = WriteBackImage(ref);
       const rdma::WrId id =
           sq.PostWrite(ref.entry_off + store::kEntryVersionOffset,
                        blobs[i].data(), blobs[i].size());
@@ -908,17 +504,11 @@ bool Transaction::WriteBackAndUnlock() {
     // failed and follows later in `comps`).
     Ref& ref = refs_[p->ref_idx];
     if (!p->unlock) {
-      for (int attempt = 0; attempt < kWriteBackRetries; ++attempt) {
-        if (cluster_.fabric().Write(
-                ref.node, ref.entry_off + store::kEntryVersionOffset,
-                blobs[p->ref_idx].data(),
-                blobs[p->ref_idx].size()) == rdma::OpStatus::kOk) {
-          break;
-        }
-        SleepUs(1000);
-      }
+      WriteUntilRecovered(cluster_.fabric(), ref.node,
+                          ref.entry_off + store::kEntryVersionOffset,
+                          blobs[p->ref_idx].data(), blobs[p->ref_idx].size());
     } else {
-      UnlockRef(ref);
+      acquirer().DropLock(ref);
     }
   }
   if (!release_abandoned) {
@@ -929,22 +519,21 @@ bool Transaction::WriteBackAndUnlock() {
   return !release_abandoned;
 }
 
-void Transaction::ReleaseRemoteLocks() {
-  for (Ref& ref : refs_) {
-    if (ref.locked) {
-      UnlockRef(ref);
-      ref.locked = false;
-    }
-    ref.leased = false;
-  }
+void Transaction::LogComplete() {
+  // Dropping a Complete is benign (redo is version-gated and lock release
+  // idempotent), but a full segment is reclaimed once: the record is what
+  // lets the epoch recycle. A kFaulted append is the modeled drop itself.
+  NvramLog* log = cluster_.log(worker_->node());
+  log->AppendReclaiming(worker_->worker_id(), LogType::kComplete, txn_id_,
+                        nullptr, 0);
+  log->NoteCommit(worker_->worker_id(), txn_id_);
 }
 
-void Transaction::ResetRefsForRetry() {
+void Transaction::AbandonAttempt() {
+  acquirer().Release(RequestsOf(refs_));
   for (Ref& ref : refs_) {
     ref.found = false;
     ref.entry_off = ~uint64_t{0};
-    ref.locked = false;
-    ref.leased = false;
     ref.dirty = false;
     ref.version = 0;
     ref.lease_end = 0;
@@ -957,6 +546,10 @@ TxnStatus Transaction::Run(const Body& body) {
   assert(!ran_ && "a Transaction object runs once");
   ran_ = true;
   SortRefs();
+  for (Ref& ref : refs_) {
+    // Without read leases (the Fig. 17 ablation) reads lock too.
+    ref.exclusive = ref.write || !cfg_.enable_read_lease;
+  }
   txn_id_ = cluster_.NextTxnId(worker_->node(), worker_->worker_id());
   TxnStats& stats = worker_->stats();
 
@@ -973,14 +566,13 @@ TxnStatus Transaction::Run(const Body& body) {
     WindowGuard window(cluster_);
     const StartResult sr = StartPhase();
     if (sr == StartResult::kNodeDown) {
-      ReleaseRemoteLocks();
+      AbandonAttempt();
       ++stats.node_failures;
       stat::Registry::Global().Add(Ids().node_failure);
       return TxnStatus::kNodeFailure;
     }
     if (sr == StartResult::kConflict) {
-      ReleaseRemoteLocks();
-      ResetRefsForRetry();
+      AbandonAttempt();
       ++stats.start_conflicts;
       stat::Registry::Global().Add(Ids().start_conflict);
       if (++start_conflicts > cfg_.start_retry_limit) {
@@ -1057,18 +649,7 @@ TxnStatus Transaction::Run(const Body& body) {
           }
         }
         if (release_clean && cfg_.logging) {
-          NvramLog* log = cluster_.log(worker_->node());
-          if (log->TryAppend(worker_->worker_id(), LogType::kComplete,
-                             txn_id_, nullptr, 0) == AppendStatus::kFull &&
-              log->ReclaimSpace(worker_->worker_id())) {
-            // Dropping a Complete is benign (redo is version-gated and
-            // lock release idempotent), but try once more after
-            // reclaiming — the record is what lets the epoch recycle. A
-            // kFaulted append is the modeled drop itself; no retry.
-            log->Append(worker_->worker_id(), LogType::kComplete, txn_id_,
-                        nullptr, 0);
-          }
-          log->NoteCommit(worker_->worker_id(), txn_id_);
+          LogComplete();
         }
       }
       if (release_clean) {
@@ -1081,8 +662,7 @@ TxnStatus Transaction::Run(const Body& body) {
       return TxnStatus::kCommitted;
     }
 
-    ReleaseRemoteLocks();
-    ResetRefsForRetry();
+    AbandonAttempt();
     if (user_abort_) {
       ++stats.user_aborts;
       stat::Registry::Global().Add(Ids().user_abort);
@@ -1330,9 +910,7 @@ bool Transaction::Write(int table, uint64_t key, const void* value) {
       return false;
     }
     std::memcpy(ref->buf.data(), value, ref->value_size);
-    if (!ref->dirty) {
-      ref->dirty = true;
-    }
+    ref->dirty = true;
     return true;
   }
   return LocalWriteInHtm(*ref, value);
@@ -1359,35 +937,40 @@ bool Transaction::WriteRange(int table, uint64_t key, uint32_t offset,
 bool Transaction::ReadDynamic(int table, uint64_t key, void* out) {
   assert(cluster_.PartitionOf(table, key) == worker_->node() &&
          "ReadDynamic is for locally hosted records");
-  if (mode_ == Mode::kHtm) {
-    Ref scratch;
-    scratch.table = table;
-    scratch.key = key;
-    scratch.node = worker_->node();
-    scratch.local = true;
-    scratch.value_size = cluster_.table(table).value_size;
-    return LocalReadInHtm(scratch, out);
-  }
-  // Fallback: lease-as-discovered. The lease is confirmed together with
-  // the static ones before any update is applied.
   Ref ref;
   ref.table = table;
   ref.key = key;
-  ref.write = false;
   ref.node = worker_->node();
   ref.local = true;
   ref.value_size = cluster_.table(table).value_size;
-  if (!ResolveRef(ref) || !ref.found) {
+  if (mode_ == Mode::kHtm) {
+    return LocalReadInHtm(ref, out);
+  }
+  // Fallback: lease-as-discovered, confirmed with every other lease after
+  // the body and before any update is applied.
+  Acquirer acq = acquirer();
+  const std::vector<LockRequest*> one = {&ref};
+  if (!acq.Resolve(one) || !ref.found) {
     return false;
   }
-  if (AcquireLease(ref, /*wait=*/true) != StartResult::kOk ||
-      PrefetchRef(ref) != StartResult::kOk) {
+  if (acq.AcquireInOrder(one) != StartResult::kOk ||
+      acq.Prefetch(one, /*batched=*/false) != StartResult::kOk) {
     dynamic_conflict_ = true;
     return false;
   }
   std::memcpy(out, ref.buf.data(), ref.value_size);
   dynamic_refs_.push_back(std::move(ref));
   return true;
+}
+
+void Transaction::BufferOp(PendingOp::Kind op, int table, uint64_t key,
+                           const void* value) {
+  const auto* bytes = static_cast<const uint8_t*>(value);
+  pending_local_ops_.push_back(PendingOp{
+      op, table, key,
+      value == nullptr ? std::vector<uint8_t>()
+                       : std::vector<uint8_t>(
+                             bytes, bytes + cluster_.table(table).value_size)});
 }
 
 bool Transaction::Insert(int table, uint64_t key, const void* value) {
@@ -1401,20 +984,11 @@ bool Transaction::Insert(int table, uint64_t key, const void* value) {
       // Notification-only record: the insert already landed in the
       // table; NotifyCommittedWrites replays it to the elastic hooks
       // after commit (aborted attempts clear pending_local_ops_).
-      pending_local_ops_.push_back(
-          PendingOp{PendingOp::kHashInsert, table, key,
-                    std::vector<uint8_t>(
-                        static_cast<const uint8_t*>(value),
-                        static_cast<const uint8_t*>(value) +
-                            cluster_.table(table).value_size)});
+      BufferOp(PendingOp::kHashInsert, table, key, value);
     }
     return ok;
   }
-  pending_local_ops_.push_back(
-      PendingOp{PendingOp::kHashInsert, table, key,
-                std::vector<uint8_t>(static_cast<const uint8_t*>(value),
-                                     static_cast<const uint8_t*>(value) +
-                                         cluster_.table(table).value_size)});
+  BufferOp(PendingOp::kHashInsert, table, key, value);
   return true;
 }
 
@@ -1424,13 +998,11 @@ bool Transaction::Remove(int table, uint64_t key) {
   if (mode_ == Mode::kHtm) {
     const bool ok = host->Remove(key);
     if (ok && cluster_.elastic_hooks() != nullptr) {
-      pending_local_ops_.push_back(
-          PendingOp{PendingOp::kHashRemove, table, key, {}});
+      BufferOp(PendingOp::kHashRemove, table, key);
     }
     return ok;
   }
-  pending_local_ops_.push_back(
-      PendingOp{PendingOp::kHashRemove, table, key, {}});
+  BufferOp(PendingOp::kHashRemove, table, key);
   return true;
 }
 
@@ -1439,11 +1011,7 @@ bool Transaction::OrderedInsert(int table, uint64_t key, const void* value) {
   if (mode_ == Mode::kHtm) {
     return tree->Insert(key, value);
   }
-  pending_local_ops_.push_back(
-      PendingOp{PendingOp::kOrderedInsert, table, key,
-                std::vector<uint8_t>(static_cast<const uint8_t*>(value),
-                                     static_cast<const uint8_t*>(value) +
-                                         cluster_.table(table).value_size)});
+  BufferOp(PendingOp::kOrderedInsert, table, key, value);
   return true;
 }
 
@@ -1452,11 +1020,7 @@ bool Transaction::OrderedPut(int table, uint64_t key, const void* value) {
   if (mode_ == Mode::kHtm) {
     return tree->Put(key, value);
   }
-  pending_local_ops_.push_back(
-      PendingOp{PendingOp::kOrderedPut, table, key,
-                std::vector<uint8_t>(static_cast<const uint8_t*>(value),
-                                     static_cast<const uint8_t*>(value) +
-                                         cluster_.table(table).value_size)});
+  BufferOp(PendingOp::kOrderedPut, table, key, value);
   return true;
 }
 
@@ -1465,8 +1029,7 @@ bool Transaction::OrderedRemove(int table, uint64_t key) {
   if (mode_ == Mode::kHtm) {
     return tree->Remove(key);
   }
-  pending_local_ops_.push_back(
-      PendingOp{PendingOp::kOrderedRemove, table, key, {}});
+  BufferOp(PendingOp::kOrderedRemove, table, key);
   return true;
 }
 
@@ -1536,172 +1099,40 @@ bool Transaction::OrderedFindFloor(int table, uint64_t lo, uint64_t bound,
 
 // --- fallback path -------------------------------------------------------------
 
-Transaction::StartResult Transaction::OptimisticFallbackAcquire() {
-  // Like BatchedStartRemote, this posts CASes directly; check the
-  // elastic freeze gate up front. Chain-locked refs are exempt: their
-  // lock is already held by the chain, so they are prefetch-only here.
-  for (const Ref& ref : refs_) {
-    if (ref.found && !ref.chain_locked &&
-        !GateAllows(cluster_, ref.table, ref.key)) {
-      return StartResult::kConflict;
-    }
+Transaction::StartResult Transaction::FallbackAcquire() {
+  Acquirer acq = acquirer();
+  const std::vector<LockRequest*> all = RequestsOf(refs_);
+  for (LockRequest* r : all) {
+    acq.Route(*r);
   }
-  stat::ScopedTimer phase(Ids().lock_acquire_ns);
-  const uint64_t locked_val =
-      MakeWriteLocked(static_cast<uint8_t>(worker_->node()));
-  const uint64_t lease_val = MakeLease(lease_end_);
-  const bool glob =
-      cluster_.fabric().atomic_level() == rdma::AtomicLevel::kGlob;
-
-  // Local records first, via the cheap processor CAS where the NIC
-  // level allows it: if a neighbour's record is already contended there
-  // is no point ringing any doorbell.
-  bool contended = false;
-  for (Ref& ref : refs_) {
-    if (!ref.found || !(ref.local && glob) || ref.chain_locked) {
-      continue;
-    }
-    const bool wants_lock = ref.write || !cfg_.enable_read_lease;
-    uint64_t observed = 0;
-    StateCas(ref, kStateInit, wants_lock ? locked_val : lease_val, &observed);
-    if (observed == kStateInit) {
-      if (wants_lock) {
-        ref.locked = true;
-      } else {
-        ref.leased = true;
-        ref.lease_end = lease_end_;
-      }
-      continue;
-    }
-    if (!wants_lock && HasLease(observed)) {
-      const uint64_t end = LeaseEnd(observed);
-      const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
-      if (end > now + 2 * cfg_.delta_us + cfg_.lease_rw_us / 8) {
-        ref.leased = true;
-        ref.lease_end = end;
-        continue;
-      }
-    }
-    contended = true;
-    break;
+  if (!acq.Resolve(all)) {
+    return StartResult::kNodeDown;
   }
-  if (contended) {
-    ReleaseRemoteLocks();
-    return StartResult::kConflict;
-  }
-
-  // One non-blocking CAS per remaining record — every target's doorbell
-  // rings before any completion is polled, so the whole lock set costs
-  // ~1 overlapped round trip when uncontended. Acquisition order is
-  // arbitrary, which is safe exactly because nothing here waits: on any
-  // contention every acquired ref is released below before the ordered
-  // serial loop re-acquires from scratch, so no worker ever blocks
-  // while holding out-of-order locks (deadlock freedom, §6.2).
-  struct Post {
-    size_t ref_idx;
-    bool wants_lock;
-  };
-  std::vector<std::pair<std::pair<int, rdma::WrId>, Post>> owners;
-  StartResult fail = StartResult::kOk;
+  StartResult result;
   {
-    rdma::PhaseScatter scatter(cluster_.fabric(),
-                               rdma::SendQueue::Config{cfg_.rdma_batch_window},
-                               &stat::ScatterFallbackIds());
-    for (size_t i = 0; i < refs_.size(); ++i) {
-      Ref& ref = refs_[i];
-      if (!ref.found || (ref.local && glob) || ref.chain_locked) {
-        continue;
-      }
-      const bool wants_lock = ref.write || !cfg_.enable_read_lease;
-      const uint64_t state_off = ref.entry_off + store::kEntryStateOffset;
-      const rdma::WrId id = scatter.To(ref.node).PostCas(
-          state_off, kStateInit, wants_lock ? locked_val : lease_val);
-      owners.emplace_back(std::make_pair(ref.node, id), Post{i, wants_lock});
-    }
-    std::vector<rdma::ScatterCompletion> comps;
-    scatter.Gather(&comps);
-    const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
-    for (const rdma::ScatterCompletion& sc : comps) {
-      const Post* p = nullptr;
-      for (const auto& [owner_key, post] : owners) {
-        if (owner_key.first == sc.target &&
-            owner_key.second == sc.comp.wr_id) {
-          p = &post;
-          break;
-        }
-      }
-      Ref& ref = refs_[p->ref_idx];
-      if (sc.comp.status != rdma::OpStatus::kOk) {
-        fail = StartResult::kNodeDown;
-        continue;  // keep marking acquisitions so the release sees them
-      }
-      if (sc.comp.observed == kStateInit) {
-        if (p->wants_lock) {
-          ref.locked = true;
-        } else {
-          ref.leased = true;
-          ref.lease_end = lease_end_;
-        }
-        continue;
-      }
-      if (!p->wants_lock && HasLease(sc.comp.observed)) {
-        const uint64_t end = LeaseEnd(sc.comp.observed);
-        if (end > now + 2 * cfg_.delta_us + cfg_.lease_rw_us / 8) {
-          ref.leased = true;
-          ref.lease_end = end;
-          continue;
-        }
-      }
-      contended = true;
-    }
+    stat::ScopedTimer phase(Ids().lock_acquire_ns);
+    result = acq.TryAll(all, stat::ScatterFallbackIds());
   }
-  if (fail != StartResult::kOk || contended) {
-    ReleaseRemoteLocks();
-    return fail != StartResult::kOk ? fail : StartResult::kConflict;
+  if (result == StartResult::kOk) {
+    stat::Registry::Global().Add(Ids().fallback_optimistic_hit);
+    return acq.Prefetch(all);
   }
+  if (result == StartResult::kConflict) {
+    // Release everything taken out of order before waiting on anything.
+    stat::Registry::Global().Add(Ids().fallback_fallthrough);
+    acq.Release(all);
+    result = acq.AcquireInOrder(all);
+  }
+  return result == StartResult::kOk ? acq.Prefetch(all, /*batched=*/false)
+                                    : result;
+}
 
-  // Everything acquired: prefetch all images in one more overlapped
-  // round (local records too — the serial fallback's PrefetchRef also
-  // reads them through the fabric).
-  std::vector<std::vector<uint8_t>> raws(refs_.size());
-  {
-    rdma::PhaseScatter scatter(cluster_.fabric(),
-                               rdma::SendQueue::Config{cfg_.rdma_batch_window},
-                               &stat::ScatterPrefetchIds());
-    for (size_t i = 0; i < refs_.size(); ++i) {
-      Ref& ref = refs_[i];
-      if (!ref.found) {
-        continue;
-      }
-      raws[i].resize(sizeof(store::EntryHeader) + ref.value_size);
-      scatter.To(ref.node).PostRead(ref.entry_off, raws[i].data(),
-                                    raws[i].size());
-    }
-    std::vector<rdma::ScatterCompletion> comps;
-    scatter.Gather(&comps);
-    for (const rdma::ScatterCompletion& sc : comps) {
-      if (sc.comp.status != rdma::OpStatus::kOk) {
-        fail = StartResult::kNodeDown;
-      }
-    }
+bool Transaction::LeasesValid() {
+  std::vector<LockRequest*> held = RequestsOf(refs_);
+  for (Ref& ref : dynamic_refs_) {
+    held.push_back(&ref);
   }
-  if (fail != StartResult::kOk) {
-    ReleaseRemoteLocks();
-    return fail;
-  }
-  for (size_t i = 0; i < refs_.size(); ++i) {
-    if (raws[i].empty()) {
-      continue;
-    }
-    const StartResult sr = PrefetchFromRaw(refs_[i], raws[i].data());
-    if (sr != StartResult::kOk) {
-      // The entry was deleted under us; release and let the ordered
-      // loop (or the next attempt) re-resolve.
-      ReleaseRemoteLocks();
-      return sr;
-    }
-  }
-  return StartResult::kOk;
+  return acquirer().LeasesValid(held);
 }
 
 TxnStatus Transaction::RunFallback(const Body& body) {
@@ -1714,88 +1145,18 @@ TxnStatus Transaction::RunFallback(const Body& body) {
     WindowGuard window(cluster_);
     now_start_ = cluster_.synctime().ReadStrong(worker_->node());
     lease_end_ = now_start_ + cfg_.lease_rw_us;
-    // Re-resolve ownership each attempt: a live migration may have
-    // flipped a key's home node between attempts.
-    for (Ref& ref : refs_) {
-      ref.node = cluster_.PartitionOf(ref.table, ref.key);
-      ref.local = (ref.node == worker_->node());
-    }
     pending_local_ops_.clear();
     wal_buffer_.clear();
     replay_wal_sum_ = 0;
+    dynamic_refs_.clear();
 
-    StartResult fail = StartResult::kOk;
-    bool acquired = false;
-    if (cfg_.optimistic_fallback_locking) {
-      // Optimistic first pass: resolve every chain in lockstep, then try
-      // the whole lock set with one non-blocking overlapped CAS scatter.
-      // Any contention releases everything (preserving deadlock freedom)
-      // and drops to the ordered serial loop below.
-      std::vector<Ref*> remote_all;
-      for (Ref& ref : refs_) {
-        if (ref.local) {
-          ResolveRef(ref);
-        } else {
-          remote_all.push_back(&ref);
-        }
-      }
-      if (!ResolveRemoteRefs(remote_all)) {
-        fail = StartResult::kNodeDown;
-      } else {
-        const StartResult sr = OptimisticFallbackAcquire();
-        if (sr == StartResult::kOk) {
-          acquired = true;
-          stat::Registry::Global().Add(Ids().fallback_optimistic_hit);
-        } else if (sr == StartResult::kNodeDown) {
-          fail = sr;
-        } else {
-          stat::Registry::Global().Add(Ids().fallback_fallthrough);
-        }
-      }
-    }
-    // Resolve and lock everything — local records included — in the
-    // global <table, key> order (refs_ is already sorted), waiting out
-    // holders; this order is what makes the waiting deadlock-free.
-    if (fail == StartResult::kOk && !acquired) {
-      for (Ref& ref : refs_) {
-        if (!ResolveRef(ref)) {
-          fail = StartResult::kNodeDown;
-          break;
-        }
-        if (!ref.found) {
-          continue;
-        }
-        StartResult result;
-        if (ref.chain_locked) {
-          result = StartResult::kOk;  // the chain already holds the lock
-        } else if (ref.write || !cfg_.enable_read_lease) {
-          result = AcquireExclusive(ref, /*wait=*/true);
-        } else {
-          result = AcquireLease(ref, /*wait=*/true);
-        }
-        if (result == StartResult::kOk) {
-          result = PrefetchRef(ref);
-        }
-        if (result != StartResult::kOk) {
-          fail = result;
-          break;
-        }
-      }
-    }
-    if (fail == StartResult::kOk) {
-      // Leases must be valid before any irreversible update (§6.2): the
-      // confirmation is the serialization point of the fallback.
-      const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
-      for (const Ref& ref : refs_) {
-        if (ref.leased && !LeaseValid(ref.lease_end, now, cfg_.delta_us)) {
-          fail = StartResult::kConflict;
-          break;
-        }
-      }
+    StartResult fail = FallbackAcquire();
+    if (fail == StartResult::kOk && !LeasesValid()) {
+      // The body only ever sees a consistent image of the declared set.
+      fail = StartResult::kConflict;
     }
     if (fail != StartResult::kOk) {
-      ReleaseRemoteLocks();
-      ResetRefsForRetry();
+      AbandonAttempt();
       if (fail == StartResult::kNodeDown) {
         ++stats.node_failures;
         stat::Registry::Global().Add(Ids().node_failure);
@@ -1807,49 +1168,26 @@ TxnStatus Transaction::RunFallback(const Body& body) {
 
     user_abort_ = false;
     dynamic_conflict_ = false;
-    dynamic_refs_.clear();
     const bool body_ok = body(*this);
-    if (dynamic_conflict_) {
-      ReleaseRemoteLocks();
-      ResetRefsForRetry();
+    // The serialization point (§6.2): every lease held, declared and
+    // dynamic, is valid at one instant after the body and before any
+    // irreversible update — or the body's outcome, abort included, may
+    // rest on a torn read. A declared lease that was shared ends before
+    // ours and may have expired mid-body.
+    if (dynamic_conflict_ || !LeasesValid()) {
+      AbandonAttempt();
       worker_->Backoff(attempt);
       continue;
     }
-    if (!body_ok) {
-      ReleaseRemoteLocks();
-      ResetRefsForRetry();
+    // In replay mode, a recording that committed fewer transactions in
+    // this op suppresses the extra commit (see the HTM-path gate).
+    if (!body_ok ||
+        (replay::Armed() && !replay::Recorder::Global().CommitAllowed())) {
+      AbandonAttempt();
       ++stats.user_aborts;
       stat::Registry::Global().Add(Ids().user_abort);
       return TxnStatus::kUserAbort;
     }
-    if (replay::Armed() && !replay::Recorder::Global().CommitAllowed()) {
-      // Replay mode: the recording committed fewer transactions in this
-      // op — suppress the extra commit (see the HTM-path gate).
-      ReleaseRemoteLocks();
-      ResetRefsForRetry();
-      ++stats.user_aborts;
-      stat::Registry::Global().Add(Ids().user_abort);
-      return TxnStatus::kUserAbort;
-    }
-    if (!dynamic_refs_.empty()) {
-      // Dynamic leases join the pre-body confirmation as the
-      // serialization point; all must still be valid before any update.
-      const uint64_t now2 = cluster_.synctime().ReadStrong(worker_->node());
-      bool dynamic_valid = true;
-      for (const Ref& ref : dynamic_refs_) {
-        if (!LeaseValid(ref.lease_end, now2, cfg_.delta_us)) {
-          dynamic_valid = false;
-          break;
-        }
-      }
-      if (!dynamic_valid) {
-        ReleaseRemoteLocks();
-        ResetRefsForRetry();
-        worker_->Backoff(attempt);
-        continue;
-      }
-    }
-
     // Gather WAL updates for buffered hash writes (local ones were
     // buffered, not applied through LocalWriteInHtm).
     for (Ref& ref : refs_) {
@@ -1859,21 +1197,13 @@ TxnStatus Transaction::RunFallback(const Body& body) {
     }
     if (cfg_.logging && !wal_buffer_.empty()) {
       NvramLog* log = cluster_.log(worker_->node());
-      AppendStatus logged =
-          log->TryAppend(worker_->worker_id(), LogType::kWriteAhead, txn_id_,
-                         wal_buffer_.data(), wal_buffer_.size());
-      if (logged == AppendStatus::kFull &&
-          log->ReclaimSpace(worker_->worker_id())) {
-        logged = log->TryAppend(worker_->worker_id(), LogType::kWriteAhead,
+      if (log->AppendReclaiming(worker_->worker_id(), LogType::kWriteAhead,
                                 txn_id_, wal_buffer_.data(),
-                                wal_buffer_.size());
-      }
-      if (logged != AppendStatus::kOk) {
+                                wal_buffer_.size()) != AppendStatus::kOk) {
         // Log full even after reclaiming (or the append faulted): nothing
         // has been applied yet, so release the locks and retry the attempt
         // instead of committing writes that recovery could not redo.
-        ReleaseRemoteLocks();
-        ResetRefsForRetry();
+        AbandonAttempt();
         worker_->Backoff(attempt);
         continue;
       }
@@ -1887,38 +1217,25 @@ TxnStatus Transaction::RunFallback(const Body& body) {
     // readers; the state word is locked so local transactions stay away),
     // then the buffered local structural operations, then unlock.
     stat::ScopedTimer commit_phase(Ids().commit_ns);
-    const uint64_t locked_val =
-        MakeWriteLocked(static_cast<uint8_t>(worker_->node()));
-    for (Ref& ref : refs_) {
-      // Chain-locked dirty refs are applied too (their blob's state-word
-      // field re-writes the chain's own lock word, a no-op); the release
-      // loop below still skips them — the chain unlocks after its last
-      // piece.
-      if (!ref.locked && !(ref.chain_locked && ref.dirty)) {
+    for (const Ref& ref : refs_) {
+      // Every dirty ref is locked or chain-locked. A chain-locked one is
+      // applied too (its image's state-word field re-writes the chain's
+      // own lock word, a no-op); the release below skips it — the chain
+      // unlocks after its last piece.
+      if (!ref.dirty) {
         continue;
       }
-      if (ref.dirty) {
-        std::vector<uint8_t> blob(12 + ref.value_size);
-        const uint32_t new_version = ref.version + 1;
-        std::memcpy(blob.data(), &new_version, 4);
-        std::memcpy(blob.data() + 4, &locked_val, 8);
-        std::memcpy(blob.data() + 12, ref.buf.data(), ref.value_size);
-        if (ref.local) {
-          // drtm-lint: allow(TX03 commit write-back of a locked entry, the lock serializes it like an RDMA WRITE)
-          htm::StrongWrite(cluster_.hash_table(ref.node, ref.table)
-                               ->EntryPtr(ref.entry_off) +
-                               store::kEntryVersionOffset,
-                           blob.data(), blob.size());
-        } else {
-          for (int retries = 0; retries < kWriteBackRetries; ++retries) {
-            if (cluster_.fabric().Write(
-                    ref.node, ref.entry_off + store::kEntryVersionOffset,
-                    blob.data(), blob.size()) == rdma::OpStatus::kOk) {
-              break;
-            }
-            SleepUs(1000);
-          }
-        }
+      const std::vector<uint8_t> image = WriteBackImage(ref);
+      if (ref.local) {
+        // drtm-lint: allow(TX03 commit write-back of a locked entry, the lock serializes it like an RDMA WRITE)
+        htm::StrongWrite(cluster_.hash_table(ref.node, ref.table)
+                             ->EntryPtr(ref.entry_off) +
+                             store::kEntryVersionOffset,
+                         image.data(), image.size());
+      } else {
+        WriteUntilRecovered(cluster_.fabric(), ref.node,
+                            ref.entry_off + store::kEntryVersionOffset,
+                            image.data(), image.size());
       }
     }
     for (const PendingOp& op : pending_local_ops_) {
@@ -1960,50 +1277,17 @@ TxnStatus Transaction::RunFallback(const Body& body) {
       // fallback commit against concurrent HTM publishes on its lines.
       ReplayRecordFallbackCommit();
     }
-    // Chaos crash point in the release loop: a machine dying here leaves
-    // the remaining locks held and never writes the Complete record —
-    // recovery must release them from the lock-ahead/WAL logs.
-    static const uint32_t kFallbackUnlockPoint =
-        chaos::Injector::Global().Point("txn.fallback.unlock");
-    bool release_abandoned = false;
-    for (Ref& ref : refs_) {
-      if (ref.locked) {
-        if (!release_abandoned &&
-            chaos::Check(kFallbackUnlockPoint, ref.node).kind ==
-                chaos::Decision::Kind::kAbandon) {
-          release_abandoned = true;
-        }
-        if (release_abandoned) {
-          continue;  // simulated death mid-release: lock stays held
-        }
-        if (ref.local &&
-            cluster_.fabric().atomic_level() == rdma::AtomicLevel::kGlob) {
-          uint64_t* addr = cluster_.hash_table(ref.node, ref.table)
-                               ->StatePtr(ref.entry_off);
-          // drtm-lint: allow(TX03 lock release on a state word we own, stands in for an RDMA WRITE)
-          htm::StrongStore(addr, kStateInit);
-        } else {
-          UnlockRef(ref);
-        }
-        ref.locked = false;
-      }
-    }
+    // A chaos crash point in the release leaves the remaining locks held
+    // and never writes the Complete record — recovery must release them
+    // from the lock-ahead/WAL logs.
+    const bool release_abandoned =
+        !acquirer().Release(RequestsOf(refs_), /*at_commit=*/true);
     if (replay::Armed()) {
       replay::Recorder::Global().RecordLockRelease(txn_id_,
                                                    release_abandoned);
     }
     if (cfg_.logging && !release_abandoned) {
-      NvramLog* log = cluster_.log(worker_->node());
-      if (log->TryAppend(worker_->worker_id(), LogType::kComplete, txn_id_,
-                         nullptr, 0) == AppendStatus::kFull &&
-          log->ReclaimSpace(worker_->worker_id())) {
-        // Losing a Complete record is benign (redo is version-gated and
-        // lock release is idempotent), so a second failure is ignored —
-        // and a kFaulted append is the modeled drop itself; no retry.
-        log->Append(worker_->worker_id(), LogType::kComplete, txn_id_,
-                    nullptr, 0);
-      }
-      log->NoteCommit(worker_->worker_id(), txn_id_);
+      LogComplete();
     }
     if (!release_abandoned) {
       NotifyCommittedWrites();
@@ -2018,167 +1302,42 @@ TxnStatus Transaction::RunFallback(const Body& body) {
 
 // --- chain locks (chopped transactions, section 4.6) -------------------------
 
-namespace {
-
-// Resolves a chain lock's owner node and entry offset. Returns false on a
-// dead node; *found is false when the key is absent.
-bool ResolveChainLock(Worker* worker, ChainLock* lock, bool* found) {
-  Cluster& cluster = worker->cluster();
-  lock->node = cluster.PartitionOf(lock->table, lock->key);
-  store::ClusterHashTable* host = cluster.hash_table(lock->node, lock->table);
-  if (lock->node == worker->node()) {
-    lock->entry_off = host->FindEntry(lock->key);
-    *found = lock->entry_off != store::kInvalidOffset;
-    return true;
-  }
-  store::RemoteKv client(&cluster.fabric(), lock->node, host->geometry(),
-                         cluster.cache(worker->node(), lock->node));
-  const store::RemoteEntryRef ref = client.Lookup(lock->key);
-  if (!cluster.fabric().IsAlive(lock->node)) {
-    return false;
-  }
-  *found = ref.found;
-  lock->entry_off = ref.entry_off;
-  return true;
-}
-
-}  // namespace
-
 TxnStatus AcquireChainLocks(Worker* worker, uint64_t chain_id,
                             std::vector<ChainLock>* locks) {
   Cluster& cluster = worker->cluster();
-  const ClusterConfig& cfg = cluster.config();
-  // Global <table, key> order, like the 2PL fallback: waiting while
-  // holding earlier chain locks is deadlock-free.
-  std::sort(locks->begin(), locks->end(),
-            [](const ChainLock& a, const ChainLock& b) {
-              return a.table != b.table ? a.table < b.table : a.key < b.key;
-            });
+  Acquirer acq(worker);
+  const std::vector<LockRequest*> reqs = RequestsOf(*locks);
   for (ChainLock& lock : *locks) {
-    bool found = false;
-    if (!ResolveChainLock(worker, &lock, &found)) {
-      return TxnStatus::kNodeFailure;
-    }
-    if (!found) {
+    lock.exclusive = true;
+    acq.Route(lock);
+  }
+  if (!acq.Resolve(reqs)) {
+    return TxnStatus::kNodeFailure;
+  }
+  for (const ChainLock& lock : *locks) {
+    if (!lock.found) {
       return TxnStatus::kAborted;
     }
   }
-  if (cfg.logging) {
-    // One lock-ahead record for the whole chain, under the chain id: if
-    // this machine dies mid-chain, recovery releases the chain locks it
-    // still owns (the resumed chain re-acquires them).
-    std::vector<LogLock> entries;
-    entries.reserve(locks->size());
-    for (const ChainLock& lock : *locks) {
-      entries.push_back(LogLock{lock.node, lock.table, lock.key,
-                                lock.entry_off + store::kEntryStateOffset});
-    }
-    const std::vector<uint8_t> payload = NvramLog::EncodeLocks(entries);
-    NvramLog* log = cluster.log(worker->node());
-    AppendStatus logged =
-        log->TryAppend(worker->worker_id(), LogType::kLockAhead, chain_id,
-                       payload.data(), payload.size());
-    if (logged == AppendStatus::kFull &&
-        log->ReclaimSpace(worker->worker_id())) {
-      logged = log->TryAppend(worker->worker_id(), LogType::kLockAhead,
-                              chain_id, payload.data(), payload.size());
-    }
-    if (logged != AppendStatus::kOk) {
-      // Without a durable lock-ahead record a crash mid-chain would strand
-      // the chain locks; abort before acquiring any.
-      return TxnStatus::kAborted;
-    }
-    // Seal so the lock-ahead is recoverable before the first CAS makes the
-    // chain's locks visible to other nodes.
-    log->Externalize(worker->worker_id());
+  // One lock-ahead record for the whole chain, under the chain id: if
+  // this machine dies mid-chain, recovery releases the chain locks it
+  // still owns (the resumed chain re-acquires them).
+  if (cluster.config().logging && !LogLockAhead(worker, chain_id, reqs)) {
+    return TxnStatus::kAborted;
   }
-  const uint64_t locked_val =
-      MakeWriteLocked(static_cast<uint8_t>(worker->node()));
-  for (ChainLock& lock : *locks) {
-    if (!GateAllows(cluster, lock.table, lock.key)) {
-      ReleaseChainLocks(worker, locks);
-      return TxnStatus::kAborted;
-    }
-    uint64_t expected = kStateInit;
-    int tries = 0;
-    while (!lock.locked) {
-      uint64_t observed = 0;
-      rdma::OpStatus cas_status;
-      if (lock.node == worker->node() &&
-          cluster.fabric().atomic_level() == rdma::AtomicLevel::kGlob) {
-        SpinFor(cfg.latency.LocalCasNs());
-        uint64_t* addr = cluster.hash_table(lock.node, lock.table)
-                             ->StatePtr(lock.entry_off);
-        // drtm-lint: allow(TX03 local stand-in for an RDMA CAS verb on GLOB-coherent NICs)
-        observed = htm::StrongCas64(addr, expected, locked_val);
-        cas_status = rdma::OpStatus::kOk;
-      } else {
-        cas_status = cluster.fabric().Cas(
-            lock.node, lock.entry_off + store::kEntryStateOffset, expected,
-            locked_val, &observed);
-      }
-      if (cas_status != rdma::OpStatus::kOk) {
-        ReleaseChainLocks(worker, locks);
-        return TxnStatus::kNodeFailure;
-      }
-      if (observed == expected) {
-        lock.locked = true;
-        break;
-      }
-      if (IsWriteLocked(observed)) {
-        if (++tries > kWaitTriesLimit) {
-          ReleaseChainLocks(worker, locks);
-          return TxnStatus::kAborted;
-        }
-        SleepUs(10 + worker->backoff_rng().NextBounded(50));
-        expected = kStateInit;
-        continue;
-      }
-      // A read lease: writers wait for expiry, then CAS it away (Fig. 5).
-      const uint64_t end = LeaseEnd(observed);
-      while (true) {
-        const uint64_t now = cluster.synctime().ReadStrong(worker->node());
-        if (LeaseExpired(end, now, cfg.delta_us)) {
-          break;
-        }
-        if (++tries > kWaitTriesLimit) {
-          ReleaseChainLocks(worker, locks);
-          return TxnStatus::kAborted;
-        }
-        SleepUs(20);
-      }
-      expected = observed;
-    }
+  // Waiting while holding earlier chain locks is deadlock-free in the
+  // global order, exactly as in the 2PL fallback.
+  const Acquirer::Result result = acq.AcquireInOrder(reqs);
+  if (result != Acquirer::Result::kOk) {
+    acq.Release(reqs);
+    return result == Acquirer::Result::kNodeDown ? TxnStatus::kNodeFailure
+                                                 : TxnStatus::kAborted;
   }
   return TxnStatus::kCommitted;
 }
 
 void ReleaseChainLocks(Worker* worker, std::vector<ChainLock>* locks) {
-  Cluster& cluster = worker->cluster();
-  const uint64_t init = kStateInit;
-  for (ChainLock& lock : *locks) {
-    if (!lock.locked) {
-      continue;
-    }
-    if (lock.node == worker->node() &&
-        cluster.fabric().atomic_level() == rdma::AtomicLevel::kGlob) {
-      uint64_t* addr =
-          cluster.hash_table(lock.node, lock.table)->StatePtr(lock.entry_off);
-      // drtm-lint: allow(TX03 chain-lock release on a state word we own, stands in for an RDMA WRITE)
-      htm::StrongStore(addr, init);
-    } else {
-      for (int attempt = 0; attempt < kWriteBackRetries; ++attempt) {
-        if (cluster.fabric().Write(lock.node,
-                                   lock.entry_off + store::kEntryStateOffset,
-                                   &init, sizeof(init)) ==
-            rdma::OpStatus::kOk) {
-          break;
-        }
-        SleepUs(1000);
-      }
-    }
-    lock.locked = false;
-  }
+  Acquirer(worker).Release(RequestsOf(*locks));
 }
 
 // --- read-only transactions ----------------------------------------------------
@@ -2190,279 +1349,40 @@ void ReadOnlyTransaction::AddRead(int table, uint64_t key) {
   RoRef ref;
   ref.table = table;
   ref.key = key;
-  ref.node = cluster_.PartitionOf(table, key);
   refs_.push_back(std::move(ref));
 }
 
 TxnStatus ReadOnlyTransaction::Execute() {
   const ClusterConfig& cfg = cluster_.config();
   TxnStats& stats = worker_->stats();
-  std::sort(refs_.begin(), refs_.end(), [](const RoRef& a, const RoRef& b) {
-    return a.table != b.table ? a.table < b.table : a.key < b.key;
-  });
-
-  const rdma::SendQueue::Config sq_cfg{cfg.rdma_batch_window};
+  const std::vector<LockRequest*> reqs = RequestsOf(refs_);
   for (int attempt = 0; attempt < kFallbackAttempts; ++attempt) {
     WindowGuard window(cluster_);
-    // Re-resolve ownership each attempt: a live migration may have
-    // flipped a key's home node between attempts.
+    // Every record is leased with one common end time (section 4.5).
+    Acquirer acq(worker_,
+                 cluster_.synctime().ReadStrong(worker_->node()) +
+                     cfg.lease_ro_us,
+                 cfg.lease_ro_us);
     for (RoRef& ref : refs_) {
-      ref.node = cluster_.PartitionOf(ref.table, ref.key);
+      acq.Route(ref);
+      ref.leased = false;
     }
-    const uint64_t now0 = cluster_.synctime().ReadStrong(worker_->node());
-    const uint64_t end = now0 + cfg.lease_ro_us;
-    const uint64_t desired = MakeLease(end);
-    bool conflict = false;
-    bool node_down = false;
-
-    // Phase 1: resolve every key; remote chains walk in lockstep with
-    // one overlapped doorbell per host per round.
-    {
-      std::vector<std::unique_ptr<store::RemoteKv>> clients;
-      std::vector<store::RemoteKv::LookupTask> tasks;
-      std::vector<size_t> task_ref;
-      for (size_t i = 0; i < refs_.size(); ++i) {
-        RoRef& ref = refs_[i];
-        store::ClusterHashTable* host =
-            cluster_.hash_table(ref.node, ref.table);
-        if (ref.node == worker_->node()) {
-          ref.entry_off = host->FindEntry(ref.key);
-          ref.found = ref.entry_off != store::kInvalidOffset;
-          continue;
-        }
-        clients.push_back(std::make_unique<store::RemoteKv>(
-            &cluster_.fabric(), ref.node, host->geometry(),
-            cluster_.cache(worker_->node(), ref.node)));
-        store::RemoteKv::LookupTask task;
-        task.client = clients.back().get();
-        task.key = ref.key;
-        tasks.push_back(std::move(task));
-        task_ref.push_back(i);
-      }
-      if (tasks.size() == 1) {
-        tasks[0].result = tasks[0].client->Lookup(tasks[0].key);
-      } else if (!tasks.empty()) {
-        rdma::PhaseScatter scatter(cluster_.fabric(), sq_cfg,
-                                   &stat::ScatterLookupIds());
-        store::RemoteKv::ScatterLookup(scatter, &tasks);
-      }
-      for (size_t t = 0; t < tasks.size(); ++t) {
-        RoRef& ref = refs_[task_ref[t]];
-        if (!cluster_.fabric().IsAlive(ref.node)) {
-          node_down = true;
-          break;
-        }
-        ref.found = tasks[t].result.found;
-        ref.entry_off = tasks[t].result.entry_off;
-      }
+    Acquirer::Result result =
+        acq.Resolve(reqs) ? acq.TryAll(reqs, stat::ScatterRoLeaseIds())
+                          : Acquirer::Result::kNodeDown;
+    if (result == Acquirer::Result::kOk) {
+      result = acq.Prefetch(reqs);
     }
-
-    // Phase 2: probe every found record's state word — local via a
-    // strong load, all remote probes in one overlapped scatter. A
-    // healthy existing lease is shared from the plain READ, CAS-free
-    // (an RDMA CAS costs an order of magnitude more, section 6.3).
-    std::vector<uint64_t> probes(refs_.size(), 0);
-    if (!node_down) {
-      rdma::PhaseScatter scatter(cluster_.fabric(), sq_cfg,
-                                 &stat::ScatterRoLeaseIds());
-      for (size_t i = 0; i < refs_.size(); ++i) {
-        RoRef& ref = refs_[i];
-        if (!ref.found) {
-          continue;
-        }
-        if (ref.node == worker_->node()) {
-          store::ClusterHashTable* host =
-              cluster_.hash_table(ref.node, ref.table);
-          // drtm-lint: allow(TX03 fallback lease probe, stands in for a one-sided RDMA READ)
-          probes[i] = htm::StrongLoad(host->StatePtr(ref.entry_off));
-        } else {
-          scatter.To(ref.node).PostRead(
-              ref.entry_off + store::kEntryStateOffset, &probes[i],
-              sizeof(probes[i]));
-        }
-      }
-      std::vector<rdma::ScatterCompletion> comps;
-      scatter.Gather(&comps);
-      for (const rdma::ScatterCompletion& sc : comps) {
-        if (sc.comp.status != rdma::OpStatus::kOk) {
-          node_down = true;
-        }
-      }
-    }
-
-    // Phase 3: lease every found record with a common end time via CAS
-    // (sections 4.5 and 6.3), seeded by its probe. The first CAS of
-    // every record that needs one rides a single overlapped scatter;
-    // only CAS failures drop to the scalar share/renew loop.
-    std::vector<uint64_t> expected(refs_.size(), kStateInit);
-    std::vector<uint64_t> observed(refs_.size(), 0);
-    std::vector<bool> need_cas(refs_.size(), false);
-    if (!node_down) {
-      const bool glob =
-          cluster_.fabric().atomic_level() == rdma::AtomicLevel::kGlob;
-      rdma::PhaseScatter scatter(cluster_.fabric(), sq_cfg,
-                                 &stat::ScatterRoLeaseIds());
-      std::vector<std::pair<std::pair<int, rdma::WrId>, size_t>> owners;
-      for (size_t i = 0; i < refs_.size(); ++i) {
-        RoRef& ref = refs_[i];
-        if (!ref.found) {
-          continue;
-        }
-        const bool local = ref.node == worker_->node();
-        if (HasLease(probes[i])) {
-          const uint64_t lease = LeaseEnd(probes[i]);
-          const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
-          if (lease > now + 2 * cfg.delta_us + cfg.lease_ro_us / 8) {
-            ref.lease_end = lease;  // share
-            continue;
-          }
-          expected[i] = probes[i];  // expired or short: steal/renew
-        } else if (IsWriteLocked(probes[i])) {
-          conflict = true;
-          break;
-        }
-        // Elastic freeze gate: sharing an existing lease above is safe
-        // (it never extends one), but installing or renewing a lease on
-        // a frozen bucket would stretch the revocation wait — retry.
-        if (!GateAllows(cluster_, ref.table, ref.key)) {
-          conflict = true;
-          break;
-        }
-        need_cas[i] = true;
-        if (local && glob) {
-          SpinFor(cfg.latency.LocalCasNs());
-          store::ClusterHashTable* host =
-              cluster_.hash_table(ref.node, ref.table);
-          // drtm-lint: allow(TX03 local stand-in for an RDMA CAS verb on GLOB-coherent NICs)
-          observed[i] = htm::StrongCas64(host->StatePtr(ref.entry_off),
-                                         expected[i], desired);
-        } else {
-          const rdma::WrId id = scatter.To(ref.node).PostCas(
-              ref.entry_off + store::kEntryStateOffset, expected[i], desired);
-          owners.emplace_back(std::make_pair(ref.node, id), i);
-        }
-      }
-      std::vector<rdma::ScatterCompletion> comps;
-      scatter.Gather(&comps);
-      for (const rdma::ScatterCompletion& sc : comps) {
-        size_t i = refs_.size();
-        for (const auto& [owner_key, idx] : owners) {
-          if (owner_key.first == sc.target &&
-              owner_key.second == sc.comp.wr_id) {
-            i = idx;
-            break;
-          }
-        }
-        if (sc.comp.status != rdma::OpStatus::kOk) {
-          node_down = true;
-          continue;
-        }
-        observed[i] = sc.comp.observed;
-      }
-    }
-    if (!node_down && !conflict) {
-      // Scalar continuation for refs whose batched CAS lost the race.
-      for (size_t i = 0; i < refs_.size() && !conflict && !node_down; ++i) {
-        if (!need_cas[i]) {
-          continue;
-        }
-        RoRef& ref = refs_[i];
-        const bool local = ref.node == worker_->node();
-        store::ClusterHashTable* host =
-            cluster_.hash_table(ref.node, ref.table);
-        uint64_t exp = expected[i];
-        uint64_t obs = observed[i];
-        while (true) {
-          if (obs == exp) {
-            ref.lease_end = end;
-            break;
-          }
-          if (IsWriteLocked(obs)) {
-            conflict = true;
-            break;
-          }
-          const uint64_t lease = LeaseEnd(obs);
-          const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
-          if (!LeaseExpired(lease, now, cfg.delta_us) &&
-              lease > now + 2 * cfg.delta_us + cfg.lease_ro_us / 8) {
-            ref.lease_end = lease;  // share
-            break;
-          }
-          exp = obs;  // renew a nearly-expired lease / steal an expired one
-          if (local &&
-              cluster_.fabric().atomic_level() == rdma::AtomicLevel::kGlob) {
-            SpinFor(cfg.latency.LocalCasNs());
-            // drtm-lint: allow(TX03 local stand-in for an RDMA CAS verb on GLOB-coherent NICs)
-            obs = htm::StrongCas64(host->StatePtr(ref.entry_off), exp,
-                                   desired);
-          } else if (cluster_.fabric().Cas(
-                         ref.node, ref.entry_off + store::kEntryStateOffset,
-                         exp, desired, &obs) != rdma::OpStatus::kOk) {
-            node_down = true;
-            break;
-          }
-        }
-      }
-    }
-
-    // Phase 4: prefetch every leased record in one overlapped scatter.
-    if (!node_down && !conflict) {
-      std::vector<std::vector<uint8_t>> raws(refs_.size());
-      rdma::PhaseScatter scatter(cluster_.fabric(), sq_cfg,
-                                 &stat::ScatterPrefetchIds());
-      for (size_t i = 0; i < refs_.size(); ++i) {
-        RoRef& ref = refs_[i];
-        if (!ref.found) {
-          continue;
-        }
-        ref.buf.resize(cluster_.table(ref.table).value_size);
-        raws[i].resize(sizeof(store::EntryHeader) + ref.buf.size());
-        scatter.To(ref.node).PostRead(ref.entry_off, raws[i].data(),
-                                      raws[i].size());
-      }
-      std::vector<rdma::ScatterCompletion> comps;
-      scatter.Gather(&comps);
-      for (const rdma::ScatterCompletion& sc : comps) {
-        if (sc.comp.status != rdma::OpStatus::kOk) {
-          node_down = true;
-        }
-      }
-      for (size_t i = 0; i < refs_.size() && !node_down; ++i) {
-        if (raws[i].empty()) {
-          continue;
-        }
-        RoRef& ref = refs_[i];
-        store::EntryHeader header;
-        std::memcpy(&header, raws[i].data(), sizeof(header));
-        if (header.key != ref.key) {
-          conflict = true;  // deleted under us; retry
-          break;
-        }
-        std::memcpy(ref.buf.data(), raws[i].data() + sizeof(header),
-                    ref.buf.size());
-      }
-    }
-
-    if (node_down) {
+    if (result == Acquirer::Result::kNodeDown) {
       ++stats.node_failures;
       stat::Registry::Global().Add(Ids().node_failure);
       return TxnStatus::kNodeFailure;
     }
-    if (!conflict) {
-      // Confirmation: all leases still valid at one instant (Fig. 8).
-      const uint64_t now = cluster_.synctime().ReadStrong(worker_->node());
-      bool all_valid = true;
-      for (const RoRef& ref : refs_) {
-        if (ref.found && !LeaseValid(ref.lease_end, now, cfg.delta_us)) {
-          all_valid = false;
-          break;
-        }
-      }
-      if (all_valid) {
-        ++stats.read_only_committed;
-        stat::Registry::Global().Add(Ids().ro_commit);
-        return TxnStatus::kCommitted;
-      }
+    // Confirmation: all leases still valid at one instant (Fig. 8).
+    if (result == Acquirer::Result::kOk && acq.LeasesValid(reqs)) {
+      ++stats.read_only_committed;
+      stat::Registry::Global().Add(Ids().ro_commit);
+      return TxnStatus::kCommitted;
     }
     ++stats.read_only_retries;
     stat::Registry::Global().Add(Ids().ro_retry);
@@ -2471,26 +1391,27 @@ TxnStatus ReadOnlyTransaction::Execute() {
   return TxnStatus::kAborted;
 }
 
-bool ReadOnlyTransaction::Get(int table, uint64_t key, void* out) const {
+const ReadOnlyTransaction::RoRef* ReadOnlyTransaction::Find(
+    int table, uint64_t key) const {
   for (const RoRef& ref : refs_) {
-    if (ref.table == table && ref.key == key) {
-      if (!ref.found) {
-        return false;
-      }
-      std::memcpy(out, ref.buf.data(), ref.buf.size());
-      return true;
+    if (ref.table == table && ref.key == key && ref.found) {
+      return &ref;
     }
   }
-  return false;
+  return nullptr;
+}
+
+bool ReadOnlyTransaction::Get(int table, uint64_t key, void* out) const {
+  const RoRef* ref = Find(table, key);
+  if (ref != nullptr) {
+    std::memcpy(out, ref->buf.data(), ref->buf.size());
+  }
+  return ref != nullptr;
 }
 
 uint64_t ReadOnlyTransaction::LeaseEndOf(int table, uint64_t key) const {
-  for (const RoRef& ref : refs_) {
-    if (ref.table == table && ref.key == key) {
-      return ref.found ? ref.lease_end : 0;
-    }
-  }
-  return 0;
+  const RoRef* ref = Find(table, key);
+  return ref != nullptr ? ref->lease_end : 0;
 }
 
 }  // namespace txn

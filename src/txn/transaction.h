@@ -29,6 +29,7 @@
 #include "src/common/rand.h"
 #include "src/htm/htm.h"
 #include "src/replay/replay_log.h"
+#include "src/txn/acquire.h"
 #include "src/txn/cluster.h"
 
 namespace drtm {
@@ -154,21 +155,14 @@ class Worker {
 // piece, released only after the last piece committed. Pieces mark the
 // matching declared refs chain-locked so their own acquire/release
 // machinery skips them and tolerates observing the (held-by-us) lock.
-struct ChainLock {
-  int table = 0;
-  uint64_t key = 0;
-  int node = -1;
-  uint64_t entry_off = ~uint64_t{0};
-  bool locked = false;
-};
+using ChainLock = LockRequest;
 
-// Acquires every chain lock (resolving owner + entry offset) in global
-// <table, key> order, waiting out holders and lease expiry like the 2PL
-// fallback. When logging is on, a lock-ahead record is appended under
-// chain_id first, so recovery can release the chain locks of a crashed
-// node (§4.6). On any failure everything acquired is released. Returns
-// kCommitted on success, kAborted on conflict/missing-record exhaustion,
-// kNodeFailure when an owner node is down.
+// Acquires every chain lock in global <table, key> order, waiting out
+// holders and leases like the 2PL fallback. With logging on, a lock-ahead
+// record goes out under chain_id first, so recovery can release the chain
+// locks of a crashed node (§4.6). On failure everything acquired is
+// released: kAborted on conflict or a missing record, kNodeFailure when
+// an owner node is down.
 TxnStatus AcquireChainLocks(Worker* worker, uint64_t chain_id,
                             std::vector<ChainLock>* locks);
 void ReleaseChainLocks(Worker* worker, std::vector<ChainLock>* locks);
@@ -235,26 +229,14 @@ class Transaction {
 
  private:
   enum class Mode { kHtm, kFallback };
-  enum class StartResult { kOk, kConflict, kNodeDown };
+  using StartResult = Acquirer::Result;
 
-  struct Ref {
-    int table;
-    uint64_t key;
-    bool write;
-    int node;
-    bool local;
-    bool found = false;
-    uint64_t entry_off = ~uint64_t{0};
+  // A declared record: its lock/lease request (the prefetched image of a
+  // remote record, or of any record in fallback mode, lives in buf).
+  struct Ref : LockRequest {
+    bool write = false;
     uint32_t value_size = 0;
-    std::vector<uint8_t> buf;  // prefetched value (remote; fallback: all)
-    uint32_t version = 0;
-    uint64_t lease_end = 0;
-    bool locked = false;  // exclusive lock held by us
-    bool leased = false;
     bool dirty = false;
-    // Covered by an enclosing chain lock: skip acquire/release, and an
-    // observed write lock is our own (the chain holds it continuously).
-    bool chain_locked = false;
   };
 
   // Local structural operations buffered by the fallback path until after
@@ -276,54 +258,46 @@ class Transaction {
 
   Ref* FindRef(int table, uint64_t key);
   void SortRefs();
+  // Appends a structural op (copying the table's value_size bytes of
+  // `value`, if any) to pending_local_ops_.
+  void BufferOp(PendingOp::Kind op, int table, uint64_t key,
+                const void* value = nullptr);
+  // The engine for this attempt: leases end at lease_end_.
+  Acquirer acquirer() {
+    return Acquirer(worker_, lease_end_, cfg_.lease_rw_us);
+  }
 
   // HTM path.
+  // Start: resolve the remote refs, log the lock-ahead record, then lock
+  // (CAS) or lease (probe READ) them all in one non-waiting overlapped
+  // scatter round and prefetch them in a second — a k-node transaction
+  // pays ~2 overlapped round trips, not 2k serial ones.
   StartResult StartPhase();
-  // Scatter-gather Start-phase core: first-attempt lock CASes and
-  // lease-probe READs for all remote refs ride one *overlapped* doorbell
-  // per target node (rdma::PhaseScatter), then the prefetch READs ride a
-  // second scatter round — a k-node transaction pays ~2 overlapped round
-  // trips, not 2k serial ones. Contended refs (failed first CAS, locked
-  // probe) drop to the scalar helpers.
-  StartResult BatchedStartRemote(const std::vector<Ref*>& remote);
-  // Scatter-resolves every ref in `remote` (entry_off lookup, one
-  // overlapped doorbell per target node per chain round). Returns false
-  // if a target died mid-walk.
-  bool ResolveRemoteRefs(const std::vector<Ref*>& remote);
   void ConfirmLeasesInHtm();
   void WriteWalInHtm();
+  // The image a commit writes back in one WRITE (REMOTE_WRITE_BACK,
+  // Fig. 5): the bumped version, the still-held lock word, the value.
+  std::vector<uint8_t> WriteBackImage(const Ref& ref) const;
   // Returns false when a chaos crash point abandoned the release
   // (simulated death mid-commit): remaining locks stay held and the
   // caller must not write the Complete record.
   bool WriteBackAndUnlock();
-  void ReleaseRemoteLocks();
-  void ResetRefsForRetry();
-  TxnStatus RunHtmPath(const Body& body, bool* out_committed);
-
-  // Shared lock helpers (both paths).
-  StartResult AcquireExclusive(Ref& ref, bool wait);
-  StartResult AcquireLease(Ref& ref, bool wait);
-  // Lease acquisition given an already-observed state word (the probe
-  // READ happened elsewhere — batched, in the Start doorbell).
-  StartResult AcquireLeaseWithState(Ref& ref, bool wait, uint64_t observed);
-  StartResult PrefetchRef(Ref& ref);
-  // Parses a prefetched header+value image into ref (key check, version,
-  // value copy); undoes the ref's lock on a key mismatch.
-  StartResult PrefetchFromRaw(Ref& ref, const uint8_t* raw);
-  rdma::OpStatus StateCas(const Ref& ref, uint64_t expected, uint64_t desired,
-                          uint64_t* observed);
-  void UnlockRef(const Ref& ref);
+  // Appends the Complete record of a cleanly released commit and
+  // acknowledges the commit to the log.
+  void LogComplete();
+  // Releases every lock and forgets the attempt's acquisitions and
+  // writes, ready for a retry.
+  void AbandonAttempt();
 
   // Fallback path (section 6.2).
   TxnStatus RunFallback(const Body& body);
-  // Optimistic batched first pass of the 2PL fallback: every lock CAS /
-  // lease CAS rides one overlapped scatter round, then every prefetch a
-  // second — strictly non-blocking, so acquiring out of the global order
-  // is deadlock-free. kConflict means some ref came back contended;
-  // everything acquired has been released and the caller must drop to
-  // the global-sort-order serial loop.
-  StartResult OptimisticFallbackAcquire();
-  bool ResolveRef(Ref& ref);  // strong/remote lookup of entry_off
+  // Takes every lock and lease of a fallback attempt: one non-waiting
+  // overlapped try of the whole set first (acquiring out of order is
+  // deadlock-free because nothing waits), and on contention a release
+  // and the waiting acquisition in global order. Then prefetches.
+  StartResult FallbackAcquire();
+  // Every held lease, declared and dynamic, still valid now.
+  bool LeasesValid();
 
   // In-body helpers.
   bool LocalReadInHtm(Ref& ref, void* out);
@@ -390,15 +364,10 @@ class ReadOnlyTransaction {
   uint64_t LeaseEndOf(int table, uint64_t key) const;
 
  private:
-  struct RoRef {
-    int table;
-    uint64_t key;
-    int node;
-    bool found = false;
-    uint64_t entry_off = ~uint64_t{0};
-    uint64_t lease_end = 0;
-    std::vector<uint8_t> buf;
-  };
+  using RoRef = LockRequest;
+
+  // The request for a key that existed at snapshot time, or nullptr.
+  const RoRef* Find(int table, uint64_t key) const;
 
   Worker* worker_;
   Cluster& cluster_;

@@ -3,10 +3,14 @@
 // with logging (chop-info records, section 4.6).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
+#include "src/store/kv_layout.h"
 #include "src/txn/chopping.h"
 #include "src/txn/cluster.h"
+#include "src/txn/lock_state.h"
 #include "src/txn/nvram_log.h"
 #include "src/txn/transaction.h"
 
@@ -123,6 +127,10 @@ TEST_F(DynamicReadTest, FallbackDynamicReadsConsistentWithWriters) {
   config.htm_retry_limit = 0;
   config.lease_rw_us = 2000;
   SetUpCluster(config);
+  // The pair starts equal too: a reader that commits before the writer's
+  // first commit must see key 0's initial value in key 2 as well.
+  const uint64_t initial = 0;
+  ASSERT_TRUE(cluster_->hash_table(0, table_)->Put(2, &initial));
   std::atomic<bool> stop{false};
   std::atomic<bool> torn{false};
 
@@ -163,6 +171,68 @@ TEST_F(DynamicReadTest, FallbackDynamicReadsConsistentWithWriters) {
   writer.join();
   reader.join();
   EXPECT_FALSE(torn.load());
+}
+
+TEST_F(DynamicReadTest, FallbackReconfirmsSharedDeclaredLeaseAfterBody) {
+  // A fallback reader shares a declared lease that ends long before its
+  // own attempt's leases would. The lease expires mid-body, a writer
+  // commits both keys, and the reader then reads the second key
+  // dynamically: the post-body confirmation must cover the shared
+  // declared lease too, or the reader commits the torn pair {0, 777}.
+  ClusterConfig config;
+  config.htm_retry_limit = 0;
+  config.lease_rw_us = 40000;
+  SetUpCluster(config);
+  // The softtime word is stale right after Start().
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const uint64_t state_off =
+      cluster_->hash_table(0, table_)->FindEntry(0) + store::kEntryStateOffset;
+  const uint64_t now = cluster_->synctime().ReadStrong(0);
+  uint64_t observed = 0;
+  ASSERT_EQ(cluster_->fabric().Cas(0, state_off, kStateInit,
+                                   MakeLease(now + 8000), &observed),
+            rdma::OpStatus::kOk);
+  ASSERT_EQ(observed, kStateInit);
+
+  std::atomic<bool> reader_in_body{false};
+  std::atomic<bool> writer_done{false};
+  auto wait_for = [](const std::atomic<bool>& flag) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  };
+  std::thread writer([&] {
+    wait_for(reader_in_body);
+    Worker worker(cluster_.get(), 1, 0);
+    Transaction txn(&worker);
+    txn.AddWrite(table_, 0);
+    txn.AddWrite(table_, 2);
+    const uint64_t value = 777;
+    EXPECT_EQ(txn.Run([&](Transaction& t) {
+      return t.Write(table_, 0, &value) && t.Write(table_, 2, &value);
+    }),
+              TxnStatus::kCommitted);
+    writer_done.store(true);
+  });
+  Worker worker(cluster_.get(), 0, 0);
+  Transaction txn(&worker);
+  txn.AddRead(table_, 0);
+  uint64_t a = 0;
+  uint64_t b = 0;
+  const TxnStatus status = txn.Run([&](Transaction& t) {
+    if (!t.Read(table_, 0, &a)) {
+      return false;
+    }
+    reader_in_body.store(true);
+    wait_for(writer_done);
+    return t.ReadDynamic(table_, 2, &b);
+  });
+  writer.join();
+  ASSERT_EQ(status, TxnStatus::kCommitted);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(b, 777u);
 }
 
 TEST_F(DynamicReadTest, ChoppedTransactionLogsChopInfo) {

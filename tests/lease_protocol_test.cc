@@ -29,6 +29,12 @@ class LeaseProtocolTest : public ::testing::Test {
     spec.partition = [](uint64_t key) { return static_cast<int>(key % 2); };
     table_ = cluster_->AddTable(spec);
     cluster_->Start();
+    // Lease ends derive from softtime: wait for the timer thread's first
+    // tick, which under parallel load can come milliseconds after Start.
+    const uint64_t started = cluster_->synctime().ReadStrong(1);
+    while (cluster_->synctime().ReadStrong(1) == started) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
     const uint64_t v = 1;
     // Record 0 lives on node 0; accessed remotely from node 1.
     cluster_->hash_table(0, table_)->Insert(0, &v);
@@ -95,8 +101,13 @@ TEST_F(LeaseProtocolTest, NearlyExpiredLeaseIsRenewed) {
   Worker reader(cluster_.get(), 1, 0);
   uint64_t end1 = 0;
   ASSERT_EQ(RemoteRead(&reader, &end1), TxnStatus::kCommitted);
-  // Sleep until inside the renewal margin (but before expiry).
-  std::this_thread::sleep_for(std::chrono::microseconds(27000));
+  // Wait until softtime itself is 1 ms inside the renewal margin (a
+  // fixed sleep can land short of it when the timer thread lags under
+  // load). Softtime is monotonic, so the next Start sees at least this.
+  const uint64_t margin = 2 * config.delta_us + config.lease_rw_us / 8;
+  while (cluster_->synctime().ReadStrong(1) + margin < end1 + 1000) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
   uint64_t end2 = 0;
   ASSERT_EQ(RemoteRead(&reader, &end2), TxnStatus::kCommitted);
   EXPECT_GT(end2, end1) << "a nearly-expired lease must be renewed";

@@ -540,7 +540,6 @@ TEST_F(TxnProtocolTest, NodeFailureSurfacesAndLocksReleased) {
 TEST_F(TxnProtocolTest, ContendedOptimisticFallbackFallsThroughToOrdered) {
   auto config = SmallConfig(2);
   config.htm_retry_limit = 0;  // every transaction uses the 2PL fallback
-  ASSERT_TRUE(config.optimistic_fallback_locking);
   SetUpCluster(config);
   // Write-lock the remote account as if another machine held it; the
   // optimistic batched first pass must see the conflict, release, and
@@ -584,7 +583,6 @@ TEST_F(TxnProtocolTest, SymmetricCrossNodeConflictsAreDeadlockFree) {
   // here (ctest timeout) is the failure mode.
   auto config = SmallConfig(2);
   config.htm_retry_limit = 0;
-  ASSERT_TRUE(config.optimistic_fallback_locking);
   SetUpCluster(config);
   constexpr int kIters = 200;
   std::atomic<uint64_t> committed{0};

@@ -84,8 +84,15 @@ TEST_F(SyncTimeTest, PublishesOnAllNodes) {
 TEST_F(SyncTimeTest, TimerAdvancesTime) {
   synctime_->Start();
   const uint64_t t0 = synctime_->ReadStrong(0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  const uint64_t t1 = synctime_->ReadStrong(0);
+  // The timer thread publishes every 100 us once scheduled; under
+  // parallel load its first run can take longer than any fixed sleep.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  uint64_t t1 = t0;
+  while (t1 == t0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    t1 = synctime_->ReadStrong(0);
+  }
   synctime_->Stop();
   EXPECT_GT(t1, t0);
 }

@@ -27,7 +27,8 @@
 //         transaction bodies — swallowing the unwind corrupts the
 //         emulator's depth/read-set state.
 //   EL01  a function that acquires a lock/lease or installs a table
-//         entry (calls an acquire primitive: StateCas, InstallVersioned)
+//         entry (calls an acquire primitive: the acquisition engine's
+//         single CAS entry point Acquirer::StateCas, InstallVersioned)
 //         must consult the elastic freeze gate
 //         (ElasticHooks::AllowAcquire / GateAllows) itself, or be
 //         reachable only from callers that do — otherwise a live bucket
@@ -66,9 +67,7 @@
 // references, lock-word probes), then a worklist iterates to a fixpoint
 // so a TX01 obligation reaches a helper at any call depth. It
 // deliberately has no compiler dependency so it builds and runs
-// everywhere the repo does; an optional Clang-LibTooling frontend
-// (clang_frontend.cc, -DDRTM_LINT_WITH_CLANG=ON) reuses the same rule
-// vocabulary with full type information where LLVM dev packages exist.
+// everywhere the repo does.
 #ifndef TOOLS_DRTM_LINT_LINT_H_
 #define TOOLS_DRTM_LINT_LINT_H_
 
@@ -144,7 +143,8 @@ struct Options {
   size_t max_call_depth = 32;
 
   // EL01 vocabulary: calling an acquire primitive obliges the caller
-  // chain to consult one of the gates.
+  // chain to consult one of the gates. Every lock/lease CAS in src/txn
+  // goes through Acquirer::StateCas (src/txn/acquire.cc).
   std::vector<std::string> acquire_primitives = {"StateCas",
                                                  "InstallVersioned"};
   std::vector<std::string> acquire_gates = {"AllowAcquire", "GateAllows"};

@@ -56,20 +56,7 @@ uint64_t LockSlot(std::atomic<uint64_t>* slot) {
 }  // namespace
 
 HtmThread::HtmThread(Config config, VersionTable* table)
-    : config_(config), table_(table) {
-  read_set_.reserve(256);
-  write_set_.reserve(64);
-  redo_log_.reserve(64);
-  redo_data_.reserve(4096);
-  size_t lines = std::min(config_.probe_batch_lines, kMaxProbeCache);
-  while (lines & (lines - 1)) {
-    lines &= lines - 1;  // round down to a power of two
-  }
-  probe_mask_ = lines >= 2 ? lines - 1 : 0;
-  if (config_.commit_write_combining) {
-    wc_slots_.reserve(64);
-  }
-}
+    : config_(config), table_(table) {}
 
 HtmThread::~HtmThread() {
   assert(depth_ == 0 && "HtmThread destroyed inside a transaction");
@@ -80,17 +67,25 @@ HtmThread* HtmThread::Current() {
                                                                : nullptr;
 }
 
+void HtmThread::Reset() {
+  lines_.clear();
+  if (++epoch_ == 0) {
+    // 2^32 resets: stale buckets could now look live, so really clear.
+    std::fill(index_.begin(), index_.end(), 0);
+    epoch_ = 1;
+  }
+  read_lines_ = 0;
+  write_lines_ = 0;
+  redo_log_.clear();
+  redo_data_.clear();
+}
+
 void HtmThread::Begin() {
   assert(depth_ == 0);
   assert(g_current_tx == nullptr && "another HtmThread active on this thread");
   depth_ = 1;
   g_current_tx = this;
-  ++epoch_;  // invalidates both probe caches without touching them
-  read_set_.clear();
-  write_set_.clear();
-  redo_log_.clear();
-  redo_data_.clear();
-  wc_slots_.clear();
+  Reset();
 }
 
 void HtmThread::AbortWith(unsigned status) { throw AbortException{status}; }
@@ -115,32 +110,53 @@ void HtmThread::Rollback(unsigned status) {
     ++stats_.aborts_conflict;
   }
   stat::RecordHtmOutcome(status);
-  read_set_.clear();
-  write_set_.clear();
-  redo_log_.clear();
-  redo_data_.clear();
-  wc_slots_.clear();
+  Reset();
 }
 
-void HtmThread::TrackRead(const void* addr, size_t len) {
-  ForEachLineSlot(table_, addr, len, [&](std::atomic<uint64_t>* slot) {
-    ReadProbe* probe = nullptr;
-    if (probe_mask_ != 0) {
-      probe = &read_probe_[ProbeIndex(slot)];
-      if (probe->slot == slot && probe->epoch == epoch_) {
-        // Region-batched hit: this line was probed moments ago; skip the
-        // read-set map entirely. Freshness is still verified by the
-        // post-copy check in Read() and by commit validation.
-        return;
-      }
+size_t HtmThread::Bucket(const std::atomic<uint64_t>* slot) const {
+  const size_t mask = index_.size() - 1;
+  const uint64_t h =
+      (reinterpret_cast<uintptr_t>(slot) >> 3) * 0x9e3779b97f4a7c15ULL;
+  for (size_t i = (h >> 32) & mask;; i = (i + 1) & mask) {
+    const uint64_t bucket = index_[i];
+    if ((bucket >> 32) != epoch_ ||
+        lines_[static_cast<uint32_t>(bucket)].slot == slot) {
+      return i;
     }
-    auto it = read_set_.find(slot);
-    if (it != read_set_.end()) {
-      // Already tracked; freshness is verified by the post-copy check in
-      // Read() and by commit validation.
-      if (probe != nullptr) {
-        *probe = ReadProbe{slot, it->second, epoch_};
-      }
+  }
+}
+
+void HtmThread::Grow() {
+  index_.assign(std::max<size_t>(64, 2 * index_.size()), 0);
+  for (size_t i = 0; i < lines_.size(); ++i) {
+    index_[Bucket(lines_[i].slot)] = (uint64_t{epoch_} << 32) | i;
+  }
+}
+
+HtmThread::Line& HtmThread::Track(std::atomic<uint64_t>* slot) {
+  if (2 * lines_.size() >= index_.size()) {
+    Grow();
+  }
+  uint64_t& bucket = index_[Bucket(slot)];
+  if ((bucket >> 32) == epoch_) {
+    return lines_[static_cast<uint32_t>(bucket)];
+  }
+  bucket = (uint64_t{epoch_} << 32) | lines_.size();
+  return lines_.emplace_back(Line{slot});
+}
+
+void HtmThread::Read(void* dst, const void* src, size_t len) {
+  assert(depth_ > 0);
+  if (len == 0) {
+    return;
+  }
+  bool overlaps_write = false;
+  ForEachLineSlot(table_, src, len, [&](std::atomic<uint64_t>* slot) {
+    Line& line = Track(slot);
+    overlaps_write |= line.written;
+    if (line.read) {
+      // Already tracked; freshness is verified by the post-copy check
+      // below and by commit validation.
       return;
     }
     uint64_t v = slot->load(std::memory_order_acquire);
@@ -151,22 +167,13 @@ void HtmThread::TrackRead(const void* addr, size_t len) {
       }
       v = slot->load(std::memory_order_acquire);
     }
-    if (read_set_.size() >= config_.max_read_lines) {
+    if (read_lines_ >= config_.max_read_lines) {
       AbortWith(kAbortCapacity);
     }
-    read_set_.emplace(slot, v);
-    if (probe != nullptr) {
-      *probe = ReadProbe{slot, v, epoch_};
-    }
+    line.read = true;
+    line.read_version = v;
+    ++read_lines_;
   });
-}
-
-void HtmThread::Read(void* dst, const void* src, size_t len) {
-  assert(depth_ > 0);
-  if (len == 0) {
-    return;
-  }
-  TrackRead(src, len);
   std::atomic_thread_fence(std::memory_order_acquire);
   std::memcpy(dst, src, len);
   std::atomic_thread_fence(std::memory_order_acquire);
@@ -174,19 +181,13 @@ void HtmThread::Read(void* dst, const void* src, size_t len) {
   // transaction first observed, otherwise a concurrent commit or strong
   // write raced with the copy.
   ForEachLineSlot(table_, src, len, [&](std::atomic<uint64_t>* slot) {
-    uint64_t recorded;
-    if (probe_mask_ != 0) {
-      const ReadProbe& probe = read_probe_[ProbeIndex(slot)];
-      recorded = (probe.slot == slot && probe.epoch == epoch_)
-                     ? probe.version
-                     : read_set_.find(slot)->second;
-    } else {
-      recorded = read_set_.find(slot)->second;
-    }
-    if (slot->load(std::memory_order_acquire) != recorded) {
+    if (slot->load(std::memory_order_acquire) != Track(slot).read_version) {
       AbortWith(kAbortConflict | kAbortRetry);
     }
   });
+  if (!overlaps_write) {
+    return;
+  }
   // Read-your-writes: overlay buffered writes, in program order.
   const uintptr_t lo = reinterpret_cast<uintptr_t>(src);
   const uintptr_t hi = lo + len;
@@ -209,35 +210,21 @@ void HtmThread::Write(void* dst, const void* src, size_t len) {
     return;
   }
   ForEachLineSlot(table_, dst, len, [&](std::atomic<uint64_t>* slot) {
-    WriteProbe* probe = nullptr;
-    if (probe_mask_ != 0) {
-      probe = &write_probe_[ProbeIndex(slot)];
-      if (probe->slot == slot && probe->epoch == epoch_) {
-        return;  // region-batched hit: line already in the write set
-      }
-    }
-    if (write_set_.find(slot) != write_set_.end()) {
-      if (probe != nullptr) {
-        *probe = WriteProbe{slot, epoch_};
-      }
+    Line& line = Track(slot);
+    if (line.written) {
       return;
     }
-    if (write_set_.size() >= config_.max_write_lines) {
+    if (write_lines_ >= config_.max_write_lines) {
       AbortWith(kAbortCapacity);
     }
-    write_set_.emplace(slot, 0);
-    if (config_.commit_write_combining) {
-      wc_slots_.push_back(slot);
-    }
-    if (probe != nullptr) {
-      *probe = WriteProbe{slot, epoch_};
-    }
+    line.written = true;
+    ++write_lines_;
   });
-  if (config_.commit_write_combining && !redo_log_.empty()) {
-    // Write-combining: a byte-adjacent append (the common pattern when a
-    // large value is written as consecutive slices) extends the previous
-    // redo entry instead of growing the log. Program order is preserved —
-    // only the latest entry ever extends.
+  if (!redo_log_.empty()) {
+    // A byte-adjacent append (the common pattern when a large value is
+    // written as consecutive slices) extends the previous redo entry
+    // instead of growing the log. Program order is preserved — only the
+    // latest entry ever extends.
     RedoEntry& last = redo_log_.back();
     if (last.dst + last.len == reinterpret_cast<uintptr_t>(dst) &&
         last.offset + last.len == redo_data_.size()) {
@@ -262,73 +249,48 @@ void HtmThread::Commit() {
     return;
   }
 
-  // Phase 1: lock write lines in global (slot-address) order. With write
-  // combining on, the insertion-ordered wc_slots_ buffer (deduplicated at
-  // insert) replaces a full re-enumeration of the write-set map — one pass
-  // over the seqlock table per commit, à la mem-order's seqbatch recorder.
-  std::vector<std::pair<std::atomic<uint64_t>*, uint64_t>> locked;
-  locked.reserve(write_set_.size());
-  {
-    std::vector<std::atomic<uint64_t>*> rebuilt;
-    if (!config_.commit_write_combining) {
-      rebuilt.reserve(write_set_.size());
-      for (const auto& [slot, unused] : write_set_) {
-        rebuilt.push_back(slot);
-      }
+  // Phase 1: lock the written lines in global (slot-address) order, each
+  // entry keeping its pre-lock base. The index is not consulted again
+  // before Reset(), so the entries are reordered in place.
+  const auto written_end = std::partition(
+      lines_.begin(), lines_.end(), [](const Line& l) { return l.written; });
+  std::sort(lines_.begin(), written_end,
+            [](const Line& a, const Line& b) { return a.slot < b.slot; });
+  // Releases the locked prefix [begin, end), adding `bump` to each base.
+  auto release = [&](std::vector<Line>::iterator end, uint64_t bump) {
+    for (auto it = lines_.begin(); it != end; ++it) {
+      it->slot->store(it->base + bump, std::memory_order_release);
     }
-    std::vector<std::atomic<uint64_t>*>& slots =
-        config_.commit_write_combining ? wc_slots_ : rebuilt;
-    std::sort(slots.begin(), slots.end());
-    for (std::atomic<uint64_t>* slot : slots) {
-      int spins = 0;
-      while (true) {
-        uint64_t v = slot->load(std::memory_order_acquire);
-        if (!VersionTable::IsLocked(v) &&
-            slot->compare_exchange_weak(v, v + 1,
-                                        std::memory_order_acq_rel)) {
-          locked.emplace_back(slot, v);
-          break;
-        }
-        if (++spins > config_.lock_spin_limit) {
-          for (auto& [held, base] : locked) {
-            held->store(base, std::memory_order_release);
-          }
-          AbortWith(kAbortConflict | kAbortRetry);
-        }
+  };
+  for (auto it = lines_.begin(); it != written_end; ++it) {
+    int spins = 0;
+    while (true) {
+      uint64_t v = it->slot->load(std::memory_order_acquire);
+      if (!VersionTable::IsLocked(v) &&
+          it->slot->compare_exchange_weak(v, v + 1,
+                                          std::memory_order_acq_rel)) {
+        it->base = v;
+        break;
+      }
+      if (++spins > config_.lock_spin_limit) {
+        release(it, 0);
+        AbortWith(kAbortConflict | kAbortRetry);
       }
     }
   }
 
-  // Phase 2: validate the read set against the snapshot versions.
-  // `locked` was filled in sorted slot order, so the locked-by-us lookup
-  // is a binary search — a read-write transaction touching W lines would
-  // otherwise pay O(W) per overlapping read line (quadratic for the
-  // sliced bulk writes the chop planner emits, whose read and write sets
-  // largely coincide).
-  bool valid = true;
-  for (const auto& [slot, recorded] : read_set_) {
-    uint64_t current = slot->load(std::memory_order_acquire);
-    if (VersionTable::IsLocked(current)) {
-      // Locked by us? Then its pre-lock base must match what we read.
-      auto it = std::lower_bound(
-          locked.begin(), locked.end(), slot,
-          [](const auto& p, const std::atomic<uint64_t>* s) {
-            return p.first < s;
-          });
-      if (it == locked.end() || it->first != slot || it->second != recorded) {
-        valid = false;
-        break;
-      }
-    } else if (current != recorded) {
-      valid = false;
-      break;
+  // Phase 2: validate every read line against its snapshot version. A
+  // line we hold must have been unchanged when we locked it.
+  for (const Line& line : lines_) {
+    if (!line.read) {
+      continue;
     }
-  }
-  if (!valid) {
-    for (auto& [slot, base] : locked) {
-      slot->store(base, std::memory_order_release);
+    const uint64_t current =
+        line.written ? line.base : line.slot->load(std::memory_order_acquire);
+    if (current != line.read_version) {
+      release(written_end, 0);
+      AbortWith(kAbortConflict | kAbortRetry);
     }
-    AbortWith(kAbortConflict | kAbortRetry);
   }
 
   // Phase 3: install buffered writes, then release with a version bump.
@@ -339,31 +301,25 @@ void HtmThread::Commit() {
   }
   std::atomic_thread_fence(std::memory_order_release);
   if (g_replay_armed.load(std::memory_order_relaxed) &&
-      g_replay_hooks.on_publish != nullptr && !locked.empty()) {
+      g_replay_hooks.on_publish != nullptr && write_lines_ != 0) {
     // Inside the critical section (slots still locked): the hook's
     // observation order is the serialization order of conflicting
     // commits. Read-only regions (no locked lines) publish nothing.
-    std::vector<PublishedLine> lines;
-    lines.reserve(locked.size());
-    for (const auto& [slot, base] : locked) {
-      lines.push_back(PublishedLine{
-          static_cast<uint32_t>(table_->IndexOf(slot)), base + 2});
+    std::vector<PublishedLine> published;
+    published.reserve(write_lines_);
+    for (auto it = lines_.begin(); it != written_end; ++it) {
+      published.push_back(PublishedLine{
+          static_cast<uint32_t>(table_->IndexOf(it->slot)), it->base + 2});
     }
-    g_replay_hooks.on_publish(lines.data(), lines.size(), table_);
+    g_replay_hooks.on_publish(published.data(), published.size(), table_);
   }
-  for (auto& [slot, base] : locked) {
-    slot->store(base + 2, std::memory_order_release);
-  }
+  release(written_end, 2);
 
   ++stats_.commits;
   stat::RecordHtmOutcome(kCommitted);
   depth_ = 0;
   g_current_tx = nullptr;
-  read_set_.clear();
-  write_set_.clear();
-  redo_log_.clear();
-  redo_data_.clear();
-  wc_slots_.clear();
+  Reset();
 }
 
 void SetReplayHooks(const ReplayHooks& hooks) {
@@ -393,7 +349,8 @@ void StrongRead(void* dst, const void* src, size_t len, VersionTable* table) {
   if (len == 0) {
     return;
   }
-  std::vector<std::pair<std::atomic<uint64_t>*, uint64_t>> observed;
+  thread_local std::vector<std::pair<std::atomic<uint64_t>*, uint64_t>>
+      observed;
   while (true) {
     observed.clear();
     ForEachLineSlot(table, src, len, [&](std::atomic<uint64_t>* slot) {
@@ -423,22 +380,23 @@ void StrongWrite(void* dst, const void* src, size_t len, VersionTable* table) {
   if (len == 0) {
     return;
   }
-  std::vector<std::atomic<uint64_t>*> slots;
+  // (slot, pre-lock base), locked in slot-address order.
+  thread_local std::vector<std::pair<std::atomic<uint64_t>*, uint64_t>>
+      locked;
+  locked.clear();
   ForEachLineSlot(table, dst, len, [&](std::atomic<uint64_t>* slot) {
-    slots.push_back(slot);
+    locked.emplace_back(slot, 0);
   });
-  std::sort(slots.begin(), slots.end());
-  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-  std::vector<uint64_t> bases;
-  bases.reserve(slots.size());
-  for (std::atomic<uint64_t>* slot : slots) {
-    bases.push_back(LockSlot(slot));
+  std::sort(locked.begin(), locked.end());
+  locked.erase(std::unique(locked.begin(), locked.end()), locked.end());
+  for (auto& [slot, base] : locked) {
+    base = LockSlot(slot);
   }
   std::atomic_thread_fence(std::memory_order_release);
   std::memcpy(dst, src, len);
   std::atomic_thread_fence(std::memory_order_release);
-  for (size_t i = 0; i < slots.size(); ++i) {
-    slots[i]->store(bases[i] + 2, std::memory_order_release);
+  for (const auto& [slot, base] : locked) {
+    slot->store(base + 2, std::memory_order_release);
   }
 }
 

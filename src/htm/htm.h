@@ -27,7 +27,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 #include "src/htm/version_table.h"
@@ -53,17 +52,6 @@ struct Config {
   size_t max_read_lines = 8192;
   // Bounded spin (iterations) on a locked line before declaring conflict.
   int lock_spin_limit = 256;
-  // Region batching (mem-order's RTM_BATCH_N idiom): a direct-mapped
-  // per-thread cache of recently probed version-table slots, so a run of
-  // accesses to the same lines pays one read/write-set map probe per
-  // ~batch instead of one per access. Rounded down to a power of two,
-  // clamped to 64; 0 disables the cache.
-  size_t probe_batch_lines = 8;
-  // Commit-time write combining (mem-order's seqbatch idiom): slots are
-  // appended to a per-thread buffer as they first enter the write set, so
-  // commit walks that buffer in one pass instead of re-enumerating the
-  // write-set map, and byte-adjacent redo appends coalesce into one entry.
-  bool commit_write_combining = true;
 };
 
 struct Stats {
@@ -183,48 +171,40 @@ class HtmThread {
   void Rollback(unsigned status);
   [[noreturn]] void AbortWith(unsigned status);
 
-  // Tracks the lines of [addr, addr+len) in the read set, verifying a
-  // stable snapshot. Aborts on conflict/capacity.
-  void TrackRead(const void* addr, size_t len);
+  // One tracked cache line, keyed by its version-table slot: the emulated
+  // read/write bits RTM keeps per line in the L1/L2 (§2.2).
+  struct Line {
+    std::atomic<uint64_t>* slot;
+    uint64_t read_version = 0;  // version observed at the first read
+    uint64_t base = 0;          // pre-lock version while Commit holds it
+    bool read = false;
+    bool written = false;
+  };
 
-  // Direct-mapped probe-cache index for a slot (valid iff probe_mask_ != 0).
-  size_t ProbeIndex(const std::atomic<uint64_t>* slot) const {
-    return (reinterpret_cast<uintptr_t>(slot) >> 3) & probe_mask_;
-  }
+  // Returns slot's entry in the line table, adding an empty one if absent.
+  Line& Track(std::atomic<uint64_t>* slot);
+  // Index bucket holding slot's entry, or the empty bucket where it goes.
+  size_t Bucket(const std::atomic<uint64_t>* slot) const;
+  void Grow();
+  void Reset();
 
   Config config_;
   VersionTable* table_;
   int depth_ = 0;
   Stats stats_;
 
-  // slot -> version observed at first read.
-  std::unordered_map<std::atomic<uint64_t>*, uint64_t> read_set_;
-  // slot -> version observed when the line first entered the write set
-  // (used to validate read-after-write lines at commit).
-  std::unordered_map<std::atomic<uint64_t>*, uint64_t> write_set_;
+  // The line table: entries in first-touch order plus an open-addressed
+  // index into them. An index bucket is live iff its high 32 bits equal
+  // epoch_ (low 32 bits: entry position), so Reset() empties the table
+  // without touching it. The index grows on demand (load <= 1/2).
+  std::vector<Line> lines_;
+  std::vector<uint64_t> index_;
+  uint32_t epoch_ = 1;
+  size_t read_lines_ = 0;   // entries with the read bit
+  size_t write_lines_ = 0;  // entries with the written bit
+  // Write buffer, in program order; byte-adjacent appends coalesce.
   std::vector<RedoEntry> redo_log_;
   std::vector<uint8_t> redo_data_;
-
-  // Region-batching probe caches (Config::probe_batch_lines). Entries are
-  // epoch-tagged so Begin() invalidates them without a clear pass.
-  struct ReadProbe {
-    std::atomic<uint64_t>* slot = nullptr;
-    uint64_t version = 0;
-    uint64_t epoch = 0;
-  };
-  struct WriteProbe {
-    std::atomic<uint64_t>* slot = nullptr;
-    uint64_t epoch = 0;
-  };
-  static constexpr size_t kMaxProbeCache = 64;
-  size_t probe_mask_ = 0;  // 0 => caches disabled
-  uint64_t epoch_ = 0;
-  ReadProbe read_probe_[kMaxProbeCache];
-  WriteProbe write_probe_[kMaxProbeCache];
-
-  // Write-combining buffer (Config::commit_write_combining): every slot in
-  // insertion order, deduplicated at insert, consumed by Commit in one pass.
-  std::vector<std::atomic<uint64_t>*> wc_slots_;
 };
 
 // --- Replay hooks -----------------------------------------------------------

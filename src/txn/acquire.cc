@@ -45,14 +45,15 @@ bool GateAllows(Cluster& cluster, int table, uint64_t key) {
   return hooks == nullptr || hooks->AllowAcquire(table, key);
 }
 
-void WriteUntilRecovered(rdma::Fabric& fabric, int node, uint64_t offset,
+bool WriteUntilRecovered(rdma::Fabric& fabric, int node, uint64_t offset,
                          const void* src, size_t len) {
   for (int attempt = 0; attempt < kWriteBackRetries; ++attempt) {
     if (fabric.Write(node, offset, src, len) == rdma::OpStatus::kOk) {
-      return;
+      return true;
     }
     SleepUs(1000);
   }
+  return false;
 }
 
 // A request's next move on its state word, and the word it last saw.
@@ -436,6 +437,7 @@ bool Acquirer::LeasesValid(const std::vector<LockRequest*>& reqs) const {
 bool Acquirer::Release(const std::vector<LockRequest*>& reqs, bool at_commit) {
   static const uint32_t kUnlockPoint =
       chaos::Injector::Global().Point("txn.fallback.unlock");
+  bool released = true;
   for (LockRequest* r : reqs) {
     r->leased = false;
     if (!r->locked) {
@@ -445,12 +447,13 @@ bool Acquirer::Release(const std::vector<LockRequest*>& reqs, bool at_commit) {
                          chaos::Decision::Kind::kAbandon) {
       return false;
     }
-    DropLock(*r);
+    released &= DropLock(*r);
   }
-  return true;
+  return released;
 }
 
-void Acquirer::DropLock(LockRequest& r) {
+bool Acquirer::DropLock(LockRequest& r) {
+  bool landed = true;
   if (r.local && glob_) {
     // drtm-lint: allow(TX03 lock release on a state word we own, stands in for an RDMA WRITE)
     htm::StrongStore(StatePtr(r), kStateInit);
@@ -458,11 +461,12 @@ void Acquirer::DropLock(LockRequest& r) {
     // Recovery also clears the locks of a dead holder from its
     // lock-ahead log.
     const uint64_t init = kStateInit;
-    WriteUntilRecovered(cluster_.fabric(), r.node,
-                        r.entry_off + store::kEntryStateOffset, &init,
-                        sizeof(init));
+    landed = WriteUntilRecovered(cluster_.fabric(), r.node,
+                                 r.entry_off + store::kEntryStateOffset,
+                                 &init, sizeof(init));
   }
   r.locked = false;
+  return landed;
 }
 
 }  // namespace txn

@@ -85,7 +85,8 @@ bool GateAllows(Cluster& cluster, int table, uint64_t key);
 
 // Retries a WRITE until the target accepts it: after a commit the
 // surviving workers wait for a dead target's recovery (Fig. 7(d)).
-void WriteUntilRecovered(rdma::Fabric& fabric, int node, uint64_t offset,
+// Returns false when the target stayed down past the retry budget.
+bool WriteUntilRecovered(rdma::Fabric& fabric, int node, uint64_t offset,
                          const void* src, size_t len);
 
 class Acquirer {
@@ -129,9 +130,12 @@ class Acquirer {
   // Drops every held lock (leases simply expire). With `at_commit` the
   // release ends a committed transaction and the chaos crash point
   // txn.fallback.unlock may abandon it midway, simulating the machine
-  // dying: the remaining locks stay held and false is returned.
+  // dying: the remaining locks stay held and false is returned. False
+  // also when an unlock could not land (DropLock).
   bool Release(const std::vector<LockRequest*>& reqs, bool at_commit = false);
-  void DropLock(LockRequest& r);
+  // Returns false when the unlock could not land on a dead target; the
+  // lock then stays held until recovery releases it.
+  bool DropLock(LockRequest& r);
 
  private:
   struct Step;

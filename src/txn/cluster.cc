@@ -242,25 +242,25 @@ void Cluster::ServerLoop(int node) {
     std::vector<uint8_t> reply;
     switch (msg.kind) {
       case kRpcKvInsert:
-        reply = HandleKvInsert(node, msg);
+        reply = HandleKvInsert(node, msg, htm);
         break;
       case kRpcKvRemove:
-        reply = HandleKvRemove(node, msg);
+        reply = HandleKvRemove(node, msg, htm);
         break;
       case kRpcKvUpsert:
-        reply = HandleKvUpsert(node, msg);
+        reply = HandleKvUpsert(node, msg, htm);
         break;
       case kRpcKvErase:
-        reply = HandleKvErase(node, msg);
+        reply = HandleKvErase(node, msg, htm);
         break;
       case kRpcCacheInval:
         reply = HandleCacheInval(node, msg);
         break;
       case kRpcOrderedGet:
-        reply = HandleOrderedGet(node, msg);
+        reply = HandleOrderedGet(node, msg, htm);
         break;
       case kRpcOrderedScan:
-        reply = HandleOrderedScan(node, msg);
+        reply = HandleOrderedScan(node, msg, htm);
         break;
       default: {
         auto it = handlers_.find(msg.kind);
@@ -285,14 +285,14 @@ struct KvRequest {
 }  // namespace
 
 std::vector<uint8_t> Cluster::HandleKvInsert(int node,
-                                             const rdma::Message& msg) {
+                                             const rdma::Message& msg,
+                                             htm::HtmThread& htm) {
   if (ChaosDropsRpc(RpcPoints().insert, node)) {
     return {static_cast<uint8_t>(0)};
   }
   KvRequest req;
   std::memcpy(&req, msg.payload.data(), sizeof(req));
   const uint8_t* value = msg.payload.data() + sizeof(req);
-  htm::HtmThread htm(config_.htm);
   bool ok = false;
   if (tables_[static_cast<size_t>(req.table)].ordered) {
     // Ordered tables take the same shipped-insert channel; a dedicated
@@ -333,13 +333,13 @@ std::vector<uint8_t> Cluster::HandleKvInsert(int node,
 }
 
 std::vector<uint8_t> Cluster::HandleKvRemove(int node,
-                                             const rdma::Message& msg) {
+                                             const rdma::Message& msg,
+                                             htm::HtmThread& htm) {
   if (ChaosDropsRpc(RpcPoints().remove, node)) {
     return {static_cast<uint8_t>(0)};
   }
   KvRequest req;
   std::memcpy(&req, msg.payload.data(), sizeof(req));
-  htm::HtmThread htm(config_.htm);
   bool ok = false;
   if (tables_[static_cast<size_t>(req.table)].ordered) {
     if (ChaosDropsRpc(RpcPoints().ordered_remove, node)) {
@@ -392,7 +392,8 @@ struct CacheInvalHeader {
 }  // namespace
 
 std::vector<uint8_t> Cluster::HandleKvUpsert(int node,
-                                             const rdma::Message& msg) {
+                                             const rdma::Message& msg,
+                                             htm::HtmThread& htm) {
   // A dropped upsert is a lost dual-write/catch-up installment: the
   // migration engine must retry off the 0 reply or reconcile at flip.
   if (ChaosDropsRpc(RpcPoints().upsert, node)) {
@@ -402,7 +403,6 @@ std::vector<uint8_t> Cluster::HandleKvUpsert(int node,
   std::memcpy(&req, msg.payload.data(), sizeof(req));
   const uint8_t* value = msg.payload.data() + sizeof(req);
   store::ClusterHashTable* table = hash_table(node, req.table);
-  htm::HtmThread htm(config_.htm);
   bool ok = false;
   while (true) {
     const unsigned status = htm.Transact(
@@ -417,14 +417,14 @@ std::vector<uint8_t> Cluster::HandleKvUpsert(int node,
 }
 
 std::vector<uint8_t> Cluster::HandleKvErase(int node,
-                                            const rdma::Message& msg) {
+                                            const rdma::Message& msg,
+                                            htm::HtmThread& htm) {
   if (ChaosDropsRpc(RpcPoints().erase, node)) {
     return {static_cast<uint8_t>(0)};
   }
   KvRequest req;
   std::memcpy(&req, msg.payload.data(), sizeof(req));
   store::ClusterHashTable* table = hash_table(node, req.table);
-  htm::HtmThread htm(config_.htm);
   bool ok = false;
   while (true) {
     const unsigned status =
@@ -482,7 +482,8 @@ struct OrderedScanRequest {
 }  // namespace
 
 std::vector<uint8_t> Cluster::HandleOrderedGet(int node,
-                                               const rdma::Message& msg) {
+                                               const rdma::Message& msg,
+                                               htm::HtmThread& htm) {
   // A dropped ordered get reads as a lost request: empty/negative reply,
   // and the client treats the key as unreachable this attempt.
   if (ChaosDropsRpc(RpcPoints().ordered_get, node)) {
@@ -494,7 +495,6 @@ std::vector<uint8_t> Cluster::HandleOrderedGet(int node,
   const uint32_t value_size = tables_[static_cast<size_t>(req.table)]
                                   .value_size;
   std::vector<uint8_t> reply(1 + value_size, 0);
-  htm::HtmThread htm(config_.htm);
   bool found = false;
   while (true) {
     const unsigned status =
@@ -508,7 +508,8 @@ std::vector<uint8_t> Cluster::HandleOrderedGet(int node,
 }
 
 std::vector<uint8_t> Cluster::HandleOrderedScan(int node,
-                                                const rdma::Message& msg) {
+                                                const rdma::Message& msg,
+                                                htm::HtmThread& htm) {
   // Dropped scan: a sub-4-byte reply, which RemoteOrderedScan reports as
   // a failed RPC rather than an empty (but successful) result set.
   if (ChaosDropsRpc(RpcPoints().ordered_scan, node)) {
@@ -520,7 +521,6 @@ std::vector<uint8_t> Cluster::HandleOrderedScan(int node,
   const uint32_t value_size = tables_[static_cast<size_t>(req.table)]
                                   .value_size;
   std::vector<uint8_t> reply(4, 0);
-  htm::HtmThread htm(config_.htm);
   uint32_t count = 0;
   while (true) {
     reply.resize(4);

@@ -270,13 +270,20 @@ class Cluster {
 
  private:
   void ServerLoop(int node);
-  std::vector<uint8_t> HandleKvInsert(int node, const rdma::Message& msg);
-  std::vector<uint8_t> HandleKvRemove(int node, const rdma::Message& msg);
-  std::vector<uint8_t> HandleKvUpsert(int node, const rdma::Message& msg);
-  std::vector<uint8_t> HandleKvErase(int node, const rdma::Message& msg);
+  // Store handlers run their HTM regions on the server loop's HtmThread.
+  std::vector<uint8_t> HandleKvInsert(int node, const rdma::Message& msg,
+                                     htm::HtmThread& htm);
+  std::vector<uint8_t> HandleKvRemove(int node, const rdma::Message& msg,
+                                     htm::HtmThread& htm);
+  std::vector<uint8_t> HandleKvUpsert(int node, const rdma::Message& msg,
+                                     htm::HtmThread& htm);
+  std::vector<uint8_t> HandleKvErase(int node, const rdma::Message& msg,
+                                    htm::HtmThread& htm);
   std::vector<uint8_t> HandleCacheInval(int node, const rdma::Message& msg);
-  std::vector<uint8_t> HandleOrderedGet(int node, const rdma::Message& msg);
-  std::vector<uint8_t> HandleOrderedScan(int node, const rdma::Message& msg);
+  std::vector<uint8_t> HandleOrderedGet(int node, const rdma::Message& msg,
+                                       htm::HtmThread& htm);
+  std::vector<uint8_t> HandleOrderedScan(int node, const rdma::Message& msg,
+                                        htm::HtmThread& htm);
 
   ClusterConfig config_;
   std::unique_ptr<rdma::Fabric> fabric_;

@@ -436,6 +436,7 @@ bool Transaction::WriteBackAndUnlock() {
   static const uint32_t kFallbackUnlockPoint =
       chaos::Injector::Global().Point("txn.fallback.unlock");
   bool release_abandoned = false;
+  bool landed = true;
   // Per ref: one WRITE for version + (still-held) state + value, then
   // one WRITE to unlock — the two-op commit of REMOTE_WRITE_BACK
   // (Fig. 5). All of a node's WRITEs ride one doorbell and every
@@ -504,11 +505,12 @@ bool Transaction::WriteBackAndUnlock() {
     // failed and follows later in `comps`).
     Ref& ref = refs_[p->ref_idx];
     if (!p->unlock) {
-      WriteUntilRecovered(cluster_.fabric(), ref.node,
-                          ref.entry_off + store::kEntryVersionOffset,
-                          blobs[p->ref_idx].data(), blobs[p->ref_idx].size());
+      landed &= WriteUntilRecovered(
+          cluster_.fabric(), ref.node,
+          ref.entry_off + store::kEntryVersionOffset,
+          blobs[p->ref_idx].data(), blobs[p->ref_idx].size());
     } else {
-      acquirer().DropLock(ref);
+      landed &= acquirer().DropLock(ref);
     }
   }
   if (!release_abandoned) {
@@ -516,7 +518,7 @@ bool Transaction::WriteBackAndUnlock() {
       ref.locked = false;
     }
   }
-  return !release_abandoned;
+  return !release_abandoned && landed;
 }
 
 void Transaction::LogComplete() {
@@ -653,8 +655,8 @@ TxnStatus Transaction::Run(const Body& body) {
         }
       }
       if (release_clean) {
-        // A chaos-abandoned release simulates the machine dying
-        // mid-commit; a dead machine reports nothing.
+        // An unfinished release reports nothing: a chaos-abandoned one
+        // is a machine dead mid-commit, and recovery redoes either kind.
         NotifyCommittedWrites();
       }
       ++stats.committed;
@@ -1217,6 +1219,7 @@ TxnStatus Transaction::RunFallback(const Body& body) {
     // readers; the state word is locked so local transactions stay away),
     // then the buffered local structural operations, then unlock.
     stat::ScopedTimer commit_phase(Ids().commit_ns);
+    bool landed = true;
     for (const Ref& ref : refs_) {
       // Every dirty ref is locked or chain-locked. A chain-locked one is
       // applied too (its image's state-word field re-writes the chain's
@@ -1233,9 +1236,10 @@ TxnStatus Transaction::RunFallback(const Body& body) {
                              store::kEntryVersionOffset,
                          image.data(), image.size());
       } else {
-        WriteUntilRecovered(cluster_.fabric(), ref.node,
-                            ref.entry_off + store::kEntryVersionOffset,
-                            image.data(), image.size());
+        landed &= WriteUntilRecovered(
+            cluster_.fabric(), ref.node,
+            ref.entry_off + store::kEntryVersionOffset, image.data(),
+            image.size());
       }
     }
     for (const PendingOp& op : pending_local_ops_) {
@@ -1279,9 +1283,11 @@ TxnStatus Transaction::RunFallback(const Body& body) {
     }
     // A chaos crash point in the release leaves the remaining locks held
     // and never writes the Complete record — recovery must release them
-    // from the lock-ahead/WAL logs.
-    const bool release_abandoned =
-        !acquirer().Release(RequestsOf(refs_), /*at_commit=*/true);
+    // from the lock-ahead/WAL logs. So does a write-back or unlock that
+    // could not land on a target that stayed down: recovery redoes it.
+    const bool released =
+        acquirer().Release(RequestsOf(refs_), /*at_commit=*/true);
+    const bool release_abandoned = !released || !landed;
     if (replay::Armed()) {
       replay::Recorder::Global().RecordLockRelease(txn_id_,
                                                    release_abandoned);

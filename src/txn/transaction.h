@@ -279,8 +279,10 @@ class Transaction {
   // Fig. 5): the bumped version, the still-held lock word, the value.
   std::vector<uint8_t> WriteBackImage(const Ref& ref) const;
   // Returns false when a chaos crash point abandoned the release
-  // (simulated death mid-commit): remaining locks stay held and the
-  // caller must not write the Complete record.
+  // (simulated death mid-commit), or when a write-back or unlock could
+  // not land on a target that stayed down past the retry budget: locks
+  // may stay held and the caller must not write the Complete record, so
+  // recovery of this node's log redoes the updates and releases them.
   bool WriteBackAndUnlock();
   // Appends the Complete record of a cleanly released commit and
   // acknowledges the commit to the log.

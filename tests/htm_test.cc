@@ -113,6 +113,58 @@ TEST(Htm, CapacityAbortOnReadSet) {
   EXPECT_TRUE(status & kAbortCapacity);
 }
 
+TEST(Htm, AliasedLinesShareOneSlotEntry) {
+  // One slot: every line aliases, so lines A and B are one tracked entry.
+  VersionTable table(1);
+  alignas(64) uint64_t buf[16] = {};
+  buf[8] = 5;
+  std::atomic<uint64_t>* slot = table.SlotFor(buf);
+  const uint64_t before = slot->load();
+  HtmThread htm(Config(), &table);
+  const unsigned status = htm.Transact([&] {
+    htm.Store(&buf[0], uint64_t{7});
+    // Line B has the slot's written bit but no buffered bytes: it must
+    // read memory.
+    EXPECT_EQ(htm.Load(&buf[8]), 5u);
+  });
+  EXPECT_EQ(status, kCommitted);
+  EXPECT_EQ(buf[0], 7u);
+  EXPECT_EQ(buf[8], 5u);
+  EXPECT_EQ(slot->load(), before + 2);
+}
+
+TEST(Htm, StrongWriteToReadWrittenLineAborts) {
+  alignas(64) uint64_t words[8] = {};
+  HtmThread htm;
+  const unsigned status = htm.Transact([&] {
+    (void)htm.Load(&words[0]);
+    htm.Store(&words[0], uint64_t{3});
+    StrongStore(&words[1], uint64_t{9});
+  });
+  EXPECT_TRUE(status & kAbortConflict);
+  EXPECT_EQ(words[0], 0u);
+  EXPECT_EQ(words[1], 9u);
+}
+
+TEST(Htm, ReadSpanningLinesOverlaysOnlyWrittenBytes) {
+  alignas(64) uint8_t buf[128];
+  for (int i = 0; i < 128; ++i) {
+    buf[i] = static_cast<uint8_t>(i);
+  }
+  HtmThread htm;
+  htm.Transact([&] {
+    const uint8_t byte = 0xee;
+    htm.Write(buf + 70, &byte, 1);
+    uint8_t out[128];
+    htm.Read(out, buf, sizeof(out));
+    for (int i = 0; i < 128; ++i) {
+      EXPECT_EQ(out[i], i == 70 ? 0xee : i) << "byte " << i;
+    }
+  });
+  EXPECT_EQ(buf[70], 0xee);
+  EXPECT_EQ(buf[6], 6);
+}
+
 TEST(Htm, StrongWriteAbortsConflictingReader) {
   alignas(64) static uint64_t value = 0;
   value = 0;

@@ -6,7 +6,10 @@
 //     finishes the job;
 //   * a machine dying inside the fallback's lock-release loop leaves
 //     locks held and no Complete record; recovery must redo the WAL
-//     updates and clear every lock the dead machine owned.
+//     updates and clear every lock the dead machine owned;
+//   * a commit whose write-back target stays down past the retry budget
+//     writes no Complete record either, so recovery of the committer's
+//     log finishes the write-back once the target is back.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -63,6 +66,7 @@ class RecoveryFaultTest : public ::testing::Test {
 
   void TearDown() override {
     chaos::Injector::Global().Disarm();
+    chaos::Injector::Global().SetCrashHandler(nullptr);
     if (cluster_ != nullptr) {
       cluster_->Stop();
     }
@@ -89,6 +93,36 @@ class RecoveryFaultTest : public ::testing::Test {
     chaos::FaultPlan plan;
     plan.Add(chaos::FaultEvent{point, arrival, kind, -1, 0});
     chaos::Injector::Global().Arm(plan);
+  }
+
+  // Transfers 50 from key 0 (node 0) to key 1 (node 1) while node 1
+  // dies at the commit's first RDMA WRITE, key 1's write-back, and stays
+  // down past the retry budget: neither that write-back nor the unlock
+  // ever lands. No Complete record may claim the release finished, so
+  // replaying the committer's log once node 1 is back redoes the update
+  // and clears the lock it still holds there.
+  void CommitWhileTargetStaysDownThenRecover() {
+    Worker worker(cluster_.get(), 0, 0);
+    chaos::Injector::Global().SetCrashHandler(
+        [this](int node) { cluster_->Crash(node); });
+    ArmOne("rdma.write.wqe", 1, chaos::FaultKind::kCrashNode);
+    ASSERT_EQ(Transfer(&worker, 0, 1, 50), TxnStatus::kCommitted);
+    chaos::Injector::Global().Disarm();
+
+    cluster_->Revive(1);
+    RecoveryManager recovery(cluster_.get());
+    EXPECT_EQ(recovery.Recover(0).redone_updates, 1);
+    const uint64_t expected[2] = {kInitialBalance - 50, kInitialBalance + 50};
+    for (uint64_t k = 0; k <= 1; ++k) {
+      store::ClusterHashTable* host =
+          cluster_->hash_table(cluster_->PartitionOf(table_, k), table_);
+      const uint64_t entry = host->FindEntry(k);
+      EXPECT_EQ(htm::StrongLoad(host->StatePtr(entry)), kStateInit)
+          << "key " << k << " still locked after recovery";
+      uint64_t value = 0;
+      ASSERT_TRUE(host->Get(k, &value));
+      EXPECT_EQ(value, expected[k]) << "key " << k;
+    }
   }
 
   std::unique_ptr<Cluster> cluster_;
@@ -206,6 +240,17 @@ TEST_F(RecoveryFaultTest, CrashDuringFallbackLockReleaseIsRecovered) {
     total += value;
   }
   EXPECT_EQ(total, 2 * kInitialBalance);
+}
+
+TEST_F(RecoveryFaultTest, HtmWriteBackToTargetDownPastRetryBudgetIsRedone) {
+  SetUpCluster(2);
+  CommitWhileTargetStaysDownThenRecover();
+}
+
+TEST_F(RecoveryFaultTest,
+       FallbackWriteBackToTargetDownPastRetryBudgetIsRedone) {
+  SetUpCluster(2, /*htm_retry_limit=*/0);
+  CommitWhileTargetStaysDownThenRecover();
 }
 
 TEST_F(RecoveryFaultTest, CrashMidChainResumesFromLoggedRemainder) {

@@ -141,6 +141,92 @@ void BM_BPlusTreeGet(benchmark::State& state) {
 }
 BENCHMARK(BM_BPlusTreeGet);
 
+// The store benches below run each operation inside one HTM region, the
+// way local transactions use the stores; the ones above use the strong
+// path of bulk loading.
+void BM_ClusterHashGetInHtm(benchmark::State& state) {
+  rdma::Fabric fabric([] {
+    rdma::Fabric::Config config;
+    config.num_nodes = 1;
+    config.region_bytes = 64 << 20;
+    return config;
+  }());
+  store::ClusterHashTable table(&fabric.memory(0), [] {
+    store::ClusterHashTable::Config config;
+    config.main_buckets = 1 << 12;
+    config.capacity = 1 << 15;
+    config.value_size = 64;
+    return config;
+  }());
+  std::vector<uint8_t> value(64, 1);
+  for (uint64_t k = 0; k < 20000; ++k) {
+    table.Insert(k, value.data());
+  }
+  htm::HtmThread htm;
+  uint64_t key = 0;
+  for (auto _ : state) {
+    htm.Transact([&] {
+      benchmark::DoNotOptimize(table.Get(key, value.data()));
+    });
+    key = (key + 7919) % 20000;
+  }
+}
+BENCHMARK(BM_ClusterHashGetInHtm);
+
+store::BPlusTree::Config MicroTreeConfig() {
+  store::BPlusTree::Config config;
+  config.value_size = 8;
+  config.max_nodes = 1 << 14;
+  return config;
+}
+
+// Inserts odd keys between 20000 loaded even ones; every 20000
+// iterations the odd keys are removed again with the clock stopped.
+void BM_BPlusTreeInsertInHtm(benchmark::State& state) {
+  constexpr uint64_t kKeys = 20000;
+  store::BPlusTree tree(MicroTreeConfig());
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    tree.Insert(2 * k, &k);
+  }
+  htm::HtmThread htm;
+  uint64_t i = 0;
+  for (auto _ : state) {
+    const uint64_t key = 2 * (i * 7919 % kKeys) + 1;
+    htm.Transact([&] { benchmark::DoNotOptimize(tree.Insert(key, &key)); });
+    if (++i % kKeys == 0) {
+      state.PauseTiming();
+      for (uint64_t k = 0; k < kKeys; ++k) {
+        tree.Remove(2 * k + 1);
+      }
+      state.ResumeTiming();
+    }
+  }
+}
+BENCHMARK(BM_BPlusTreeInsertInHtm);
+
+// Scans state.range(0) consecutive keys, about one TPC-C stock-level
+// order-line range.
+void BM_BPlusTreeScanInHtm(benchmark::State& state) {
+  constexpr uint64_t kKeys = 20000;
+  store::BPlusTree tree(MicroTreeConfig());
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    tree.Insert(k, &k);
+  }
+  const uint64_t span = static_cast<uint64_t>(state.range(0));
+  htm::HtmThread htm;
+  uint64_t lo = 0;
+  for (auto _ : state) {
+    htm.Transact([&] {
+      benchmark::DoNotOptimize(
+          tree.Scan(lo, lo + span - 1, [](uint64_t, const void*) {
+            return true;
+          }));
+    });
+    lo = (lo + 7919) % (kKeys - span);
+  }
+}
+BENCHMARK(BM_BPlusTreeScanInHtm)->Arg(20);
+
 void BM_LockStateHelpers(benchmark::State& state) {
   uint64_t word = txn::MakeLease(123456);
   for (auto _ : state) {

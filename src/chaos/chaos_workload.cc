@@ -261,6 +261,10 @@ bool WorkloadHarness::RunOp(txn::Worker& worker, Xoshiro256& rng,
     return status == txn::TxnStatus::kCommitted;
   }
   if (tpcc_ != nullptr) {
+    // TPC-C draws every input from worker.rng(), which is seeded by
+    // worker identity; reseed it from the op stream so the run seed
+    // reaches the mix (the replayer feeds the same stream).
+    worker.rng().Seed(rng.Next());
     return tpcc_->RunMix(&worker).status == txn::TxnStatus::kCommitted;
   }
   return ycsb_->RunTxn(&worker).committed;

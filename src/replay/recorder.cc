@@ -274,6 +274,13 @@ bool Recorder::CommitAllowed() {
       tls.ring_epoch != arm_epoch_.load(std::memory_order_acquire)) {
     return true;  // thread never joined this replay run
   }
+  if (!tls.in_op) {
+    // A server thread applying a shipped transaction: its commits are
+    // timeline-only (node -1), never scheduled, so no budget covers
+    // them. It joins the ring at its first publish with budget 0, and
+    // gating it would deny every later shipped commit.
+    return true;
+  }
   if (tls.budget > 0) {
     return true;
   }

@@ -87,7 +87,8 @@ class Recorder {
   // --- replay gate ---
   // Thread-local commit budget for the current op. With replay_gate on,
   // each published/fallback commit consumes one unit and CommitAllowed()
-  // turns false at zero; with it off the gate is always open.
+  // turns false at zero; with it off, or on a thread outside an op (a
+  // server thread), the gate is always open.
   void SetCommitBudget(uint64_t budget);
   bool CommitAllowed();
 

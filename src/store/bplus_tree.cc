@@ -1,8 +1,12 @@
 #include "src/store/bplus_tree.h"
 
-#include <cassert>
+#include <algorithm>
+#include <cstddef>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
+#include "src/common/cacheline.h"
 #include "src/htm/htm.h"
 
 namespace drtm {
@@ -12,51 +16,55 @@ namespace {
 constexpr uint64_t kControlRoot = 0;
 constexpr uint64_t kControlBump = 1;
 constexpr uint64_t kControlLive = 2;
-constexpr size_t kControlBytes = 64;
+constexpr size_t kControlBytes = kCacheLineSize;
 
-// Node header layout (byte offsets into a node).
-constexpr size_t kIsLeafOff = 0;    // uint16_t
-constexpr size_t kNumKeysOff = 2;   // uint16_t
-constexpr size_t kNextLeafOff = 4;  // uint32_t
+// Node layout: the 8-byte header {is_leaf: u16, num_keys: u16,
+// next_leaf: u32}, kFanout u64 keys, then the payload (leaf values or
+// kFanout + 1 u32 child ids). Nodes start on a line boundary.
+constexpr size_t kKeysOff = 8;  // after the header
+// Keys that share the header's line.
+constexpr int kHeaderLineKeys =
+    static_cast<int>((kCacheLineSize - kKeysOff) / sizeof(uint64_t));
+constexpr size_t kPayloadOff =
+    kKeysOff + sizeof(uint64_t) * BPlusTree::kFanout;
+constexpr size_t kChildBytes = sizeof(uint32_t);
 
-// Typed field access at a byte offset, with memcpy semantics through
-// the htm dispatch layer: no typed pointer into the pool is ever
-// formed, so there is no alignment or strict-aliasing UB for UBSan to
-// find, and every access is tracked by the transaction (TX01).
-template <typename T>
-T LoadField(const uint8_t* base, size_t off) {
-  T value;
-  htm::ReadBytes(&value, base + off, sizeof(T));
-  return value;
-}
-
-template <typename T>
-void StoreField(uint8_t* base, size_t off, const T& value) {
-  htm::WriteBytes(base + off, &value, sizeof(T));
+size_t KeyOff(int i) {
+  return kKeysOff + sizeof(uint64_t) * static_cast<size_t>(i);
 }
 }  // namespace
 
 BPlusTree::BPlusTree(const Config& config) : config_(config) {
-  keys_off_ = 8;
-  payload_off_ = keys_off_ + sizeof(uint64_t) * kFanout;
-  const size_t internal_payload = sizeof(uint32_t) * (kFanout + 1);
-  const size_t leaf_payload =
-      static_cast<size_t>(config.value_size) * kFanout;
-  node_bytes_ = payload_off_ +
-                (internal_payload > leaf_payload ? internal_payload
-                                                 : leaf_payload);
-  node_bytes_ = (node_bytes_ + 63) & ~size_t{63};
-  pool_ = std::make_unique<uint8_t[]>(kControlBytes +
-                                      node_bytes_ * config.max_nodes);
-  std::memset(pool_.get(), 0, kControlBytes);
+  static_assert(offsetof(NodeKeys, keys) == kKeysOff);
+  static_assert(sizeof(NodeKeys) == kPayloadOff);
+  if (config.value_size > kMaxValueSize) {
+    std::fprintf(stderr, "BPlusTree: value_size %u exceeds %u\n",
+                 config.value_size, kMaxValueSize);
+    std::abort();
+  }
+  node_bytes_ = kPayloadOff +
+                std::max(kChildBytes * (kFanout + 1),
+                         static_cast<size_t>(config.value_size) * kFanout);
+  node_bytes_ = (node_bytes_ + kCacheLineSize - 1) & ~(kCacheLineSize - 1);
+  // make_unique only guarantees 16-byte alignment: over-allocate and
+  // start the pool on the next line boundary.
+  pool_storage_ = std::make_unique<uint8_t[]>(
+      kControlBytes + node_bytes_ * config.max_nodes + kCacheLineSize - 1);
+  const uintptr_t raw = reinterpret_cast<uintptr_t>(pool_storage_.get());
+  pool_ = pool_storage_.get() +
+          ((kCacheLineSize - raw % kCacheLineSize) % kCacheLineSize);
 }
 
 uint64_t BPlusTree::ControlLoad(uint64_t which) {
-  return LoadField<uint64_t>(pool_.get(), which * sizeof(uint64_t));
+  uint64_t value;
+  htm::ReadBytes(&value, pool_ + which * sizeof(uint64_t),
+                 sizeof(value));
+  return value;
 }
 
 void BPlusTree::ControlStore(uint64_t which, uint64_t value) {
-  StoreField<uint64_t>(pool_.get(), which * sizeof(uint64_t), value);
+  htm::WriteBytes(pool_ + which * sizeof(uint64_t), &value,
+                  sizeof(value));
 }
 
 uint8_t* BPlusTree::NodeAt(uint32_t id) {
@@ -65,305 +73,285 @@ uint8_t* BPlusTree::NodeAt(uint32_t id) {
     // abort it instead of dereferencing out of the pool.
     htm::AbortCurrentTransactionOrDie("B+ tree node id out of range");
   }
-  return pool_.get() + kControlBytes +
+  return pool_ + kControlBytes +
          node_bytes_ * static_cast<size_t>(id - 1);
 }
 
-BPlusTree::NodeRef BPlusTree::AllocateNode(bool leaf) {
+uint32_t BPlusTree::AllocateNode() {
   const uint64_t bump = ControlLoad(kControlBump);
   if (bump >= config_.max_nodes) {
-    return NodeRef{};
+    return 0;
   }
   ControlStore(kControlBump, bump + 1);
-  const uint32_t id = static_cast<uint32_t>(bump + 1);
-  uint8_t* node = NodeAt(id);
-  StoreField<uint16_t>(node, kIsLeafOff, leaf ? uint16_t{1} : uint16_t{0});
-  StoreField<uint16_t>(node, kNumKeysOff, uint16_t{0});
-  StoreField<uint32_t>(node, kNextLeafOff, uint32_t{0});
-  return NodeRef{id};
+  return static_cast<uint32_t>(bump + 1);
 }
 
-uint16_t BPlusTree::IsLeaf(uint32_t id) {
-  return LoadField<uint16_t>(NodeAt(id), kIsLeafOff);
-}
-uint16_t BPlusTree::NumKeys(uint32_t id) {
-  const uint16_t n = LoadField<uint16_t>(NodeAt(id), kNumKeysOff);
-  if (n > kFanout) {
+BPlusTree::NodeKeys BPlusTree::ReadKeys(uint32_t id) {
+  const uint8_t* base = NodeAt(id);
+  NodeKeys node;
+  htm::ReadBytes(&node, base, kCacheLineSize);
+  if (node.num_keys > kFanout) {
     htm::AbortCurrentTransactionOrDie("B+ tree key count out of range");
   }
-  return n;
-}
-void BPlusTree::SetNumKeys(uint32_t id, uint16_t n) {
-  StoreField<uint16_t>(NodeAt(id), kNumKeysOff, n);
-}
-uint32_t BPlusTree::NextLeaf(uint32_t id) {
-  return LoadField<uint32_t>(NodeAt(id), kNextLeafOff);
-}
-void BPlusTree::SetNextLeaf(uint32_t id, uint32_t next) {
-  StoreField<uint32_t>(NodeAt(id), kNextLeafOff, next);
-}
-uint64_t BPlusTree::KeyAt(uint32_t id, int i) {
-  return LoadField<uint64_t>(NodeAt(id),
-                             keys_off_ + sizeof(uint64_t) * static_cast<size_t>(i));
-}
-void BPlusTree::SetKeyAt(uint32_t id, int i, uint64_t key) {
-  StoreField<uint64_t>(NodeAt(id),
-                       keys_off_ + sizeof(uint64_t) * static_cast<size_t>(i),
-                       key);
-}
-uint32_t BPlusTree::ChildAt(uint32_t id, int i) {
-  return LoadField<uint32_t>(
-      NodeAt(id), payload_off_ + sizeof(uint32_t) * static_cast<size_t>(i));
-}
-void BPlusTree::SetChildAt(uint32_t id, int i, uint32_t child) {
-  StoreField<uint32_t>(NodeAt(id),
-                       payload_off_ + sizeof(uint32_t) * static_cast<size_t>(i),
-                       child);
-}
-void BPlusTree::ReadValueAt(uint32_t id, int i, void* out) {
-  htm::ReadBytes(out,
-                 NodeAt(id) + payload_off_ +
-                     static_cast<size_t>(i) * config_.value_size,
-                 config_.value_size);
-}
-void BPlusTree::WriteValueAt(uint32_t id, int i, const void* value) {
-  htm::WriteBytes(NodeAt(id) + payload_off_ +
-                      static_cast<size_t>(i) * config_.value_size,
-                  value, config_.value_size);
-}
-
-int BPlusTree::LowerBound(uint32_t id, uint64_t key) {
-  const int n = NumKeys(id);
-  int i = 0;
-  while (i < n && KeyAt(id, i) < key) {
-    ++i;
-  }
-  return i;
-}
-
-// Internal routing: child index = number of keys <= key (keys[i] is the
-// smallest key reachable under child[i+1]).
-uint32_t BPlusTree::DescendToLeaf(uint64_t key, uint32_t* path,
-                                  int* path_child, int* depth) {
-  uint32_t node = static_cast<uint32_t>(ControlLoad(kControlRoot));
-  int d = 0;
-  while (node != 0 && !IsLeaf(node)) {
-    if (d > 64) {
-      htm::AbortCurrentTransactionOrDie("B+ tree descent too deep");
-    }
-    const int n = NumKeys(node);
-    int i = 0;
-    while (i < n && KeyAt(node, i) <= key) {
-      ++i;
-    }
-    if (path != nullptr) {
-      // drtm-lint: allow(TX01 out-params point at the caller's stack, not tree memory)
-      path[d] = node;
-      path_child[d] = i;  // drtm-lint: allow(TX01 out-param, caller's stack)
-    }
-    ++d;
-    node = ChildAt(node, i);
-  }
-  if (depth != nullptr) {
-    *depth = d;  // drtm-lint: allow(TX01 out-param, caller's stack)
+  if (node.num_keys > kHeaderLineKeys) {
+    // Only the live keys: key 15 shares a line with the first values.
+    htm::ReadBytes(&node.keys[kHeaderLineKeys], base + kCacheLineSize,
+                   KeyOff(node.num_keys) - kCacheLineSize);
   }
   return node;
 }
 
-void BPlusTree::InsertIntoLeaf(uint32_t leaf, int pos, uint64_t key,
-                               const void* value) {
-  const int n = NumKeys(leaf);
-  for (int i = n; i > pos; --i) {
-    SetKeyAt(leaf, i, KeyAt(leaf, i - 1));
-    uint8_t tmp[512];
-    assert(config_.value_size <= sizeof(tmp));
-    ReadValueAt(leaf, i - 1, tmp);
-    WriteValueAt(leaf, i, tmp);
+void BPlusTree::WriteImage(uint32_t id, const NodeKeys& node) {
+  htm::WriteBytes(NodeAt(id), &node, KeyOff(node.num_keys));
+}
+
+uint8_t* BPlusTree::PayloadAt(uint32_t id, int i, size_t slot_bytes) {
+  return NodeAt(id) + kPayloadOff + static_cast<size_t>(i) * slot_bytes;
+}
+
+uint32_t BPlusTree::ChildAt(uint32_t id, int i) {
+  uint32_t child;
+  htm::ReadBytes(&child, PayloadAt(id, i, kChildBytes), sizeof(child));
+  return child;
+}
+
+void BPlusTree::SetChildAt(uint32_t id, int i, uint32_t child) {
+  htm::WriteBytes(PayloadAt(id, i, kChildBytes), &child, sizeof(child));
+}
+
+void BPlusTree::ReadValues(uint32_t id, int from, int to, void* out) {
+  htm::ReadBytes(out, PayloadAt(id, from, config_.value_size),
+                 static_cast<size_t>(to - from) * config_.value_size);
+}
+
+void BPlusTree::WriteValueAt(uint32_t id, int i, const void* value) {
+  htm::WriteBytes(PayloadAt(id, i, config_.value_size), value,
+                  config_.value_size);
+}
+
+void BPlusTree::MovePayload(uint32_t src, int from, int to, uint32_t dst,
+                            int at, size_t slot_bytes) {
+  uint8_t buf[kFanout * kMaxValueSize];
+  const size_t bytes = static_cast<size_t>(to - from) * slot_bytes;
+  htm::ReadBytes(buf, PayloadAt(src, from, slot_bytes), bytes);
+  htm::WriteBytes(PayloadAt(dst, at, slot_bytes), buf, bytes);
+}
+
+int BPlusTree::LowerBoundIn(const NodeKeys& node, uint64_t key) {
+  return static_cast<int>(
+      std::lower_bound(node.keys, node.keys + node.num_keys, key) -
+      node.keys);
+}
+
+int BPlusTree::UpperBoundIn(const NodeKeys& node, uint64_t key) {
+  return static_cast<int>(
+      std::upper_bound(node.keys, node.keys + node.num_keys, key) -
+      node.keys);
+}
+
+BPlusTree::Leaf BPlusTree::DescendToLeaf(uint64_t key) {
+  Leaf leaf;
+  uint32_t id = static_cast<uint32_t>(ControlLoad(kControlRoot));
+  for (int depth = 0; id != 0; ++depth) {
+    if (depth > 64) {
+      htm::AbortCurrentTransactionOrDie("B+ tree descent too deep");
+    }
+    leaf.node = ReadKeys(id);
+    if (leaf.node.is_leaf != 0) {
+      leaf.id = id;
+      return leaf;
+    }
+    id = ChildAt(id, UpperBoundIn(leaf.node, key));
   }
-  SetKeyAt(leaf, pos, key);
+  return leaf;
+}
+
+void BPlusTree::InsertIntoLeaf(uint32_t leaf, NodeKeys& node, int pos,
+                               uint64_t key, const void* value) {
+  const int n = node.num_keys;
+  std::copy_backward(node.keys + pos, node.keys + n, node.keys + n + 1);
+  node.keys[pos] = key;
+  node.num_keys = static_cast<uint16_t>(n + 1);
+  WriteImage(leaf, node);
+  MovePayload(leaf, pos, n, leaf, pos + 1, config_.value_size);
   WriteValueAt(leaf, pos, value);
-  SetNumKeys(leaf, static_cast<uint16_t>(n + 1));
+}
+
+uint32_t BPlusTree::SplitChild(uint32_t parent, NodeKeys& parent_keys,
+                               int idx, uint32_t child, NodeKeys& child_keys,
+                               NodeKeys& right_keys) {
+  const uint32_t right = AllocateNode();
+  if (right == 0) {
+    return 0;
+  }
+  const int n = child_keys.num_keys;  // == kFanout
+  const int mid = n / 2;
+  right_keys = NodeKeys();
+  right_keys.is_leaf = child_keys.is_leaf;
+  uint64_t promote;
+  if (child_keys.is_leaf != 0) {
+    // Copy-up: right gets keys[mid..n), promote right's first key.
+    std::copy(child_keys.keys + mid, child_keys.keys + n, right_keys.keys);
+    right_keys.num_keys = static_cast<uint16_t>(n - mid);
+    right_keys.next_leaf = child_keys.next_leaf;
+    child_keys.next_leaf = right;
+    MovePayload(child, mid, n, right, 0, config_.value_size);
+    promote = right_keys.keys[0];
+  } else {
+    // Push-up: keys[mid] moves to the parent.
+    promote = child_keys.keys[mid];
+    std::copy(child_keys.keys + mid + 1, child_keys.keys + n,
+              right_keys.keys);
+    right_keys.num_keys = static_cast<uint16_t>(n - mid - 1);
+    MovePayload(child, mid + 1, n + 1, right, 0, kChildBytes);
+  }
+  WriteImage(right, right_keys);
+  child_keys.num_keys = static_cast<uint16_t>(mid);
+  WriteImage(child, child_keys);
+
+  // Make room in the parent at idx.
+  const int pn = parent_keys.num_keys;
+  std::copy_backward(parent_keys.keys + idx, parent_keys.keys + pn,
+                     parent_keys.keys + pn + 1);
+  parent_keys.keys[idx] = promote;
+  parent_keys.num_keys = static_cast<uint16_t>(pn + 1);
+  WriteImage(parent, parent_keys);
+  MovePayload(parent, idx + 1, pn + 1, parent, idx + 2, kChildBytes);
+  SetChildAt(parent, idx + 1, right);
+  return right;
 }
 
 bool BPlusTree::Insert(uint64_t key, const void* value) {
-  uint32_t root = static_cast<uint32_t>(ControlLoad(kControlRoot));
-  if (root == 0) {
-    const NodeRef leaf = AllocateNode(true);
-    if (!leaf.valid()) {
+  uint32_t node = static_cast<uint32_t>(ControlLoad(kControlRoot));
+  if (node == 0) {
+    const uint32_t leaf = AllocateNode();
+    if (leaf == 0) {
       return false;
     }
-    SetKeyAt(leaf.id, 0, key);
-    WriteValueAt(leaf.id, 0, value);
-    SetNumKeys(leaf.id, 1);
-    ControlStore(kControlRoot, static_cast<uint64_t>(leaf.id));
+    NodeKeys keys;
+    keys.is_leaf = 1;
+    keys.num_keys = 1;
+    keys.keys[0] = key;
+    WriteImage(leaf, keys);
+    WriteValueAt(leaf, 0, value);
+    ControlStore(kControlRoot, static_cast<uint64_t>(leaf));
     ControlStore(kControlLive, ControlLoad(kControlLive) + 1);
     return true;
   }
 
   // Top-down preemptive splitting: any full node on the path is split
   // before descending so parents always have room.
-  auto split_child = [&](uint32_t parent, int idx) -> bool {
-    const uint32_t child = ChildAt(parent, idx);
-    const int n = NumKeys(child);  // == kFanout
-    const int mid = n / 2;
-    const NodeRef right = AllocateNode(IsLeaf(child) != 0);
-    if (!right.valid()) {
+  NodeKeys keys = ReadKeys(node);
+  NodeKeys right_keys;
+  if (keys.num_keys == kFanout) {
+    const uint32_t new_root = AllocateNode();
+    if (new_root == 0) {
       return false;
     }
-    uint64_t promote;
-    if (IsLeaf(child) != 0) {
-      // Copy-up: right gets keys[mid..n), promote right's first key.
-      for (int i = mid; i < n; ++i) {
-        SetKeyAt(right.id, i - mid, KeyAt(child, i));
-        uint8_t tmp[512];
-        ReadValueAt(child, i, tmp);
-        WriteValueAt(right.id, i - mid, tmp);
-      }
-      SetNumKeys(right.id, static_cast<uint16_t>(n - mid));
-      SetNumKeys(child, static_cast<uint16_t>(mid));
-      SetNextLeaf(right.id, NextLeaf(child));
-      SetNextLeaf(child, right.id);
-      promote = KeyAt(right.id, 0);
-    } else {
-      // Push-up: keys[mid] moves to the parent.
-      promote = KeyAt(child, mid);
-      for (int i = mid + 1; i < n; ++i) {
-        SetKeyAt(right.id, i - mid - 1, KeyAt(child, i));
-      }
-      for (int i = mid + 1; i <= n; ++i) {
-        SetChildAt(right.id, i - mid - 1, ChildAt(child, i));
-      }
-      SetNumKeys(right.id, static_cast<uint16_t>(n - mid - 1));
-      SetNumKeys(child, static_cast<uint16_t>(mid));
-    }
-    // Make room in the parent at idx.
-    const int pn = NumKeys(parent);
-    for (int i = pn; i > idx; --i) {
-      SetKeyAt(parent, i, KeyAt(parent, i - 1));
-      SetChildAt(parent, i + 1, ChildAt(parent, i));
-    }
-    SetKeyAt(parent, idx, promote);
-    SetChildAt(parent, idx + 1, right.id);
-    SetNumKeys(parent, static_cast<uint16_t>(pn + 1));
-    return true;
-  };
-
-  if (NumKeys(root) == kFanout) {
-    const NodeRef new_root = AllocateNode(false);
-    if (!new_root.valid()) {
+    NodeKeys root_keys;
+    SetChildAt(new_root, 0, node);
+    if (SplitChild(new_root, root_keys, 0, node, keys, right_keys) == 0) {
       return false;
     }
-    SetChildAt(new_root.id, 0, root);
-    if (!split_child(new_root.id, 0)) {
-      return false;
-    }
-    ControlStore(kControlRoot, static_cast<uint64_t>(new_root.id));
-    root = new_root.id;
+    ControlStore(kControlRoot, static_cast<uint64_t>(new_root));
+    node = new_root;
+    keys = root_keys;
   }
 
-  uint32_t node = root;
-  while (IsLeaf(node) == 0) {
-    const int n = NumKeys(node);
-    int i = 0;
-    while (i < n && KeyAt(node, i) <= key) {
-      ++i;
-    }
-    uint32_t child = ChildAt(node, i);
-    if (NumKeys(child) == kFanout) {
-      if (!split_child(node, i)) {
+  while (keys.is_leaf == 0) {
+    const int i = UpperBoundIn(keys, key);
+    const uint32_t child = ChildAt(node, i);
+    NodeKeys child_keys = ReadKeys(child);
+    if (child_keys.num_keys == kFanout) {
+      const uint32_t right =
+          SplitChild(node, keys, i, child, child_keys, right_keys);
+      if (right == 0) {
         return false;
       }
-      if (key >= KeyAt(node, i)) {
-        ++i;
+      if (key >= keys.keys[i]) {
+        node = right;
+        keys = right_keys;
+        continue;
       }
-      child = ChildAt(node, i);
     }
     node = child;
+    keys = child_keys;
   }
 
-  const int pos = LowerBound(node, key);
-  if (pos < NumKeys(node) && KeyAt(node, pos) == key) {
+  const int pos = LowerBoundIn(keys, key);
+  if (pos < keys.num_keys && keys.keys[pos] == key) {
     return false;  // duplicate
   }
-  InsertIntoLeaf(node, pos, key, value);
+  InsertIntoLeaf(node, keys, pos, key, value);
   ControlStore(kControlLive, ControlLoad(kControlLive) + 1);
   return true;
 }
 
 bool BPlusTree::Get(uint64_t key, void* value_out) {
-  const uint32_t leaf = DescendToLeaf(key, nullptr, nullptr, nullptr);
-  if (leaf == 0) {
+  const Leaf leaf = DescendToLeaf(key);
+  const int pos = LowerBoundIn(leaf.node, key);
+  if (leaf.id == 0 || pos >= leaf.node.num_keys ||
+      leaf.node.keys[pos] != key) {
     return false;
   }
-  const int pos = LowerBound(leaf, key);
-  if (pos >= NumKeys(leaf) || KeyAt(leaf, pos) != key) {
-    return false;
-  }
-  ReadValueAt(leaf, pos, value_out);
+  ReadValues(leaf.id, pos, pos + 1, value_out);
   return true;
 }
 
 bool BPlusTree::Put(uint64_t key, const void* value) {
-  const uint32_t leaf = DescendToLeaf(key, nullptr, nullptr, nullptr);
-  if (leaf == 0) {
+  const Leaf leaf = DescendToLeaf(key);
+  const int pos = LowerBoundIn(leaf.node, key);
+  if (leaf.id == 0 || pos >= leaf.node.num_keys ||
+      leaf.node.keys[pos] != key) {
     return false;
   }
-  const int pos = LowerBound(leaf, key);
-  if (pos >= NumKeys(leaf) || KeyAt(leaf, pos) != key) {
-    return false;
-  }
-  WriteValueAt(leaf, pos, value);
+  WriteValueAt(leaf.id, pos, value);
   return true;
 }
 
 bool BPlusTree::Remove(uint64_t key) {
-  const uint32_t leaf = DescendToLeaf(key, nullptr, nullptr, nullptr);
-  if (leaf == 0) {
+  Leaf leaf = DescendToLeaf(key);
+  NodeKeys& node = leaf.node;
+  const int pos = LowerBoundIn(node, key);
+  const int n = node.num_keys;
+  if (leaf.id == 0 || pos >= n || node.keys[pos] != key) {
     return false;
   }
-  const int pos = LowerBound(leaf, key);
-  const int n = NumKeys(leaf);
-  if (pos >= n || KeyAt(leaf, pos) != key) {
-    return false;
-  }
-  for (int i = pos; i < n - 1; ++i) {
-    SetKeyAt(leaf, i, KeyAt(leaf, i + 1));
-    uint8_t tmp[512];
-    ReadValueAt(leaf, i + 1, tmp);
-    WriteValueAt(leaf, i, tmp);
-  }
-  SetNumKeys(leaf, static_cast<uint16_t>(n - 1));
+  std::copy(node.keys + pos + 1, node.keys + n, node.keys + pos);
+  node.num_keys = static_cast<uint16_t>(n - 1);
+  WriteImage(leaf.id, node);
+  MovePayload(leaf.id, pos + 1, n, leaf.id, pos, config_.value_size);
   ControlStore(kControlLive, ControlLoad(kControlLive) - 1);
   return true;
 }
 
 size_t BPlusTree::Scan(uint64_t lo, uint64_t hi,
                        const std::function<bool(uint64_t, const void*)>& fn) {
-  uint32_t leaf = DescendToLeaf(lo, nullptr, nullptr, nullptr);
+  Leaf leaf = DescendToLeaf(lo);
   size_t visited = 0;
   size_t hops = 0;
-  uint8_t tmp[512];
-  assert(config_.value_size <= sizeof(tmp));
-  while (leaf != 0) {
+  uint8_t values[kFanout * kMaxValueSize];
+  const size_t value_size = config_.value_size;
+  while (leaf.id != 0) {
     if (++hops > config_.max_nodes) {
       htm::AbortCurrentTransactionOrDie("B+ tree leaf chain cycle");
     }
-    const int n = NumKeys(leaf);
-    for (int i = 0; i < n; ++i) {
-      const uint64_t key = KeyAt(leaf, i);
-      if (key < lo) {
-        continue;
-      }
-      if (key > hi) {
-        return visited;
-      }
-      ReadValueAt(leaf, i, tmp);
+    const NodeKeys& node = leaf.node;
+    const int from = LowerBoundIn(node, lo);
+    const int to = UpperBoundIn(node, hi);
+    ReadValues(leaf.id, from, to, values);
+    for (int i = from; i < to; ++i) {
       ++visited;
-      if (!fn(key, tmp)) {
+      const size_t at = static_cast<size_t>(i - from) * value_size;
+      if (!fn(node.keys[i], values + at)) {
         return visited;
       }
     }
-    leaf = NextLeaf(leaf);
+    if (to < node.num_keys || node.next_leaf == 0) {
+      return visited;  // passed hi, or the last leaf
+    }
+    leaf.id = node.next_leaf;
+    leaf.node = ReadKeys(leaf.id);
   }
   return visited;
 }

@@ -3,9 +3,17 @@
 // stores goes over SEND/RECV verbs, so this structure has no RDMA-side
 // layout obligations).
 //
-// All shared accesses go through the htm::Load/Store dispatch helpers:
-// inside a transaction the tree is isolated by the HTM emulator; outside
-// (bulk loading) the same code uses strong accesses.
+// All shared accesses go through the htm::ReadBytes/WriteBytes dispatch
+// helpers: inside a transaction the tree is isolated by the HTM emulator;
+// outside (bulk loading) the same code uses strong accesses.
+//
+// Conflicts are tracked per cache line, so traversals read a node's
+// header and keys as one image (one read per line group, never per key)
+// and search the stack copy. Updates shift keys in the image and write
+// header and keys back in one call, and move each contiguous range of
+// values or children with one read and one write. The pool is
+// line-aligned, so a node's header and first 7 keys share one line, as
+// in DBX's line-aligned nodes.
 //
 // Structural simplifications, both standard for in-memory stores:
 //   * deletes remove keys from leaves without rebalancing;
@@ -24,9 +32,11 @@ namespace store {
 class BPlusTree {
  public:
   static constexpr int kFanout = 16;
+  // Largest value_size the shift and scan buffers hold.
+  static constexpr uint32_t kMaxValueSize = 512;
 
   struct Config {
-    uint32_t value_size = 8;
+    uint32_t value_size = 8;  // at most kMaxValueSize
     uint32_t max_nodes = 1 << 16;
   };
 
@@ -50,7 +60,9 @@ class BPlusTree {
   bool Remove(uint64_t key);
 
   // Visits [lo, hi] in ascending key order; fn returns false to stop.
-  // Returns the number of visited entries.
+  // Returns the number of visited entries. Each leaf's in-range values
+  // are copied in one read before fn sees them, so fn must not modify
+  // this tree.
   size_t Scan(uint64_t lo, uint64_t hi,
               const std::function<bool(uint64_t, const void*)>& fn);
 
@@ -61,27 +73,47 @@ class BPlusTree {
   size_t size();
 
  private:
-  // Node ids are pool indices + 1; 0 means "none".
-  struct NodeRef {
-    uint32_t id = 0;
-    bool valid() const { return id != 0; }
+  // A node's header and keys, laid out exactly as the node's first
+  // 8 + 8 * kFanout bytes. Key slots at or past num_keys are stale in
+  // the image: past the header's line they are never read at all.
+  struct NodeKeys {
+    uint16_t is_leaf = 0;
+    uint16_t num_keys = 0;
+    uint32_t next_leaf = 0;  // leaves only; 0 = last leaf
+    uint64_t keys[kFanout] = {};
   };
 
-  uint8_t* NodeAt(uint32_t id);
-  NodeRef AllocateNode(bool leaf);
+  struct Leaf {
+    uint32_t id = 0;  // 0: the tree is empty
+    NodeKeys node;
+  };
 
-  // Field accessors (all through htm dispatch).
-  uint16_t IsLeaf(uint32_t id);
-  uint16_t NumKeys(uint32_t id);
-  void SetNumKeys(uint32_t id, uint16_t n);
-  uint32_t NextLeaf(uint32_t id);
-  void SetNextLeaf(uint32_t id, uint32_t next);
-  uint64_t KeyAt(uint32_t id, int i);
-  void SetKeyAt(uint32_t id, int i, uint64_t key);
+  // Node ids are pool indices + 1; 0 means "none".
+  uint8_t* NodeAt(uint32_t id);
+  // Bumps the pool's allocator; 0 when the pool is exhausted. The caller
+  // writes the new node's header.
+  uint32_t AllocateNode();
+
+  // Reads id's header line (header + keys [0, 7)), then keys [7, n) only
+  // if n > 7: exactly the lines covering bytes [0, 8 + 8n).
+  NodeKeys ReadKeys(uint32_t id);
+  // Writes an image's header and live keys, bytes [0, 8 + 8n), in one
+  // call. Every access to a node reads the header's line, so rewriting
+  // unchanged keys beside it can add write-set lines but no conflicts.
+  void WriteImage(uint32_t id, const NodeKeys& node);
+
+  // Payload slot i of node id; slot_bytes is value_size in leaves and 4
+  // (a child id) in internal nodes.
+  uint8_t* PayloadAt(uint32_t id, int i, size_t slot_bytes);
   uint32_t ChildAt(uint32_t id, int i);
   void SetChildAt(uint32_t id, int i, uint32_t child);
-  void ReadValueAt(uint32_t id, int i, void* out);
+  // Copies leaf values [from, to) to out with one read.
+  void ReadValues(uint32_t id, int from, int to, void* out);
   void WriteValueAt(uint32_t id, int i, const void* value);
+  // Moves payload slots [from, to) of src to dst's slots [at, ...) with
+  // one read and one write. Overlapping moves are safe.
+  void MovePayload(uint32_t src, int from, int to, uint32_t dst, int at,
+                   size_t slot_bytes);
 
   // HTM-visible control words live in the 64-byte pool header:
   // {0: root_id, 1: bump, 2: live_count}. Accessed by byte offset with
@@ -89,21 +121,30 @@ class BPlusTree {
   uint64_t ControlLoad(uint64_t which);
   void ControlStore(uint64_t which, uint64_t value);
 
-  // Position of the first key >= key in node id.
-  int LowerBound(uint32_t id, uint64_t key);
+  // Position of the first key >= key / > key in an image. In an internal
+  // node UpperBoundIn is the child to descend into: keys[i] is the
+  // smallest key under child[i + 1].
+  static int LowerBoundIn(const NodeKeys& node, uint64_t key);
+  static int UpperBoundIn(const NodeKeys& node, uint64_t key);
 
-  // Descends to the leaf that should contain key, recording the path.
-  uint32_t DescendToLeaf(uint64_t key, uint32_t* path, int* path_child,
-                         int* depth);
+  // Descends to the leaf that should contain key: one image read plus
+  // one child read per level.
+  Leaf DescendToLeaf(uint64_t key);
 
-  void InsertIntoLeaf(uint32_t leaf, int pos, uint64_t key,
+  // Splits full child (slot idx of parent) around its middle key,
+  // updating both images to match memory and filling right's. Returns
+  // the new right sibling's id, or 0 if the pool is exhausted.
+  uint32_t SplitChild(uint32_t parent, NodeKeys& parent_keys, int idx,
+                      uint32_t child, NodeKeys& child_keys,
+                      NodeKeys& right_keys);
+
+  void InsertIntoLeaf(uint32_t leaf, NodeKeys& node, int pos, uint64_t key,
                       const void* value);
 
   Config config_;
   size_t node_bytes_;
-  size_t keys_off_;
-  size_t payload_off_;
-  std::unique_ptr<uint8_t[]> pool_;
+  std::unique_ptr<uint8_t[]> pool_storage_;
+  uint8_t* pool_;  // pool_storage_ rounded up to a line boundary
 };
 
 }  // namespace store

@@ -46,13 +46,10 @@ ClusterHashTable::ClusterHashTable(rdma::NodeMemory* memory,
   meta[kBucketFreeHead / 8] = kInvalidOffset;
 }
 
-HeaderSlot ClusterHashTable::LoadSlot(uint64_t bucket_off, int index) {
-  HeaderSlot slot;
-  htm::ReadBytes(&slot,
-                 memory_->At(bucket_off +
-                             static_cast<uint64_t>(index) * kSlotBytes),
-                 sizeof(slot));
-  return slot;
+Bucket ClusterHashTable::LoadBucket(uint64_t bucket_off) {
+  Bucket bucket;
+  htm::ReadBytes(&bucket, memory_->At(bucket_off), sizeof(bucket));
+  return bucket;
 }
 
 void ClusterHashTable::StoreSlot(uint64_t bucket_off, int index,
@@ -97,37 +94,30 @@ uint64_t ClusterHashTable::AllocateIndirectBucket() {
   return geo_.indirect_offset + bump * kBucketBytes;
 }
 
-bool ClusterHashTable::FindSlot(uint64_t key, uint64_t* bucket_off,
-                                int* slot_index) {
-  uint64_t bucket = geo_.MainBucketOffset(key);
+ClusterHashTable::SlotRef ClusterHashTable::FindSlot(uint64_t key) {
+  uint64_t bucket_off = geo_.MainBucketOffset(key);
   while (true) {
+    const Bucket bucket = LoadBucket(bucket_off);
     uint64_t next_bucket = kInvalidOffset;
     for (int i = 0; i < kSlotsPerBucket; ++i) {
-      const HeaderSlot slot = LoadSlot(bucket, i);
+      const HeaderSlot& slot = bucket.slots[i];
       if (slot.type() == SlotType::kEntry && slot.key == key) {
-        // drtm-lint: allow(TX01 out-params point at the caller's stack, not table memory)
-        *bucket_off = bucket;
-        *slot_index = i;  // drtm-lint: allow(TX01 out-param, caller's stack)
-        return true;
+        return SlotRef{bucket_off, i, slot};
       }
       if (slot.type() == SlotType::kHeader) {
         next_bucket = slot.offset();
       }
     }
     if (next_bucket == kInvalidOffset) {
-      return false;
+      return SlotRef{};
     }
-    bucket = next_bucket;
+    bucket_off = next_bucket;
   }
 }
 
 uint64_t ClusterHashTable::FindEntry(uint64_t key) {
-  uint64_t bucket;
-  int index;
-  if (!FindSlot(key, &bucket, &index)) {
-    return kInvalidOffset;
-  }
-  return LoadSlot(bucket, index).offset();
+  const SlotRef ref = FindSlot(key);
+  return ref.found() ? ref.slot.offset() : kInvalidOffset;
 }
 
 bool ClusterHashTable::Get(uint64_t key, void* value_out) {
@@ -152,19 +142,20 @@ bool ClusterHashTable::Put(uint64_t key, const void* value) {
 
 bool ClusterHashTable::Insert(uint64_t key, const void* value) {
   // Reject duplicates and find placement in one chain walk.
-  uint64_t bucket = geo_.MainBucketOffset(key);
+  uint64_t bucket_off = geo_.MainBucketOffset(key);
   uint64_t free_bucket = kInvalidOffset;
   int free_index = -1;
-  uint64_t last_bucket = bucket;
+  Bucket last;  // the chain's tail bucket, as read
   while (true) {
+    last = LoadBucket(bucket_off);
     uint64_t next_bucket = kInvalidOffset;
     for (int i = 0; i < kSlotsPerBucket; ++i) {
-      const HeaderSlot slot = LoadSlot(bucket, i);
+      const HeaderSlot& slot = last.slots[i];
       if (slot.type() == SlotType::kEntry && slot.key == key) {
         return false;  // duplicate
       }
       if (slot.type() == SlotType::kFree && free_bucket == kInvalidOffset) {
-        free_bucket = bucket;
+        free_bucket = bucket_off;
         free_index = i;
       }
       if (slot.type() == SlotType::kHeader) {
@@ -172,10 +163,9 @@ bool ClusterHashTable::Insert(uint64_t key, const void* value) {
       }
     }
     if (next_bucket == kInvalidOffset) {
-      last_bucket = bucket;
       break;
     }
-    bucket = next_bucket;
+    bucket_off = next_bucket;
   }
 
   const uint64_t entry = AllocateEntry();
@@ -210,13 +200,12 @@ bool ClusterHashTable::Insert(uint64_t key, const void* value) {
       FreeEntry(entry);
       return false;
     }
-    const HeaderSlot demoted = LoadSlot(last_bucket, kSlotsPerBucket - 1);
-    StoreSlot(indirect, 0, demoted);
+    StoreSlot(indirect, 0, last.slots[kSlotsPerBucket - 1]);
     StoreSlot(indirect, 1, new_slot);
     HeaderSlot link;
     link.meta = HeaderSlot::Pack(SlotType::kHeader, 0, indirect);
     link.key = 0;
-    StoreSlot(last_bucket, kSlotsPerBucket - 1, link);
+    StoreSlot(bucket_off, kSlotsPerBucket - 1, link);
   }
 
   uint64_t* meta = reinterpret_cast<uint64_t*>(memory_->At(meta_offset_));
@@ -225,13 +214,11 @@ bool ClusterHashTable::Insert(uint64_t key, const void* value) {
 }
 
 bool ClusterHashTable::Remove(uint64_t key) {
-  uint64_t bucket;
-  int index;
-  if (!FindSlot(key, &bucket, &index)) {
+  const SlotRef ref = FindSlot(key);
+  if (!ref.found()) {
     return false;
   }
-  const HeaderSlot slot = LoadSlot(bucket, index);
-  const uint64_t entry = slot.offset();
+  const uint64_t entry = ref.slot.offset();
 
   // Logical deletion: bump incarnation first so any cached location for
   // this entry fails its incarnation check.
@@ -241,7 +228,7 @@ bool ClusterHashTable::Remove(uint64_t key) {
   HeaderSlot cleared;
   cleared.meta = HeaderSlot::Pack(SlotType::kFree, 0, 0);
   cleared.key = 0;
-  StoreSlot(bucket, index, cleared);
+  StoreSlot(ref.bucket_off, ref.index, cleared);
   FreeEntry(entry);
 
   uint64_t* meta = reinterpret_cast<uint64_t*>(memory_->At(meta_offset_));
@@ -258,11 +245,12 @@ uint64_t ClusterHashTable::ForEachEntryInBucketRange(
   uint64_t visited = 0;
   const uint64_t max_chain = geo_.indirect_buckets + 1;
   for (uint64_t b = bucket_lo; b < bucket_hi; ++b) {
-    uint64_t bucket = geo_.main_offset + b * kBucketBytes;
+    uint64_t bucket_off = geo_.main_offset + b * kBucketBytes;
     for (uint64_t depth = 0; depth < max_chain; ++depth) {
+      const Bucket bucket = LoadBucket(bucket_off);
       uint64_t next_bucket = kInvalidOffset;
       for (int i = 0; i < kSlotsPerBucket; ++i) {
-        const HeaderSlot slot = LoadSlot(bucket, i);
+        const HeaderSlot& slot = bucket.slots[i];
         if (slot.type() == SlotType::kEntry) {
           ++visited;
           if (!fn(slot.key, slot.offset())) {
@@ -275,7 +263,7 @@ uint64_t ClusterHashTable::ForEachEntryInBucketRange(
       if (next_bucket == kInvalidOffset) {
         break;
       }
-      bucket = next_bucket;
+      bucket_off = next_bucket;
     }
   }
   return visited;

@@ -103,14 +103,23 @@ class ClusterHashTable {
   uint64_t live_entries() const;
 
  private:
-  // Finds (bucket offset, slot index) holding key; returns false on miss.
-  bool FindSlot(uint64_t key, uint64_t* bucket_off, int* slot_index);
+  // Where a key's header slot sits, and the slot as read.
+  struct SlotRef {
+    uint64_t bucket_off = kInvalidOffset;  // kInvalidOffset on a miss
+    int index = -1;
+    HeaderSlot slot;
+    bool found() const { return bucket_off != kInvalidOffset; }
+  };
+
+  // Walks key's chain reading one whole bucket per step (the same
+  // 128-byte unit a remote lookup READs) and searches the copy.
+  SlotRef FindSlot(uint64_t key);
+  Bucket LoadBucket(uint64_t bucket_off);
 
   uint64_t AllocateEntry();
   void FreeEntry(uint64_t entry_off);
   uint64_t AllocateIndirectBucket();
 
-  HeaderSlot LoadSlot(uint64_t bucket_off, int index);
   void StoreSlot(uint64_t bucket_off, int index, const HeaderSlot& slot);
 
   rdma::NodeMemory* memory_;

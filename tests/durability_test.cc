@@ -3,6 +3,8 @@
 // and cooperative recovery after fail-stop crashes.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "src/htm/htm.h"
@@ -249,12 +251,26 @@ TEST_F(DurabilityTest, EndToEndCrashDuringWorkloadConservesMoney) {
   SetUpCluster(3);
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> net_to_node2{0};  // committed amount into node-2 keys
+  // Cluster::Crash only flips liveness flags: a worker thread of a
+  // crashed node would keep committing while recovery runs. A dead
+  // machine issues no transactions, so node 2's worker parks at the top
+  // of its loop, and node 2 crashes only once it has parked. (Crashing
+  // first and then waiting for its in-flight transfer can deadlock: the
+  // transfer may wait on a survivor's lock whose write-back waits for
+  // node 2 to come back.)
+  std::atomic<bool> node2_down{false};
+  std::atomic<bool> node2_parked{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&, t] {
       Worker worker(cluster_.get(), t, 0);
       Xoshiro256 rng(31 + static_cast<uint64_t>(t));
       while (!stop.load(std::memory_order_acquire)) {
+        if (t == 2 && node2_down.load()) {
+          node2_parked.store(true);
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          continue;
+        }
         const uint64_t from = rng.NextBounded(kAccounts);
         uint64_t to = rng.NextBounded(kAccounts);
         if (to == from) {
@@ -265,17 +281,21 @@ TEST_F(DurabilityTest, EndToEndCrashDuringWorkloadConservesMoney) {
     });
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  node2_down.store(true);
+  while (!node2_parked.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   cluster_->Crash(2);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  // Recover node 2's in-flight effects on the survivors while it is down
-  // (Fig. 7(a)/(b)), then revive it and finish recovery against its own
-  // records. Surviving transactions that had already committed their HTM
+  // Run recovery for node 2 while it is down (Fig. 7(a)/(b)), then
+  // revive it and finish recovery against its own records. Surviving transactions that had already committed their HTM
   // region keep retrying their write-back until the node returns (case
   // (e)), so workers are only stopped after the revive.
   RecoveryManager recovery(cluster_.get());
   recovery.Recover(2);
   cluster_->Revive(2);
   recovery.Recover(2);
+  node2_down.store(false);
   stop.store(true);
   for (auto& th : threads) {
     th.join();

@@ -872,6 +872,304 @@ TEST_P(BPlusTreePropertyTest, MatchesReferenceMap) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BPlusTreePropertyTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
 
+// --- Stores inside HTM regions ----------------------------------------------
+//
+// Local transactions run store operations inside one HTM region, where
+// traversals read node and bucket images and writes are buffered. These
+// sweeps run batches of 1-8 operations per region against a std::map
+// model: the results inside the region must match the model with the
+// batch's earlier operations applied (read-your-writes over images), and
+// an explicitly aborted batch (about 1 in 8) must leave the store exactly
+// as the model without the batch.
+
+enum StoreAction { kInsert, kPut, kRemove, kGet, kScan, kNumActions };
+
+struct StoreOp {
+  int action;
+  uint64_t key;
+  uint64_t value;
+};
+
+struct OpResult {
+  bool ok = false;
+  uint64_t value = 0;
+  std::vector<std::pair<uint64_t, uint64_t>> rows;  // kScan only
+  bool operator==(const OpResult& o) const {
+    return ok == o.ok && value == o.value && rows == o.rows;
+  }
+};
+
+constexpr uint64_t kScanSpan = 40;
+
+OpResult ApplyModel(std::map<uint64_t, uint64_t>* model, const StoreOp& op) {
+  OpResult r;
+  const auto it = model->find(op.key);
+  switch (op.action) {
+    case kInsert:
+      r.ok = model->emplace(op.key, op.value).second;
+      break;
+    case kPut:
+      r.ok = it != model->end();
+      if (r.ok) {
+        it->second = op.value;
+      }
+      break;
+    case kRemove:
+      r.ok = it != model->end();
+      if (r.ok) {
+        model->erase(it);
+      }
+      break;
+    case kGet:
+      r.ok = it != model->end();
+      r.value = r.ok ? it->second : 0;
+      break;
+    default:
+      for (auto s = model->lower_bound(op.key);
+           s != model->end() && s->first <= op.key + kScanSpan; ++s) {
+        r.rows.emplace_back(s->first, s->second);
+      }
+      r.ok = !r.rows.empty();
+      break;
+  }
+  return r;
+}
+
+OpResult ApplyTree(BPlusTree* tree, const StoreOp& op) {
+  OpResult r;
+  switch (op.action) {
+    case kInsert:
+      r.ok = tree->Insert(op.key, &op.value);
+      break;
+    case kPut:
+      r.ok = tree->Put(op.key, &op.value);
+      break;
+    case kRemove:
+      r.ok = tree->Remove(op.key);
+      break;
+    case kGet:
+      r.ok = tree->Get(op.key, &r.value);
+      break;
+    default:
+      tree->Scan(op.key, op.key + kScanSpan, [&](uint64_t k, const void* v) {
+        uint64_t value;
+        std::memcpy(&value, v, sizeof(value));
+        r.rows.emplace_back(k, value);
+        return true;
+      });
+      r.ok = !r.rows.empty();
+      break;
+  }
+  return r;
+}
+
+OpResult ApplyHash(ClusterHashTable* table, const StoreOp& op) {
+  OpResult r;
+  switch (op.action) {
+    case kInsert:
+      r.ok = table->Insert(op.key, &op.value);
+      break;
+    case kPut:
+      r.ok = table->Put(op.key, &op.value);
+      break;
+    case kRemove:
+      r.ok = table->Remove(op.key);
+      break;
+    default:
+      r.ok = table->Get(op.key, &r.value);
+      break;
+  }
+  return r;
+}
+
+// Runs `batches` random batches through apply() inside HTM regions and
+// checks them against the model. `actions` bounds the op kinds drawn.
+template <typename Apply, typename Size>
+void RunHtmBatches(uint64_t seed, int batches, uint64_t key_range,
+                   int actions, Apply apply, Size size) {
+  std::map<uint64_t, uint64_t> reference;
+  Xoshiro256 rng(seed);
+  htm::HtmThread htm;
+  int aborted = 0;
+  for (int batch = 0; batch < batches; ++batch) {
+    std::vector<StoreOp> ops(1 + rng.NextBounded(8));
+    for (StoreOp& op : ops) {
+      op.action = static_cast<int>(rng.NextBounded(actions));
+      op.key = rng.NextBounded(key_range);
+      op.value = rng.Next();
+    }
+    const bool abort = rng.NextBounded(8) == 0;
+    std::vector<OpResult> got;
+    const unsigned status = htm.Transact([&] {
+      got.clear();
+      for (const StoreOp& op : ops) {
+        got.push_back(apply(op));
+      }
+      if (abort) {
+        htm.Abort(7);
+      }
+    });
+    if (abort) {
+      ASSERT_NE(status, htm::kCommitted);
+      ASSERT_EQ(htm::AbortUserCode(status), 7u);
+      ++aborted;
+    } else {
+      ASSERT_EQ(status, htm::kCommitted) << "batch " << batch;
+    }
+    std::map<uint64_t, uint64_t> model = reference;
+    for (size_t i = 0; i < ops.size(); ++i) {
+      ASSERT_EQ(got[i], ApplyModel(&model, ops[i]))
+          << "batch " << batch << " op " << i << " action " << ops[i].action
+          << " key " << ops[i].key;
+    }
+    if (!abort) {
+      reference = std::move(model);
+    }
+    // Committed or rolled back, the store outside a region is the model.
+    for (const StoreOp& op : ops) {
+      const StoreOp get{kGet, op.key, 0};
+      ASSERT_EQ(apply(get), ApplyModel(&reference, get))
+          << "batch " << batch << " key " << op.key;
+    }
+  }
+  EXPECT_EQ(size(), reference.size());
+  EXPECT_GT(aborted, 0);
+}
+
+class BPlusTreeHtmPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BPlusTreeHtmPropertyTest, BatchesMatchReferenceMap) {
+  BPlusTree::Config config;
+  config.value_size = 8;
+  config.max_nodes = 1 << 13;
+  BPlusTree tree(config);
+  RunHtmBatches(
+      GetParam() * 131, 600, 500, kNumActions,
+      [&](const StoreOp& op) { return ApplyTree(&tree, op); },
+      [&] { return tree.size(); });
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BPlusTreeHtmPropertyTest,
+                         ::testing::Values(11, 22, 33, 44));
+
+class ClusterHashHtmPropertyTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(ClusterHashHtmPropertyTest, BatchesMatchReferenceMap) {
+  rdma::Fabric fabric(TestFabric(1));
+  ClusterHashTable::Config config;
+  config.main_buckets = 1 << 6;  // small: stress chaining
+  config.indirect_buckets = 1 << 7;
+  config.capacity = 1 << 11;
+  config.value_size = 8;
+  ClusterHashTable table(&fabric.memory(0), config);
+  RunHtmBatches(
+      GetParam() * 137, 600, 300, kScan,
+      [&](const StoreOp& op) { return ApplyHash(&table, op); },
+      [&] { return table.live_entries(); });
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ClusterHashHtmPropertyTest,
+                         ::testing::Values(1, 2, 3, 4));
+
+// A leaf's header line holds its header and keys [0, 7); key 7 starts
+// the second line, key 15 shares a line with the first values. Inserts
+// and removes at the front, middle and end of one-leaf trees of 7, 8 and
+// 16 keys cross each boundary (7 -> 8 adds the second key read, 16 ->
+// 17 splits, 8 -> 7 drops it), inside HTM regions.
+TEST(BPlusTreeHtmTest, LeafImageBoundaries) {
+  for (const uint64_t n : {7, 8, 16}) {
+    for (const int where : {0, 1, 2}) {  // front, middle, end
+      BPlusTree::Config config;
+      config.value_size = 8;
+      config.max_nodes = 64;
+      BPlusTree tree(config);
+      std::map<uint64_t, uint64_t> reference;
+      for (uint64_t k = 1; k <= n; ++k) {
+        ASSERT_TRUE(tree.Insert(10 * k, &k));
+        reference[10 * k] = k;
+      }
+      const uint64_t added = where == 0 ? 5 : where == 1 ? 10 * (n / 2) + 5
+                                                         : 10 * n + 5;
+      const uint64_t removed = where == 0 ? 10 : where == 1 ? 10 * (n / 2)
+                                                            : 10 * n;
+      htm::HtmThread htm;
+      bool inserted = false;
+      uint64_t seen = 0;
+      ASSERT_EQ(htm.Transact([&] {
+                  inserted = tree.Insert(added, &added);
+                  tree.Get(added, &seen);  // read-your-writes in the image
+                }),
+                htm::kCommitted);
+      ASSERT_TRUE(inserted);
+      EXPECT_EQ(seen, added);
+      reference[added] = added;
+      bool gone = false;
+      bool still_there = true;
+      ASSERT_EQ(htm.Transact([&] {
+                  gone = tree.Remove(removed);
+                  still_there = tree.Get(removed, &seen);
+                }),
+                htm::kCommitted);
+      ASSERT_TRUE(gone);
+      EXPECT_FALSE(still_there);
+      reference.erase(removed);
+      // A rolled-back remove of the new key leaves it in place.
+      EXPECT_NE(htm.Transact([&] {
+                  tree.Remove(added);
+                  htm.Abort(1);
+                }),
+                htm::kCommitted);
+
+      std::vector<std::pair<uint64_t, uint64_t>> rows;
+      ASSERT_EQ(htm.Transact([&] {
+                  rows.clear();
+                  tree.Scan(0, ~uint64_t{0}, [&](uint64_t k, const void* v) {
+                    uint64_t value;
+                    std::memcpy(&value, v, sizeof(value));
+                    rows.emplace_back(k, value);
+                    return true;
+                  });
+                }),
+                htm::kCommitted);
+      const std::vector<std::pair<uint64_t, uint64_t>> expect(
+          reference.begin(), reference.end());
+      EXPECT_EQ(rows, expect) << "n " << n << " where " << where;
+      EXPECT_EQ(tree.size(), reference.size());
+    }
+  }
+}
+
+// A lookup reads only the lines that hold a leaf's live keys. Key 15's
+// slot shares a line with the leaf's first values, so reading it would
+// make a lookup in a leaf of fewer keys conflict with a Put of key 0.
+TEST(BPlusTreeHtmTest, LookupDoesNotReadKeySlotsPastNumKeys) {
+  BPlusTree::Config config;
+  config.value_size = 8;
+  config.max_nodes = 64;
+  BPlusTree tree(config);
+  for (uint64_t k = 0; k < 9; ++k) {
+    ASSERT_TRUE(tree.Insert(k, &k));
+  }
+  htm::HtmThread htm;
+  uint64_t value = 0;
+  const unsigned status = htm.Transact([&] {
+    ASSERT_TRUE(tree.Get(8, &value));  // value 8 sits past the first values
+    std::thread writer([&] {
+      htm::HtmThread other;
+      const uint64_t v = 100;
+      while (other.Transact([&] { tree.Put(0, &v); }) != htm::kCommitted) {
+      }
+    });
+    writer.join();
+  });
+  EXPECT_EQ(status, htm::kCommitted);
+  EXPECT_EQ(value, 8u);
+  uint64_t v0 = 0;
+  ASSERT_TRUE(tree.Get(0, &v0));
+  EXPECT_EQ(v0, 100u);
+}
+
 }  // namespace
 }  // namespace store
 }  // namespace drtm

@@ -30,7 +30,6 @@ struct Outcome {
   double capacity_abort_rate = 0;  // capacity aborts / HTM attempts
   double fallback_rate = 0;        // fallbacks / committed
   int64_t retry_budget = 0;        // txn.adaptive.retry_budget at the end
-  txn::TxnStats txn_stats;
   stat::Snapshot stats;
 };
 
@@ -71,37 +70,12 @@ Outcome Measure(uint32_t value_size, bool adaptive, bool chop,
 
   Outcome out;
   out.tps = result.Throughput();
-  const uint64_t htm_attempts =
-      result.htm_stats.commits + result.htm_stats.TotalAborts();
-  out.capacity_abort_rate =
-      htm_attempts > 0
-          ? static_cast<double>(result.txn_stats.htm_capacity_aborts) /
-                static_cast<double>(htm_attempts)
-          : 0;
-  out.fallback_rate =
-      result.committed > 0
-          ? static_cast<double>(result.txn_stats.fallbacks) /
-                static_cast<double>(result.committed)
-          : 0;
+  out.capacity_abort_rate = benchutil::CapacityAbortRate(result.stats_delta);
+  out.fallback_rate = benchutil::Ratio(
+      result.stats_delta.Counter("txn.fallback"), result.committed);
   out.retry_budget = result.stats_delta.Gauge("txn.adaptive.retry_budget");
-  out.txn_stats = result.txn_stats;
   out.stats = result.stats_delta;
   return out;
-}
-
-void AddAbortCauses(stat::BenchReport::Series* series, uint32_t value_size,
-                    const char* config, const Outcome& out) {
-  benchutil::AddPoint(
-      series,
-      {{"value_bytes", std::to_string(value_size)}, {"config", config}},
-      {{"capacity_aborts",
-        static_cast<double>(out.txn_stats.htm_capacity_aborts)},
-       {"conflict_aborts",
-        static_cast<double>(out.txn_stats.htm_conflict_aborts)},
-       {"lock_aborts", static_cast<double>(out.txn_stats.htm_lock_aborts)},
-       {"lease_aborts", static_cast<double>(out.txn_stats.htm_lease_aborts)},
-       {"explicit_aborts", static_cast<double>(out.txn_stats.user_aborts)},
-       {"fallbacks", static_cast<double>(out.txn_stats.fallbacks)}});
 }
 
 }  // namespace
@@ -165,8 +139,14 @@ int main() {
         {{"tps", fixed.tps},
          {"capacity_abort_rate", fixed.capacity_abort_rate},
          {"fallback_rate", fixed.fallback_rate}});
-    AddAbortCauses(&abort_series, value_size, "chopped", chopped);
-    AddAbortCauses(&abort_series, value_size, "monolithic", adaptive);
+    benchutil::AddAbortCauses(
+        &abort_series,
+        {{"value_bytes", std::to_string(value_size)}, {"config", "chopped"}},
+        chopped.stats);
+    benchutil::AddAbortCauses(
+        &abort_series,
+        {{"value_bytes", std::to_string(value_size)}, {"config", "monolithic"}},
+        adaptive.stats);
     report.stats.Merge(chopped.stats);
   }
 

@@ -84,13 +84,10 @@ Outcome Run(bool read_every_op, uint64_t interval_us, uint64_t duration_ms) {
         }) == txn::TxnStatus::kCommitted;
       });
   cluster.Stop();
-  const uint64_t attempts =
-      result.htm_stats.commits + result.htm_stats.TotalAborts();
+  const stat::Snapshot& window = result.stats_delta;
   return Outcome{result.Throughput(),
-                 attempts > 0 ? static_cast<double>(
-                                    result.htm_stats.TotalAborts()) /
-                                    static_cast<double>(attempts)
-                              : 0};
+                 benchutil::Ratio(window.Counter("htm.abort.total"),
+                                  benchutil::HtmAttempts(window))};
 }
 
 }  // namespace

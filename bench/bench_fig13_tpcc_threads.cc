@@ -58,15 +58,9 @@ int main() {
                          {"consistent", drtm.consistent ? 1.0 : 0.0}});
     // Abort-cause breakdown per thread count (ROADMAP: abort-mix
     // measurement) — what drives the scaling losses at each point.
-    const txn::TxnStats& ts = drtm.result.txn_stats;
-    benchutil::AddPoint(
-        &abort_series, {{"threads", std::to_string(threads)}},
-        {{"capacity_aborts", static_cast<double>(ts.htm_capacity_aborts)},
-         {"conflict_aborts", static_cast<double>(ts.htm_conflict_aborts)},
-         {"lock_aborts", static_cast<double>(ts.htm_lock_aborts)},
-         {"lease_aborts", static_cast<double>(ts.htm_lease_aborts)},
-         {"explicit_aborts", static_cast<double>(ts.user_aborts)},
-         {"fallbacks", static_cast<double>(ts.fallbacks)}});
+    benchutil::AddAbortCauses(&abort_series,
+                              {{"threads", std::to_string(threads)}},
+                              drtm.result.stats_delta);
     report.stats.Merge(drtm.result.stats_delta);
   }
 

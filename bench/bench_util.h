@@ -95,6 +95,40 @@ inline void AddPoint(
       stat::BenchReport::Point{std::move(labels), std::move(values)});
 }
 
+// num / den, or 0 for an empty window.
+inline double Ratio(uint64_t num, uint64_t den) {
+  return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0;
+}
+
+// HTM regions attempted in a window, as perfbench counts them.
+inline uint64_t HtmAttempts(const stat::Snapshot& window) {
+  return window.Counter("htm.commit") + window.Counter("htm.abort.total");
+}
+
+// Transaction-level capacity aborts per HTM attempt in a window.
+inline double CapacityAbortRate(const stat::Snapshot& window) {
+  return Ratio(window.Counter("txn.capacity_abort"), HtmAttempts(window));
+}
+
+// One abort-cause breakdown point (transaction-level counts from a
+// registry window), the same six keys in every bench so bench_diff
+// trends line up.
+inline void AddAbortCauses(
+    stat::BenchReport::Series* series,
+    std::vector<std::pair<std::string, std::string>> labels,
+    const stat::Snapshot& window) {
+  const auto count = [&](const char* name) {
+    return static_cast<double>(window.Counter(name));
+  };
+  AddPoint(series, std::move(labels),
+           {{"capacity_aborts", count("txn.capacity_abort")},
+            {"conflict_aborts", count("txn.conflict_abort")},
+            {"lock_aborts", count("txn.lock_abort")},
+            {"lease_aborts", count("txn.lease_abort")},
+            {"explicit_aborts", count("txn.user_abort")},
+            {"fallbacks", count("txn.fallback")}});
+}
+
 }  // namespace benchutil
 }  // namespace drtm
 

@@ -96,18 +96,9 @@ inline TpccOutcome RunTpcc(const TpccOptions& options) {
   outcome.mix_tps = result.Throughput();
   outcome.neworder_tps =
       static_cast<double>(neworder_committed.load()) / result.seconds;
-  const uint64_t htm_attempts =
-      result.htm_stats.commits + result.htm_stats.TotalAborts();
-  outcome.capacity_abort_rate =
-      htm_attempts > 0 ? static_cast<double>(
-                             result.txn_stats.htm_capacity_aborts) /
-                             static_cast<double>(htm_attempts)
-                       : 0;
+  outcome.capacity_abort_rate = CapacityAbortRate(result.stats_delta);
   outcome.fallback_rate =
-      result.committed > 0
-          ? static_cast<double>(result.txn_stats.fallbacks) /
-                static_cast<double>(result.committed)
-          : 0;
+      Ratio(result.stats_delta.Counter("txn.fallback"), result.committed);
   outcome.consistent = db.CheckConsistency();
   cluster.Stop();
   return outcome;

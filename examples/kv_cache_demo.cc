@@ -6,6 +6,7 @@
 
 #include "src/common/zipf.h"
 #include "src/rdma/fabric.h"
+#include "src/stat/metrics.h"
 #include "src/store/cluster_hash.h"
 #include "src/store/location_cache.h"
 #include "src/store/remote_kv.h"
@@ -39,14 +40,18 @@ int main() {
 
   auto run = [&](store::LocationCache* cache, const char* label) {
     store::RemoteKv client(&fabric, 1, host.geometry(), cache);
-    rdma::LocalThreadStats().Reset();
+    stat::Registry& registry = stat::Registry::Global();
+    const stat::Snapshot before = registry.TakeSnapshot();
     std::vector<uint8_t> out(64);
     int found = 0;
     for (int i = 0; i < kLookups; ++i) {
       found += client.Get(zipf.Next(), out.data()) ? 1 : 0;
     }
     const double reads_per_lookup =
-        static_cast<double>(rdma::LocalThreadStats().reads) / kLookups;
+        static_cast<double>(registry.TakeSnapshot()
+                                .DeltaSince(before)
+                                .Counter("rdma.read.ops")) /
+        kLookups;
     std::printf("%-28s %d/%d found, %.3f RDMA READs per GET\n", label, found,
                 kLookups, reads_per_lookup);
   };

@@ -52,10 +52,11 @@ int main() {
                 static_cast<unsigned long long>(per_type[i].load()));
   }
   std::printf("latency (us): %s\n", result.latency_us.Summary().c_str());
+  const stat::Snapshot& s = result.stats_delta;
   std::printf("HTM: %llu commits, %llu aborts; fallbacks: %llu\n",
-              static_cast<unsigned long long>(result.htm_stats.commits),
-              static_cast<unsigned long long>(result.htm_stats.TotalAborts()),
-              static_cast<unsigned long long>(result.txn_stats.fallbacks));
+              static_cast<unsigned long long>(s.Counter("htm.commit")),
+              static_cast<unsigned long long>(s.Counter("htm.abort.total")),
+              static_cast<unsigned long long>(s.Counter("txn.fallback")));
 
   const bool consistent = db.CheckConsistency();
   std::printf("consistency check: %s\n", consistent ? "PASS" : "FAIL");

@@ -69,23 +69,20 @@ void Report(const workload::RunResult& result) {
               static_cast<unsigned long long>(result.attempted),
               result.AbortRate() * 100);
   std::printf("latency (us)    : %s\n", result.latency_us.Summary().c_str());
-  const auto& t = result.txn_stats;
+  const stat::Snapshot& s = result.stats_delta;
+  const auto count = [&](const char* name) {
+    return static_cast<unsigned long long>(s.Counter(name));
+  };
   std::printf(
       "txn layer       : start-conflicts %llu, htm aborts "
       "(conflict/capacity/lock/lease) %llu/%llu/%llu/%llu, fallbacks %llu\n",
-      static_cast<unsigned long long>(t.start_conflicts),
-      static_cast<unsigned long long>(t.htm_conflict_aborts),
-      static_cast<unsigned long long>(t.htm_capacity_aborts),
-      static_cast<unsigned long long>(t.htm_lock_aborts),
-      static_cast<unsigned long long>(t.htm_lease_aborts),
-      static_cast<unsigned long long>(t.fallbacks));
+      count("txn.start_conflict"), count("txn.conflict_abort"),
+      count("txn.capacity_abort"), count("txn.lock_abort"),
+      count("txn.lease_abort"), count("txn.fallback"));
   std::printf("read-only       : %llu committed, %llu retries\n",
-              static_cast<unsigned long long>(t.read_only_committed),
-              static_cast<unsigned long long>(t.read_only_retries));
+              count("txn.readonly.commit"), count("txn.readonly.retry"));
   std::printf("HTM             : %llu commits, %llu aborts\n",
-              static_cast<unsigned long long>(result.htm_stats.commits),
-              static_cast<unsigned long long>(
-                  result.htm_stats.TotalAborts()));
+              count("htm.commit"), count("htm.abort.total"));
 }
 
 }  // namespace

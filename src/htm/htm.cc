@@ -102,13 +102,6 @@ void HtmThread::Rollback(unsigned status) {
       g_replay_hooks.on_abort != nullptr) {
     g_replay_hooks.on_abort(status);
   }
-  if (status & kAbortCapacity) {
-    ++stats_.aborts_capacity;
-  } else if (status & kAbortExplicit) {
-    ++stats_.aborts_explicit;
-  } else {
-    ++stats_.aborts_conflict;
-  }
   stat::RecordHtmOutcome(status);
   Reset();
 }
@@ -315,7 +308,6 @@ void HtmThread::Commit() {
   }
   release(written_end, 2);
 
-  ++stats_.commits;
   stat::RecordHtmOutcome(kCommitted);
   depth_ = 0;
   g_current_tx = nullptr;

@@ -54,23 +54,6 @@ struct Config {
   int lock_spin_limit = 256;
 };
 
-struct Stats {
-  uint64_t commits = 0;
-  uint64_t aborts_conflict = 0;
-  uint64_t aborts_capacity = 0;
-  uint64_t aborts_explicit = 0;
-
-  uint64_t TotalAborts() const {
-    return aborts_conflict + aborts_capacity + aborts_explicit;
-  }
-  void Add(const Stats& o) {
-    commits += o.commits;
-    aborts_conflict += o.aborts_conflict;
-    aborts_capacity += o.aborts_capacity;
-    aborts_explicit += o.aborts_explicit;
-  }
-};
-
 // Thrown internally to unwind a transaction body on abort. Transaction
 // bodies must be abort-safe (no irreversible side effects before commit),
 // exactly like real RTM regions.
@@ -141,9 +124,6 @@ class HtmThread {
 
   bool InTransaction() const { return depth_ > 0; }
 
-  const Stats& stats() const { return stats_; }
-  Stats* mutable_stats() { return &stats_; }
-
   // The HtmThread currently executing a transaction on this OS thread
   // (nullptr outside transactions). Used by helpers that must dispatch
   // between transactional and strong accesses.
@@ -191,7 +171,6 @@ class HtmThread {
   Config config_;
   VersionTable* table_;
   int depth_ = 0;
-  Stats stats_;
 
   // The line table: entries in first-touch order plus an open-addressed
   // index into them. An index bucket is live iff its high 32 bits equal

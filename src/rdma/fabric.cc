@@ -12,11 +12,6 @@
 namespace drtm {
 namespace rdma {
 
-ThreadStats& LocalThreadStats() {
-  thread_local ThreadStats stats;
-  return stats;
-}
-
 namespace {
 
 // Registry ids for the one-sided verbs and the simulated NIC latency the
@@ -127,9 +122,6 @@ OpStatus Fabric::ExecuteRead(int target, uint64_t offset, void* dst,
     SpinFor(fault.arg);
   }
   htm::StrongRead(dst, memory(target).At(offset), len);
-  ThreadStats& stats = LocalThreadStats();
-  ++stats.reads;
-  stats.read_bytes += len;
   stat::Registry& reg = stat::Registry::Global();
   reg.Add(Verbs().reads);
   reg.Add(Verbs().read_bytes, len);
@@ -160,9 +152,6 @@ OpStatus Fabric::ExecuteWrite(int target, uint64_t offset, const void* src,
     SpinFor(fault.arg);
   }
   htm::StrongWrite(memory(target).At(offset), src, len);
-  ThreadStats& stats = LocalThreadStats();
-  ++stats.writes;
-  stats.write_bytes += len;
   stat::Registry& reg = stat::Registry::Global();
   reg.Add(Verbs().writes);
   reg.Add(Verbs().write_bytes, len);
@@ -190,7 +179,6 @@ OpStatus Fabric::ExecuteCas(int target, uint64_t offset, uint64_t expected,
     SpinLatchGuard nic(*nic_latches_[static_cast<size_t>(target)]);
     *observed = htm::StrongCas64(addr, expected, desired);
   }
-  ++LocalThreadStats().cas_ops;
   stat::Registry::Global().Add(Verbs().cas_ops);
   return OpStatus::kOk;
 }
@@ -213,7 +201,6 @@ OpStatus Fabric::ExecuteFaa(int target, uint64_t offset, uint64_t delta,
     SpinLatchGuard nic(*nic_latches_[static_cast<size_t>(target)]);
     *observed = htm::StrongFaa64(addr, delta);
   }
-  ++LocalThreadStats().faa_ops;
   stat::Registry::Global().Add(Verbs().faa_ops);
   return OpStatus::kOk;
 }
@@ -295,7 +282,6 @@ OpStatus Fabric::Send(int from, int to, uint32_t kind,
   msg.rpc_id = 0;
   msg.payload = std::move(payload);
   queue(to).Push(std::move(msg));
-  ++LocalThreadStats().sends;
   stat::Registry& reg = stat::Registry::Global();
   reg.Add(Verbs().sends);
   reg.Record(Verbs().send_ns, latency_ns);
@@ -330,7 +316,6 @@ OpStatus Fabric::Rpc(int from, int to, uint32_t kind,
   msg.rpc_id = rpc_id;
   msg.payload = std::move(payload);
   queue(to).Push(std::move(msg));
-  ++LocalThreadStats().sends;
   {
     stat::Registry& reg = stat::Registry::Global();
     reg.Add(Verbs().sends);
@@ -374,7 +359,6 @@ void Fabric::Reply(const Message& request, std::vector<uint8_t> payload) {
     pending->done = true;
   }
   pending->cv.notify_one();
-  ++LocalThreadStats().sends;
 }
 
 }  // namespace rdma

@@ -43,22 +43,6 @@ enum class AtomicLevel {
   kGlob,  // RDMA CAS atomic vs. processor CAS (e.g. QLogic QLE series)
 };
 
-// Per-thread operation counters; the KV benchmarks read these to report
-// "average number of RDMA READs per lookup" (Table 4).
-struct ThreadStats {
-  uint64_t reads = 0;
-  uint64_t read_bytes = 0;
-  uint64_t writes = 0;
-  uint64_t write_bytes = 0;
-  uint64_t cas_ops = 0;
-  uint64_t faa_ops = 0;
-  uint64_t sends = 0;
-
-  void Reset() { *this = ThreadStats(); }
-};
-
-ThreadStats& LocalThreadStats();
-
 class Fabric {
  public:
   struct Config {

@@ -1,6 +1,8 @@
 #include "src/stat/abort_taxonomy.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 namespace drtm {
 namespace stat {
@@ -71,29 +73,35 @@ void RecordHtmOutcome(unsigned status, Registry* registry) {
   const AbortCause cause = ClassifyRtmStatus(status);
   // Per-registry id cache; the global registry is the overwhelmingly
   // common case, so cache its ids and fall back to lookups otherwise.
-  struct Ids {
-    uint32_t total;
-    uint32_t per_cause[kAbortCauseCount];
-  };
+  // XABORT code ids resolve on a code's first abort on this thread
+  // (kNoId until then), so only codes that fire are registered and the
+  // hot path never takes the registry mutex.
+  constexpr uint32_t kNoId = ~0u;
   static thread_local struct {
     Registry* reg = nullptr;
-    Ids ids;
+    uint32_t total = 0;
+    uint32_t per_cause[kAbortCauseCount] = {};
+    uint32_t per_code[256] = {};
   } cache;
   if (cache.reg != registry) {
     cache.reg = registry;
-    cache.ids.total = registry->CounterId("htm.abort.total");
+    cache.total = registry->CounterId("htm.abort.total");
     for (size_t i = 0; i < kAbortCauseCount; ++i) {
-      cache.ids.per_cause[i] = registry->CounterId(
+      cache.per_cause[i] = registry->CounterId(
           AbortCauseCounterName(static_cast<AbortCause>(i)));
     }
+    std::fill(std::begin(cache.per_code), std::end(cache.per_code), kNoId);
   }
-  registry->Add(cache.ids.total);
-  registry->Add(cache.ids.per_cause[static_cast<size_t>(cause)]);
+  registry->Add(cache.total);
+  registry->Add(cache.per_cause[static_cast<size_t>(cause)]);
   if (cause == AbortCause::kExplicit) {
-    char name[48];
-    std::snprintf(name, sizeof(name), "htm.abort.explicit.code%u",
-                  RtmUserCode(status));
-    registry->Add(registry->CounterId(name));
+    const unsigned code = RtmUserCode(status);
+    if (cache.per_code[code] == kNoId) {
+      char name[48];
+      std::snprintf(name, sizeof(name), "htm.abort.explicit.code%u", code);
+      cache.per_code[code] = registry->CounterId(name);
+    }
+    registry->Add(cache.per_code[code]);
   }
 }
 

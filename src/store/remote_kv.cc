@@ -1,5 +1,6 @@
 #include "src/store/remote_kv.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/rdma/verbs_batch.h"
@@ -224,7 +225,11 @@ void RemoteKv::ScatterLookup(rdma::PhaseScatter& scatter,
   std::vector<bool> posted_this_round(n, false);
   std::vector<bool> failed(n, false);
   std::vector<rdma::ScatterCompletion> comps;
-  while (true) {
+  const auto any_open = [&walks] {
+    return std::any_of(walks.begin(), walks.end(),
+                       [](const Walk& w) { return !w.done; });
+  };
+  while (any_open()) {
     // Scatter: each unfinished walk serves what it can from its cache,
     // predicts its next run, and posts the run's READs on its host
     // node's queue. Nothing is polled yet.
@@ -244,18 +249,23 @@ void RemoteKv::ScatterLookup(rdma::PhaseScatter& scatter,
       round_ids.clear();
       const size_t posted =
           kv->WalkPostRun(w, scatter.To(kv->target_), &round_ids);
-      if (posted > 0) {
-        ++w.ref.rdma_doorbells;
-        w.ref.rdma_reads += static_cast<int>(posted);
-        for (const uint64_t id : round_ids) {
-          owners.emplace_back(std::make_pair(kv->target_, id), i);
-        }
-        posted_this_round[i] = true;
-        any_posted = true;
+      if (posted == 0) {
+        // The whole run turned cache-resident after the cache probe
+        // missed (another worker installed it): consume it now, as the
+        // serial Lookup does, so the walk moves on without a READ.
+        kv->WalkConsumeRun(w, /*fetch_failed=*/false);
+        continue;
       }
+      ++w.ref.rdma_doorbells;
+      w.ref.rdma_reads += static_cast<int>(posted);
+      for (const uint64_t id : round_ids) {
+        owners.emplace_back(std::make_pair(kv->target_, id), i);
+      }
+      posted_this_round[i] = true;
+      any_posted = true;
     }
     if (!any_posted) {
-      break;  // every walk finished from cache
+      continue;  // no READ in flight; open walks advanced from cache
     }
     // Gather: one overlapped doorbell per target, then match each READ's
     // status back to its walk.
@@ -273,10 +283,9 @@ void RemoteKv::ScatterLookup(rdma::PhaseScatter& scatter,
       }
     }
     for (size_t i = 0; i < n; ++i) {
-      if (!posted_this_round[i] || walks[i].done) {
-        continue;
+      if (posted_this_round[i]) {
+        (*tasks)[i].client->WalkConsumeRun(walks[i], failed[i]);
       }
-      (*tasks)[i].client->WalkConsumeRun(walks[i], failed[i]);
     }
   }
   for (size_t i = 0; i < n; ++i) {

@@ -56,6 +56,8 @@ struct TxnMetricIds {
   uint32_t node_failure = 0;
   uint32_t lease_abort = 0;
   uint32_t lock_abort = 0;
+  uint32_t capacity_abort = 0;
+  uint32_t conflict_abort = 0;
   uint32_t ro_commit = 0;
   uint32_t ro_retry = 0;
   uint32_t lock_backoff = 0;
@@ -81,6 +83,8 @@ const TxnMetricIds& Ids() {
     t.node_failure = reg.CounterId("txn.node_failure");
     t.lease_abort = reg.CounterId("txn.lease_abort");
     t.lock_abort = reg.CounterId("txn.lock_abort");
+    t.capacity_abort = reg.CounterId("txn.capacity_abort");
+    t.conflict_abort = reg.CounterId("txn.conflict_abort");
     t.ro_commit = reg.CounterId("txn.readonly.commit");
     t.ro_retry = reg.CounterId("txn.readonly.retry");
     t.lock_backoff = reg.CounterId("txn.lock_backoff");
@@ -128,20 +132,6 @@ bool LogLockAhead(Worker* worker, uint64_t id,
 }
 
 }  // namespace
-
-void TxnStats::Add(const TxnStats& o) {
-  committed += o.committed;
-  user_aborts += o.user_aborts;
-  start_conflicts += o.start_conflicts;
-  htm_conflict_aborts += o.htm_conflict_aborts;
-  htm_capacity_aborts += o.htm_capacity_aborts;
-  htm_lock_aborts += o.htm_lock_aborts;
-  htm_lease_aborts += o.htm_lease_aborts;
-  fallbacks += o.fallbacks;
-  node_failures += o.node_failures;
-  read_only_committed += o.read_only_committed;
-  read_only_retries += o.read_only_retries;
-}
 
 Worker::Worker(Cluster* cluster, int node, int worker_id)
     : cluster_(cluster),
@@ -553,7 +543,6 @@ TxnStatus Transaction::Run(const Body& body) {
     ref.exclusive = ref.write || !cfg_.enable_read_lease;
   }
   txn_id_ = cluster_.NextTxnId(worker_->node(), worker_->worker_id());
-  TxnStats& stats = worker_->stats();
 
   int start_conflicts = 0;
   int attempt = 0;
@@ -569,13 +558,11 @@ TxnStatus Transaction::Run(const Body& body) {
     const StartResult sr = StartPhase();
     if (sr == StartResult::kNodeDown) {
       AbandonAttempt();
-      ++stats.node_failures;
       stat::Registry::Global().Add(Ids().node_failure);
       return TxnStatus::kNodeFailure;
     }
     if (sr == StartResult::kConflict) {
       AbandonAttempt();
-      ++stats.start_conflicts;
       stat::Registry::Global().Add(Ids().start_conflict);
       if (++start_conflicts > cfg_.start_retry_limit) {
         break;  // heavy remote contention: let the fallback serialize us
@@ -659,21 +646,19 @@ TxnStatus Transaction::Run(const Body& body) {
         // is a machine dead mid-commit, and recovery redoes either kind.
         NotifyCommittedWrites();
       }
-      ++stats.committed;
       stat::Registry::Global().Add(Ids().commit);
       return TxnStatus::kCommitted;
     }
 
     AbandonAttempt();
     if (user_abort_) {
-      ++stats.user_aborts;
       stat::Registry::Global().Add(Ids().user_abort);
       return TxnStatus::kUserAbort;
     }
     bool lock_observed = false;
     AbortMixWindow& mix = worker_->abort_mix();
     if (hstatus & htm::kAbortCapacity) {
-      ++stats.htm_capacity_aborts;
+      stat::Registry::Global().Add(Ids().capacity_abort);
       mix.Observe(&mix.capacity);
     } else if (hstatus & htm::kAbortExplicit) {
       const unsigned code = htm::AbortUserCode(hstatus);
@@ -682,20 +667,18 @@ TxnStatus Transaction::Run(const Body& body) {
         // completed epochs out here and retry. Deterministic like a
         // capacity overflow, so it feeds that bucket.
         cluster_.log(worker_->node())->ReclaimSpace(worker_->worker_id());
-        ++stats.htm_capacity_aborts;
+        stat::Registry::Global().Add(Ids().capacity_abort);
         mix.Observe(&mix.capacity);
       } else if (code == kCodeLease) {
-        ++stats.htm_lease_aborts;
         stat::Registry::Global().Add(Ids().lease_abort);
         mix.Observe(&mix.conflict);
       } else {
-        ++stats.htm_lock_aborts;
         stat::Registry::Global().Add(Ids().lock_abort);
         lock_observed = true;
         mix.Observe(&mix.lock);
       }
     } else {
-      ++stats.htm_conflict_aborts;
+      stat::Registry::Global().Add(Ids().conflict_abort);
       mix.Observe(&mix.conflict);
     }
     ++attempt;
@@ -713,7 +696,6 @@ TxnStatus Transaction::Run(const Body& body) {
     }
   }
 
-  ++stats.fallbacks;
   stat::Registry::Global().Add(Ids().fallback);
   return RunFallback(body);
 }
@@ -1140,7 +1122,6 @@ bool Transaction::LeasesValid() {
 TxnStatus Transaction::RunFallback(const Body& body) {
   mode_ = Mode::kFallback;
   stat::ScopedTimer fallback_phase(Ids().fallback_ns);
-  TxnStats& stats = worker_->stats();
   htm::HtmThread& htm = worker_->htm();
 
   for (int attempt = 0; attempt < kFallbackAttempts; ++attempt) {
@@ -1160,7 +1141,6 @@ TxnStatus Transaction::RunFallback(const Body& body) {
     if (fail != StartResult::kOk) {
       AbandonAttempt();
       if (fail == StartResult::kNodeDown) {
-        ++stats.node_failures;
         stat::Registry::Global().Add(Ids().node_failure);
         return TxnStatus::kNodeFailure;
       }
@@ -1186,7 +1166,6 @@ TxnStatus Transaction::RunFallback(const Body& body) {
     if (!body_ok ||
         (replay::Armed() && !replay::Recorder::Global().CommitAllowed())) {
       AbandonAttempt();
-      ++stats.user_aborts;
       stat::Registry::Global().Add(Ids().user_abort);
       return TxnStatus::kUserAbort;
     }
@@ -1298,7 +1277,6 @@ TxnStatus Transaction::RunFallback(const Body& body) {
     if (!release_abandoned) {
       NotifyCommittedWrites();
     }
-    ++stats.committed;
     stat::Registry::Global().Add(Ids().commit);
     return TxnStatus::kCommitted;
   }
@@ -1360,7 +1338,6 @@ void ReadOnlyTransaction::AddRead(int table, uint64_t key) {
 
 TxnStatus ReadOnlyTransaction::Execute() {
   const ClusterConfig& cfg = cluster_.config();
-  TxnStats& stats = worker_->stats();
   const std::vector<LockRequest*> reqs = RequestsOf(refs_);
   for (int attempt = 0; attempt < kFallbackAttempts; ++attempt) {
     WindowGuard window(cluster_);
@@ -1380,17 +1357,14 @@ TxnStatus ReadOnlyTransaction::Execute() {
       result = acq.Prefetch(reqs);
     }
     if (result == Acquirer::Result::kNodeDown) {
-      ++stats.node_failures;
       stat::Registry::Global().Add(Ids().node_failure);
       return TxnStatus::kNodeFailure;
     }
     // Confirmation: all leases still valid at one instant (Fig. 8).
     if (result == Acquirer::Result::kOk && acq.LeasesValid(reqs)) {
-      ++stats.read_only_committed;
       stat::Registry::Global().Add(Ids().ro_commit);
       return TxnStatus::kCommitted;
     }
-    ++stats.read_only_retries;
     stat::Registry::Global().Add(Ids().ro_retry);
     worker_->Backoff(attempt);
   }

@@ -25,7 +25,6 @@
 #include <functional>
 #include <vector>
 
-#include "src/common/histogram.h"
 #include "src/common/rand.h"
 #include "src/htm/htm.h"
 #include "src/replay/replay_log.h"
@@ -49,22 +48,6 @@ inline constexpr uint8_t kCodeLease = 3;    // lease confirmation failed
 inline constexpr uint8_t kCodeMissing = 4;  // record vanished mid-run
 inline constexpr uint8_t kCodeLogFull = 5;  // WAL append hit a full log
                                             // segment; reclaim + retry
-
-struct TxnStats {
-  uint64_t committed = 0;
-  uint64_t user_aborts = 0;
-  uint64_t start_conflicts = 0;  // remote lock/lease acquisition failures
-  uint64_t htm_conflict_aborts = 0;
-  uint64_t htm_capacity_aborts = 0;
-  uint64_t htm_lock_aborts = 0;   // kCodeLocked
-  uint64_t htm_lease_aborts = 0;  // kCodeLease
-  uint64_t fallbacks = 0;
-  uint64_t node_failures = 0;
-  uint64_t read_only_committed = 0;
-  uint64_t read_only_retries = 0;
-
-  void Add(const TxnStats& o);
-};
 
 // Decayed per-worker window of recent HTM abort causes — the input to
 // the adaptive retry budget (ClusterConfig::adaptive_retry_budget).
@@ -104,8 +87,6 @@ class Worker {
   // must not desynchronize them between a threaded recording and its
   // single-threaded replay.
   Xoshiro256& backoff_rng() { return backoff_rng_; }
-  TxnStats& stats() { return stats_; }
-  Histogram& latency_us() { return latency_us_; }
 
   // Blocks until txn_id — a transaction this worker committed — is
   // durably acknowledged: its epoch sealed and its flush completed
@@ -145,8 +126,6 @@ class Worker {
   htm::HtmThread htm_;
   Xoshiro256 rng_;
   Xoshiro256 backoff_rng_;
-  TxnStats stats_;
-  Histogram latency_us_;
   AbortMixWindow abort_mix_;
 };
 

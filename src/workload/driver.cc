@@ -32,9 +32,6 @@ RunResult RunWorkers(txn::Cluster* cluster, const RunOptions& options,
       while (warming.load(std::memory_order_acquire)) {
         (void)step(worker);
       }
-      // Reset after warmup so only the measured window is reported.
-      worker.stats() = txn::TxnStats();
-      *worker.htm().mutable_stats() = htm::Stats();
       uint64_t committed = 0;
       uint64_t attempted = 0;
       Histogram latency;
@@ -53,8 +50,6 @@ RunResult RunWorkers(txn::Cluster* cluster, const RunOptions& options,
       std::lock_guard<std::mutex> lock(result_mu);
       result.committed += committed;
       result.attempted += attempted;
-      result.txn_stats.Add(worker.stats());
-      result.htm_stats.Add(worker.htm().stats());
       result.latency_us.Merge(latency);
     });
   }

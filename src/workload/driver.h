@@ -1,6 +1,6 @@
 // Multi-threaded closed-loop benchmark driver: N worker threads per node
 // run a workload step function for a fixed duration after a warmup, and
-// the per-thread statistics are merged.
+// the per-thread commit counts and latencies are merged.
 #ifndef SRC_WORKLOAD_DRIVER_H_
 #define SRC_WORKLOAD_DRIVER_H_
 
@@ -18,11 +18,11 @@ struct RunResult {
   double seconds = 0;
   uint64_t committed = 0;
   uint64_t attempted = 0;
-  txn::TxnStats txn_stats;
-  htm::Stats htm_stats;
   Histogram latency_us;
   // Global-registry delta covering only the measured window (the warmup
-  // is excluded): counters by name plus phase/RDMA histograms.
+  // is excluded): counters by name plus phase/RDMA histograms. The
+  // registry is the only counter store, so every per-run count (HTM
+  // outcomes, fallbacks, RDMA ops) is read from here.
   stat::Snapshot stats_delta;
 
   double Throughput() const {

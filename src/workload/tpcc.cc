@@ -504,14 +504,14 @@ txn::TxnStatus TpccDb::RunPayment(txn::Worker* worker) {
   if (cluster_->Rpc(worker->node(), customer_node, kPaymentRpc,
                     std::move(payload), &reply) != rdma::OpStatus::kOk ||
       reply.empty()) {
-    ++worker->stats().node_failures;
+    // No Transaction ran on this side, so nothing else counts the failure.
+    static const uint32_t node_failure =
+        stat::Registry::Global().CounterId("txn.node_failure");
+    stat::Registry::Global().Add(node_failure);
     return txn::TxnStatus::kNodeFailure;
   }
-  const auto status = static_cast<txn::TxnStatus>(reply[0]);
-  if (status == txn::TxnStatus::kCommitted) {
-    ++worker->stats().committed;
-  }
-  return status;
+  // The server's Transaction::Run already counted the outcome.
+  return static_cast<txn::TxnStatus>(reply[0]);
 }
 
 txn::TxnStatus TpccDb::PaymentLocal(txn::Worker* worker,

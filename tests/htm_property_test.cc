@@ -10,6 +10,7 @@
 
 #include "src/common/rand.h"
 #include "src/htm/htm.h"
+#include "src/stat/metrics.h"
 
 namespace drtm {
 namespace htm {
@@ -260,15 +261,19 @@ TEST(HtmAbortCodes, ExplicitCodesRoundTripAllValues) {
 TEST(HtmAbortCodes, StatsMatchOutcomes) {
   alignas(64) static uint64_t word = 0;
   HtmThread htm;
-  const uint64_t commits_before = htm.stats().commits;
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
   for (int i = 0; i < 10; ++i) {
     htm.Transact([&] { htm.Store(&word, uint64_t{1}); });
   }
   for (int i = 0; i < 5; ++i) {
     htm.Transact([&] { htm.Abort(1); });
   }
-  EXPECT_EQ(htm.stats().commits - commits_before, 10u);
-  EXPECT_GE(htm.stats().aborts_explicit, 5u);
+  const stat::Snapshot delta =
+      stat::Registry::Global().TakeSnapshot().DeltaSince(before);
+  EXPECT_EQ(delta.Counter("htm.commit"), 10u);
+  EXPECT_EQ(delta.Counter("htm.abort.explicit"), 5u);
+  EXPECT_EQ(delta.Counter("htm.abort.explicit.code1"), 5u);
+  EXPECT_EQ(delta.Counter("htm.abort.total"), 5u);
 }
 
 // --- write buffering edge cases --------------------------------------------------

@@ -8,10 +8,18 @@
 #include <vector>
 
 #include "src/common/barrier.h"
+#include "src/stat/metrics.h"
 
 namespace drtm {
 namespace htm {
 namespace {
+
+stat::Snapshot Now() { return stat::Registry::Global().TakeSnapshot(); }
+
+// What a global-registry counter gained since `before`.
+uint64_t Gained(const stat::Snapshot& before, const char* name) {
+  return Now().DeltaSince(before).Counter(name);
+}
 
 TEST(VersionTable, SameLineSameSlot) {
   VersionTable table(1 << 10);
@@ -24,10 +32,11 @@ TEST(VersionTable, SameLineSameSlot) {
 TEST(Htm, CommitMakesWritesVisible) {
   alignas(64) uint64_t value = 0;
   HtmThread htm;
+  const stat::Snapshot before = Now();
   const unsigned status = htm.Transact([&] { htm.Store(&value, uint64_t{42}); });
   EXPECT_EQ(status, kCommitted);
   EXPECT_EQ(value, 42u);
-  EXPECT_EQ(htm.stats().commits, 1u);
+  EXPECT_EQ(Gained(before, "htm.commit"), 1u);
 }
 
 TEST(Htm, WritesInvisibleBeforeCommit) {
@@ -46,6 +55,7 @@ TEST(Htm, WritesInvisibleBeforeCommit) {
 TEST(Htm, ExplicitAbortDiscardsWrites) {
   alignas(64) uint64_t value = 1;
   HtmThread htm;
+  const stat::Snapshot before = Now();
   const unsigned status = htm.Transact([&] {
     htm.Store(&value, uint64_t{2});
     htm.Abort(0x3c);
@@ -54,7 +64,8 @@ TEST(Htm, ExplicitAbortDiscardsWrites) {
   EXPECT_TRUE(status & kAbortExplicit);
   EXPECT_EQ(AbortUserCode(status), 0x3cu);
   EXPECT_EQ(value, 1u);
-  EXPECT_EQ(htm.stats().aborts_explicit, 1u);
+  EXPECT_EQ(Gained(before, "htm.abort.explicit"), 1u);
+  EXPECT_EQ(Gained(before, "htm.abort.explicit.code60"), 1u);
 }
 
 TEST(Htm, ReadYourWritesPartialOverlap) {
@@ -89,13 +100,14 @@ TEST(Htm, CapacityAbortOnWriteSet) {
   config.max_write_lines = 4;
   HtmThread htm(config);
   std::vector<uint64_t> data(64 * 16, 0);
+  const stat::Snapshot before = Now();
   const unsigned status = htm.Transact([&] {
     for (size_t i = 0; i < data.size(); i += 8) {
       htm.Store(&data[i], uint64_t{1});
     }
   });
   EXPECT_TRUE(status & kAbortCapacity);
-  EXPECT_EQ(htm.stats().aborts_capacity, 1u);
+  EXPECT_EQ(Gained(before, "htm.abort.capacity"), 1u);
 }
 
 TEST(Htm, CapacityAbortOnReadSet) {
@@ -265,6 +277,7 @@ TEST(Htm, ForeignExceptionEscapingTransactRollsBack) {
   alignas(64) static uint64_t value = 0;
   value = 0;
   HtmThread htm;
+  const stat::Snapshot before = Now();
   EXPECT_THROW(htm.Transact([&] {
     htm.Store(&value, uint64_t{9});
     throw std::runtime_error("escapes");
@@ -272,7 +285,7 @@ TEST(Htm, ForeignExceptionEscapingTransactRollsBack) {
                std::runtime_error);
   EXPECT_FALSE(htm.InTransaction());
   EXPECT_EQ(value, 0u) << "buffered write must not be installed";
-  EXPECT_EQ(htm.stats().aborts_explicit, 1u);
+  EXPECT_EQ(Gained(before, "htm.abort.explicit"), 1u);
   const unsigned status = htm.Transact([&] { htm.Store(&value, uint64_t{1}); });
   EXPECT_EQ(status, kCommitted);
   EXPECT_EQ(value, 1u);
@@ -429,10 +442,11 @@ TEST(Htm, AbortStatusContainsRetryBitOnConflict) {
 TEST(Htm, StatsAccumulate) {
   alignas(64) static uint64_t value = 0;
   HtmThread htm;
+  const stat::Snapshot before = Now();
   htm.Transact([&] { htm.Store(&value, uint64_t{1}); });
   htm.Transact([&] { htm.Abort(2); });
-  EXPECT_EQ(htm.stats().commits, 1u);
-  EXPECT_EQ(htm.stats().TotalAborts(), 1u);
+  EXPECT_EQ(Gained(before, "htm.commit"), 1u);
+  EXPECT_EQ(Gained(before, "htm.abort.total"), 1u);
 }
 
 }  // namespace

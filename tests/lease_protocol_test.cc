@@ -8,6 +8,7 @@
 
 #include "src/common/clock.h"
 #include "src/htm/htm.h"
+#include "src/stat/metrics.h"
 #include "src/store/kv_layout.h"
 #include "src/txn/cluster.h"
 #include "src/txn/lock_state.h"
@@ -149,6 +150,7 @@ TEST_F(LeaseProtocolTest, WriterWaitsOutLeaseViaRetries) {
   Worker reader(cluster_.get(), 1, 0);
   ASSERT_EQ(RemoteRead(&reader), TxnStatus::kCommitted);
   const uint64_t t0 = MonotonicNanos();
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
   Worker writer(cluster_.get(), 1, 0);
   Transaction txn(&writer);
   txn.AddWrite(table_, 0);
@@ -164,7 +166,11 @@ TEST_F(LeaseProtocolTest, WriterWaitsOutLeaseViaRetries) {
   const uint64_t waited_us = (MonotonicNanos() - t0) / 1000;
   // The writer could not commit before the lease expired.
   EXPECT_GE(waited_us, 10000u);
-  EXPECT_GE(writer.stats().start_conflicts, 1u);
+  EXPECT_GE(stat::Registry::Global()
+                .TakeSnapshot()
+                .DeltaSince(before)
+                .Counter("txn.start_conflict"),
+            1u);
 }
 
 TEST_F(LeaseProtocolTest, SkewedClockWithinDeltaStaysSerializable) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/htm/htm.h"
+#include "src/stat/metrics.h"
 
 namespace drtm {
 namespace rdma {
@@ -172,21 +173,23 @@ TEST(Fabric, RpcToDeadNodeFails) {
   EXPECT_EQ(fabric.Rpc(0, 1, 9, {}, &reply, 2000), OpStatus::kNodeDown);
 }
 
-TEST(Fabric, ThreadStatsCountOps) {
+TEST(Fabric, VerbsCountInRegistry) {
   Fabric fabric(TestConfig(2));
   const uint64_t off = fabric.memory(1).Allocate(64);
-  LocalThreadStats().Reset();
+  stat::Registry& reg = stat::Registry::Global();
+  const stat::Snapshot before = reg.TakeSnapshot();
   char buf[32] = {0};
   fabric.Read(1, off, buf, sizeof(buf));
   fabric.Read(1, off, buf, sizeof(buf));
   fabric.Write(1, off, buf, sizeof(buf));
   uint64_t observed;
   fabric.Cas(1, off, 0, 1, &observed);
-  const ThreadStats& stats = LocalThreadStats();
-  EXPECT_EQ(stats.reads, 2u);
-  EXPECT_EQ(stats.read_bytes, 64u);
-  EXPECT_EQ(stats.writes, 1u);
-  EXPECT_EQ(stats.cas_ops, 1u);
+  const stat::Snapshot delta = reg.TakeSnapshot().DeltaSince(before);
+  EXPECT_EQ(delta.Counter("rdma.read.ops"), 2u);
+  EXPECT_EQ(delta.Counter("rdma.read.bytes"), 64u);
+  EXPECT_EQ(delta.Counter("rdma.write.ops"), 1u);
+  EXPECT_EQ(delta.Counter("rdma.write.bytes"), 32u);
+  EXPECT_EQ(delta.Counter("rdma.cas.ops"), 1u);
 }
 
 TEST(Latency, CalibratedScalesDown) {

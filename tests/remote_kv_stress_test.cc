@@ -13,6 +13,7 @@
 #include "src/common/rand.h"
 #include "src/htm/htm.h"
 #include "src/rdma/fabric.h"
+#include "src/rdma/phase_scatter.h"
 #include "src/store/cluster_hash.h"
 #include "src/store/location_cache.h"
 #include "src/store/remote_kv.h"
@@ -283,6 +284,62 @@ TEST(RemoteKvStress, LookupUnderInsertionChurnFindsStableKeys) {
   inserter.join();
   reader.join();
   EXPECT_FALSE(lost.load());
+}
+
+// A scatter walk whose cache probe misses can find its bucket installed
+// by another worker a moment later, when it goes to post the READ. Such
+// a walk posts nothing that round; it must still be consumed, or a
+// lookup in which no walk posted a READ ends with the key not found.
+TEST(RemoteKvStress, ScatterLookupSurvivesConcurrentCacheReinstalls) {
+  rdma::Fabric fabric(TestFabric(2));
+  ClusterHashTable::Config config;
+  config.main_buckets = 1 << 8;
+  config.indirect_buckets = 1 << 6;
+  config.capacity = 1 << 10;
+  config.value_size = 8;
+  ClusterHashTable table(&fabric.memory(1), config);
+  const Geometry& geo = table.geometry();
+  const uint64_t keys[2] = {1, 2};
+  ASSERT_NE(geo.MainBucketOffset(keys[0]), geo.MainBucketOffset(keys[1]));
+  const uint64_t value = 7;
+  Bucket buckets[2];
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(table.Insert(keys[i], &value));
+  }
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(fabric.Read(1, geo.MainBucketOffset(keys[i]), &buckets[i],
+                          sizeof(Bucket)),
+              rdma::OpStatus::kOk);
+  }
+  LocationCache cache(1 << 20);
+  RemoteKv client(&fabric, 1, geo, &cache);
+
+  std::atomic<bool> stop{false};
+  std::thread flipper([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (int i = 0; i < 2; ++i) {
+        const uint64_t off = geo.MainBucketOffset(keys[i]);
+        cache.Invalidate(off);
+        cache.Install(off, buckets[i]);
+      }
+    }
+  });
+  rdma::PhaseScatter scatter(fabric, rdma::SendQueue::Config{4});
+  int misses = 0;
+  for (int round = 0; round < 100000; ++round) {
+    std::vector<RemoteKv::LookupTask> tasks(2);
+    for (int i = 0; i < 2; ++i) {
+      tasks[i].client = &client;
+      tasks[i].key = keys[i];
+    }
+    RemoteKv::ScatterLookup(scatter, &tasks);
+    for (const RemoteKv::LookupTask& task : tasks) {
+      misses += task.result.found ? 0 : 1;
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  flipper.join();
+  EXPECT_EQ(misses, 0);
 }
 
 }  // namespace

@@ -261,10 +261,12 @@ TEST_F(RemoteKvTest, CacheEliminatesRepeatLookupReads) {
   RemoteKv client(&fabric_, 1, table_->geometry(), &cache);
   std::vector<uint8_t> out(32);
   ASSERT_TRUE(client.Get(3, out.data()));
-  rdma::LocalThreadStats().Reset();
+  stat::Registry& reg = stat::Registry::Global();
+  const stat::Snapshot before = reg.TakeSnapshot();
   ASSERT_TRUE(client.Get(3, out.data()));
   // Warm cache: only the entry READ remains, no bucket READ.
-  EXPECT_EQ(rdma::LocalThreadStats().reads, 1u);
+  EXPECT_EQ(reg.TakeSnapshot().DeltaSince(before).Counter("rdma.read.ops"),
+            1u);
 }
 
 TEST_F(RemoteKvTest, StaleCacheDetectedByIncarnation) {

@@ -8,6 +8,7 @@
 #include <map>
 #include <thread>
 
+#include "src/stat/metrics.h"
 #include "src/txn/transaction.h"
 #include "src/workload/tpcc.h"
 
@@ -157,6 +158,21 @@ TEST_F(TpccSpecTest, RemotePaymentShipsAndStaysConsistent) {
   // transaction runs there).
   EXPECT_GT(cluster_->hash_table(1, db_->history_table())->live_entries(),
             0u);
+}
+
+TEST_F(TpccSpecTest, ShippedPaymentCountsOneCommit) {
+  auto params = SmallParams(2);
+  params.cross_warehouse_payment = 1.0;  // customer on the other node
+  SetUpTpcc(2, 2, params);
+  txn::Worker worker(cluster_.get(), 0, 0);
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
+  ASSERT_EQ(db_->RunPayment(&worker), txn::TxnStatus::kCommitted);
+  // The customer's node ran (and counted) it; the client adds nothing.
+  EXPECT_EQ(stat::Registry::Global()
+                .TakeSnapshot()
+                .DeltaSince(before)
+                .Counter("txn.commit"),
+            1u);
 }
 
 TEST_F(TpccSpecTest, DeliverySettlesOrderAmountsIntoCustomerBalance) {

@@ -96,6 +96,12 @@ class TxnProtocolTest : public ::testing::Test {
     });
   }
 
+  // What a global-registry counter gained since `before`.
+  static uint64_t Gained(const stat::Snapshot& before, const char* name) {
+    return stat::Registry::Global().TakeSnapshot().DeltaSince(before).Counter(
+        name);
+  }
+
   std::unique_ptr<Cluster> cluster_;
   int table_ = -1;
 };
@@ -103,10 +109,11 @@ class TxnProtocolTest : public ::testing::Test {
 TEST_F(TxnProtocolTest, LocalTransactionCommits) {
   SetUpCluster(SmallConfig(1));
   Worker worker(cluster_.get(), 0, 0);
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
   EXPECT_EQ(Transfer(&worker, 1, 2, 100), TxnStatus::kCommitted);
   EXPECT_EQ(StrongBalance(1), kInitialBalance - 100);
   EXPECT_EQ(StrongBalance(2), kInitialBalance + 100);
-  EXPECT_EQ(worker.stats().committed, 1u);
+  EXPECT_EQ(Gained(before, "txn.commit"), 1u);
 }
 
 TEST_F(TxnProtocolTest, DistributedTransactionCommits) {
@@ -234,9 +241,11 @@ TEST_F(TxnProtocolTest, WriterBlockedByUnexpiredLeaseEventuallyCommits) {
 
   // A remote writer must wait out the lease but then commit (the Run loop
   // retries Start-phase conflicts).
+  // It may or may not meet a start-phase conflict, but commits once.
   Worker writer(cluster_.get(), 0, 1);
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
   EXPECT_EQ(Transfer(&writer, 0, 1, 10), TxnStatus::kCommitted);
-  EXPECT_GE(writer.stats().start_conflicts, 0u);  // may or may not conflict
+  EXPECT_EQ(Gained(before, "txn.commit"), 1u);
   EXPECT_EQ(StrongBalance(1), kInitialBalance + 10);
 }
 
@@ -261,13 +270,15 @@ TEST_F(TxnProtocolTest, LocalHtmAbortsOnRemoteLockThenRecovers) {
   // A purely local transaction on node 0 touching account 0 must abort
   // (LOCAL_WRITE sees the lock) until the "remote" holder releases.
   Worker worker(cluster_.get(), 0, 0);
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
   EXPECT_EQ(Transfer(&worker, 0, 2, 5), TxnStatus::kCommitted);
   EXPECT_TRUE(done.load());
   unlocker.join();
   EXPECT_EQ(StrongBalance(0), kInitialBalance - 5);
   // The transaction observed the lock: either HTM lock-aborts or the
   // fallback path waited it out.
-  EXPECT_GE(worker.stats().htm_lock_aborts + worker.stats().fallbacks, 1u);
+  EXPECT_GE(Gained(before, "txn.lock_abort") + Gained(before, "txn.fallback"),
+            1u);
 }
 
 TEST_F(TxnProtocolTest, SerializableUnderConcurrencyAcrossNodes) {
@@ -359,19 +370,20 @@ TEST_F(TxnProtocolTest, FallbackOnlyModeStillSerializable) {
   config.htm_retry_limit = 0;  // every transaction goes straight to 2PL
   SetUpCluster(config);
   constexpr int kThreads = 4;
+  constexpr int kTransfersPerThread = 150;
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       Worker worker(cluster_.get(), t % 2, t / 2);
       Xoshiro256 rng(99 + static_cast<uint64_t>(t));
-      for (int i = 0; i < 150; ++i) {
+      for (int i = 0; i < kTransfersPerThread; ++i) {
         const uint64_t from = rng.NextBounded(kAccounts);
         uint64_t to = rng.NextBounded(kAccounts);
         if (to == from) {
           to = (to + 1) % kAccounts;
         }
         ASSERT_EQ(Transfer(&worker, from, to, 1), TxnStatus::kCommitted);
-        EXPECT_GE(worker.stats().fallbacks, 1u);
       }
     });
   }
@@ -379,6 +391,9 @@ TEST_F(TxnProtocolTest, FallbackOnlyModeStillSerializable) {
     th.join();
   }
   EXPECT_EQ(TotalBalance(), kAccounts * kInitialBalance);
+  // Every transfer went through the fallback exactly once.
+  EXPECT_EQ(Gained(before, "txn.fallback"),
+            uint64_t{kThreads} * kTransfersPerThread);
 }
 
 TEST_F(TxnProtocolTest, NoReadLeaseModeStillSerializable) {

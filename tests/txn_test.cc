@@ -10,10 +10,12 @@
 #include "src/common/clock.h"
 #include "src/common/rand.h"
 #include "src/htm/htm.h"
+#include "src/stat/metrics.h"
 #include "src/txn/cluster.h"
 #include "src/txn/lock_state.h"
 #include "src/txn/nvram_log.h"
 #include "src/txn/sync_time.h"
+#include "src/txn/transaction.h"
 
 namespace drtm {
 namespace txn {
@@ -437,6 +439,40 @@ TEST_F(ClusterTest, CrashStopsServiceReviveRestores) {
   EXPECT_FALSE(cluster_->RemoteInsert(0, table_, 3, &value));
   cluster_->Revive(1);
   EXPECT_TRUE(cluster_->RemoteInsert(0, table_, 3, &value));
+}
+
+TEST_F(ClusterTest, WorkerOutcomesMatchRegistryDeltas) {
+  for (uint64_t k = 0; k < 4; ++k) {
+    const uint64_t zero = 0;
+    ASSERT_TRUE(cluster_->hash_table(cluster_->PartitionOf(table_, k), table_)
+                    ->Insert(k, &zero));
+  }
+  Worker worker(cluster_.get(), 0, 0);
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
+  uint64_t commits = 0;
+  uint64_t user_aborts = 0;
+  constexpr int kTxns = 40;
+  for (int i = 0; i < kTxns; ++i) {
+    // Keys alternate local/remote; every third body gives up.
+    const uint64_t key = static_cast<uint64_t>(i) % 4;
+    Transaction txn(&worker);
+    txn.AddWrite(table_, key);
+    const TxnStatus status = txn.Run([&](Transaction& t) {
+      uint64_t v = 0;
+      if (!t.Read(table_, key, &v)) {
+        return false;
+      }
+      ++v;
+      return i % 3 != 0 && t.Write(table_, key, &v);
+    });
+    commits += status == TxnStatus::kCommitted ? 1 : 0;
+    user_aborts += status == TxnStatus::kUserAbort ? 1 : 0;
+  }
+  const stat::Snapshot delta =
+      stat::Registry::Global().TakeSnapshot().DeltaSince(before);
+  EXPECT_EQ(commits + user_aborts, uint64_t{kTxns});
+  EXPECT_EQ(delta.Counter("txn.commit"), commits);
+  EXPECT_EQ(delta.Counter("txn.user_abort"), user_aborts);
 }
 
 TEST_F(ClusterTest, TxnIdsAreUniquePerNode) {

@@ -228,21 +228,22 @@ TEST(SendQueue, BatchMetricsRecorded) {
   EXPECT_GE(sizes->max(), 3u);
 }
 
-TEST(SendQueue, BatchedOpsCountInThreadStats) {
+TEST(SendQueue, BatchedOpsCountInRegistry) {
   Fabric fabric(TestConfig(2));
   const uint64_t off = fabric.memory(1).Allocate(64);
-  LocalThreadStats().Reset();
+  stat::Registry& reg = stat::Registry::Global();
+  const stat::Snapshot before = reg.TakeSnapshot();
   SendQueue sq(fabric, 1);
   char buf[32] = {0};
   sq.PostRead(off, buf, sizeof(buf));
   sq.PostWrite(off, buf, sizeof(buf));
   sq.PostCas(off, 0, 1);
   sq.Flush();
-  const ThreadStats& stats = LocalThreadStats();
-  EXPECT_EQ(stats.reads, 1u);
-  EXPECT_EQ(stats.read_bytes, 32u);
-  EXPECT_EQ(stats.writes, 1u);
-  EXPECT_EQ(stats.cas_ops, 1u);
+  const stat::Snapshot delta = reg.TakeSnapshot().DeltaSince(before);
+  EXPECT_EQ(delta.Counter("rdma.read.ops"), 1u);
+  EXPECT_EQ(delta.Counter("rdma.read.bytes"), 32u);
+  EXPECT_EQ(delta.Counter("rdma.write.ops"), 1u);
+  EXPECT_EQ(delta.Counter("rdma.cas.ops"), 1u);
 }
 
 TEST(SendQueue, AsyncSubmissionMatchesRingDoorbell) {

@@ -53,12 +53,17 @@ TEST_F(YcsbTest, WorkloadCReadsAlwaysCommitViaReadOnlyPath) {
   params.mix = YcsbDb::Mix::kC;
   SetUpYcsb(2, params);
   txn::Worker worker(cluster_.get(), 0, 0);
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
   for (int i = 0; i < 200; ++i) {
     const auto result = db_->RunTxn(&worker);
     EXPECT_TRUE(result.committed);
     EXPECT_TRUE(result.was_read_only);
   }
-  EXPECT_GE(worker.stats().read_only_committed, 200u);
+  EXPECT_GE(stat::Registry::Global()
+                .TakeSnapshot()
+                .DeltaSince(before)
+                .Counter("txn.readonly.commit"),
+            200u);
 }
 
 TEST_F(YcsbTest, WorkloadAUpdatesStick) {

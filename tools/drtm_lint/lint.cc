@@ -962,13 +962,11 @@ void Analyzer::Run() {
         return false;
       };
       size_t last_data_tok = 0;
-      int last_data_line = 0;
       for (size_t i = r.begin; i < end; ++i) {
         if (is_htm_call(i, kHtmAccess) &&
             !arg_mentions(i, options_.lock_word_markers) &&
             !arg_mentions(i, options_.subscription_neutral_markers)) {
           last_data_tok = i;
-          last_data_line = t[i].line;
         }
       }
       if (last_data_tok == 0) return;
@@ -976,10 +974,13 @@ void Analyzer::Run() {
         if (is_htm_call(i, kHtmReads) &&
             arg_mentions(i, options_.lock_word_markers)) {
           report(r.file, "LS01", i, t[i].line,
+                 // The later access is named, not located: a line
+                 // number here would leak into the fingerprint.
                  "early lock/lease-word subscription: this transactional "
-                 "read precedes a later data access at line " +
-                     std::to_string(last_data_line) +
-                     " — defer the probe until after the last data access",
+                 "read precedes a later '" +
+                     t[last_data_tok].text +
+                     "' data access — defer the probe until after the last "
+                     "data access",
                  r);
         }
       }

@@ -2,16 +2,14 @@
 // toward the write-set line budget (htm::Config::max_write_lines x 64 B
 // cache lines, ~32 KB by default). Once a value no longer fits, every
 // HTM attempt aborts with kAbortCapacity deterministically — retrying is
-// pure waste. Two mitigations are measured against the static baseline:
-//   * the adaptive retry budget (ClusterConfig::adaptive_retry_budget),
-//     which stops retrying a capacity-dominant mix and reaches the 2PL
-//     fallback sooner;
-//   * the chop planner (ClusterConfig::enable_chop_planner), which
-//     slices the oversized write into a chain of budget-sized WriteRange
-//     pieces that commit in HTM — flattening the capacity cliff instead
-//     of falling back over it.
+// pure waste. The monolithic run (`adaptive`) shows the adaptive retry
+// budget at work: it stops retrying a capacity-dominant mix and reaches
+// the 2PL fallback sooner. The `chopped` run adds the chop planner
+// (ClusterConfig::enable_chop_planner), which slices the oversized write
+// into a chain of budget-sized WriteRange pieces that commit in HTM —
+// flattening the capacity cliff instead of falling back over it.
 // The abort_causes series records the per-size cause breakdown
-// (capacity / conflict / lock / lease / explicit) for both paths.
+// (capacity / conflict / lock / lease / explicit) for both runs.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -33,14 +31,12 @@ struct Outcome {
   stat::Snapshot stats;
 };
 
-Outcome Measure(uint32_t value_size, bool adaptive, bool chop,
-                uint64_t duration_ms) {
+Outcome Measure(uint32_t value_size, bool chop, uint64_t duration_ms) {
   txn::ClusterConfig config;
   config.num_nodes = 2;
   config.workers_per_node = 2;
   config.region_bytes = size_t{96} << 20;
   config.latency = rdma::LatencyModel::Calibrated(0.1);
-  config.adaptive_retry_budget = adaptive;
   config.enable_chop_planner = chop;
   txn::Cluster cluster(config);
 
@@ -109,19 +105,16 @@ int main() {
   report.AddConfig("quick", benchutil::Quick() ? "1" : "0");
   stat::BenchReport::Series& chopped_series = report.AddSeries("chopped");
   stat::BenchReport::Series& adaptive_series = report.AddSeries("adaptive");
-  stat::BenchReport::Series& static_series = report.AddSeries("static");
   stat::BenchReport::Series& abort_series = report.AddSeries("abort_causes");
 
-  std::printf("%-12s %12s %12s %12s %10s %10s %8s\n", "value_bytes",
-              "chop_tps", "adapt_tps", "static_tps", "cap_abort", "fallback",
-              "budget");
+  std::printf("%-12s %12s %12s %10s %10s %8s\n", "value_bytes", "chop_tps",
+              "adapt_tps", "cap_abort", "fallback", "budget");
   for (const uint32_t value_size : value_sizes) {
-    const Outcome chopped = Measure(value_size, true, true, duration_ms);
-    const Outcome adaptive = Measure(value_size, true, false, duration_ms);
-    const Outcome fixed = Measure(value_size, false, false, duration_ms);
-    std::printf("%-12u %12.0f %12.0f %12.0f %9.1f%% %9.2f %8lld\n", value_size,
-                chopped.tps, adaptive.tps, fixed.tps,
-                chopped.capacity_abort_rate * 100, chopped.fallback_rate,
+    const Outcome chopped = Measure(value_size, true, duration_ms);
+    const Outcome adaptive = Measure(value_size, false, duration_ms);
+    std::printf("%-12u %12.0f %12.0f %9.1f%% %9.2f %8lld\n", value_size,
+                chopped.tps, adaptive.tps, chopped.capacity_abort_rate * 100,
+                chopped.fallback_rate,
                 static_cast<long long>(adaptive.retry_budget));
     benchutil::AddPoint(
         &chopped_series, {{"value_bytes", std::to_string(value_size)}},
@@ -134,11 +127,6 @@ int main() {
          {"capacity_abort_rate", adaptive.capacity_abort_rate},
          {"fallback_rate", adaptive.fallback_rate},
          {"retry_budget", static_cast<double>(adaptive.retry_budget)}});
-    benchutil::AddPoint(
-        &static_series, {{"value_bytes", std::to_string(value_size)}},
-        {{"tps", fixed.tps},
-         {"capacity_abort_rate", fixed.capacity_abort_rate},
-         {"fallback_rate", fixed.fallback_rate}});
     benchutil::AddAbortCauses(
         &abort_series,
         {{"value_bytes", std::to_string(value_size)}, {"config", "chopped"}},

@@ -129,12 +129,11 @@ int main() {
   // Scatter-engine observability (merged over every DrTM run above):
   // doorbells each phase rang, how many scatter rounds they rode on, and
   // the modeled latency the cross-target overlap saved — plus the 2PL
-  // fallback's latency tail, which the optimistic batched first pass is
-  // meant to shrink.
+  // fallback's latency tail.
   {
     stat::BenchReport::Series& s = report.AddSeries("scatter_phases");
-    for (const char* phase : {"lookup", "start_lock", "prefetch", "writeback",
-                              "fallback_lock", "ro_lease"}) {
+    for (const char* phase :
+         {"lookup", "start_lock", "prefetch", "writeback", "ro_lease"}) {
       const std::string base = std::string("rdma.scatter.") + phase + ".";
       const double rounds =
           static_cast<double>(report.stats.Counter(base + "rounds"));

@@ -242,8 +242,8 @@ int main() {
   report.stats = stat::Registry::Global().TakeSnapshot().DeltaSince(window);
   {
     stat::BenchReport::Series& s = report.AddSeries("scatter_phases");
-    for (const char* phase : {"lookup", "start_lock", "prefetch", "writeback",
-                              "fallback_lock", "ro_lease"}) {
+    for (const char* phase :
+         {"lookup", "start_lock", "prefetch", "writeback", "ro_lease"}) {
       const std::string base = std::string("rdma.scatter.") + phase + ".";
       const double rounds =
           static_cast<double>(report.stats.Counter(base + "rounds"));

@@ -114,8 +114,7 @@ bool MigrationEngine::CopyPass(bool catch_up, MigrationReport* report) {
     live_keys_.clear();
   }
 
-  const size_t window = std::max<size_t>(cluster_->config().rdma_batch_window,
-                                         size_t{1});
+  const size_t window = rdma::SendQueue::Config{}.max_outstanding;
   std::vector<uint8_t> bufs(window * geo.entry_size);
   for (size_t base = 0; base < targets.size(); base += window) {
     const size_t n = std::min(window, targets.size() - base);

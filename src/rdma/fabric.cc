@@ -205,60 +205,42 @@ OpStatus Fabric::ExecuteFaa(int target, uint64_t offset, uint64_t delta,
   return OpStatus::kOk;
 }
 
-OpStatus Fabric::Read(int target, uint64_t offset, void* dst, size_t len) {
+template <typename Execute>
+OpStatus Fabric::Scalar(int target, uint64_t latency_ns, uint32_t timer_id,
+                        Execute&& execute) {
   if (!IsAlive(target)) {
     return OpStatus::kNodeDown;
   }
-  const uint64_t latency_ns = config_.latency.ReadNs(len);
   SpinFor(latency_ns);
-  const OpStatus status = ExecuteRead(target, offset, dst, len);
+  const OpStatus status = execute();
   if (status == OpStatus::kOk) {
-    stat::Registry::Global().Record(Verbs().read_ns, latency_ns);
+    stat::Registry::Global().Record(timer_id, latency_ns);
   }
   return status;
+}
+
+OpStatus Fabric::Read(int target, uint64_t offset, void* dst, size_t len) {
+  return Scalar(target, config_.latency.ReadNs(len), Verbs().read_ns,
+                [&] { return ExecuteRead(target, offset, dst, len); });
 }
 
 OpStatus Fabric::Write(int target, uint64_t offset, const void* src,
                        size_t len) {
-  if (!IsAlive(target)) {
-    return OpStatus::kNodeDown;
-  }
-  const uint64_t latency_ns = config_.latency.WriteNs(len);
-  SpinFor(latency_ns);
-  const OpStatus status = ExecuteWrite(target, offset, src, len);
-  if (status == OpStatus::kOk) {
-    stat::Registry::Global().Record(Verbs().write_ns, latency_ns);
-  }
-  return status;
+  return Scalar(target, config_.latency.WriteNs(len), Verbs().write_ns,
+                [&] { return ExecuteWrite(target, offset, src, len); });
 }
 
 OpStatus Fabric::Cas(int target, uint64_t offset, uint64_t expected,
                      uint64_t desired, uint64_t* observed) {
-  if (!IsAlive(target)) {
-    return OpStatus::kNodeDown;
-  }
-  const uint64_t latency_ns = config_.latency.CasNs();
-  SpinFor(latency_ns);
-  const OpStatus status = ExecuteCas(target, offset, expected, desired,
-                                     observed);
-  if (status == OpStatus::kOk) {
-    stat::Registry::Global().Record(Verbs().cas_ns, latency_ns);
-  }
-  return status;
+  return Scalar(target, config_.latency.CasNs(), Verbs().cas_ns, [&] {
+    return ExecuteCas(target, offset, expected, desired, observed);
+  });
 }
 
 OpStatus Fabric::Faa(int target, uint64_t offset, uint64_t delta,
                      uint64_t* observed) {
-  if (!IsAlive(target)) {
-    return OpStatus::kNodeDown;
-  }
-  const uint64_t latency_ns = config_.latency.FaaNs();
-  SpinFor(latency_ns);
-  const OpStatus status = ExecuteFaa(target, offset, delta, observed);
-  if (status == OpStatus::kOk) {
-    stat::Registry::Global().Record(Verbs().faa_ns, latency_ns);
-  }
-  return status;
+  return Scalar(target, config_.latency.FaaNs(), Verbs().faa_ns,
+                [&] { return ExecuteFaa(target, offset, delta, observed); });
 }
 
 OpStatus Fabric::Send(int from, int to, uint32_t kind,

@@ -112,6 +112,12 @@ class Fabric {
   OpStatus ExecuteFaa(int target, uint64_t offset, uint64_t delta,
                       uint64_t* observed);
 
+  // A scalar one-sided verb: the alive check, the modeled latency spin,
+  // the executor, and the verb's latency timer once it succeeded.
+  template <typename Execute>
+  OpStatus Scalar(int target, uint64_t latency_ns, uint32_t timer_id,
+                  Execute&& execute);
+
   struct PendingRpc;
 
   Config config_;

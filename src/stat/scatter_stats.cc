@@ -29,7 +29,6 @@ DRTM_SCATTER_PHASE(ScatterLookupIds, "lookup")
 DRTM_SCATTER_PHASE(ScatterStartLockIds, "start_lock")
 DRTM_SCATTER_PHASE(ScatterPrefetchIds, "prefetch")
 DRTM_SCATTER_PHASE(ScatterWritebackIds, "writeback")
-DRTM_SCATTER_PHASE(ScatterFallbackIds, "fallback_lock")
 DRTM_SCATTER_PHASE(ScatterRoLeaseIds, "ro_lease")
 
 #undef DRTM_SCATTER_PHASE

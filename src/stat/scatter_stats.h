@@ -36,7 +36,6 @@ const ScatterPhaseIds& ScatterLookupIds();     // chain-walk lookups
 const ScatterPhaseIds& ScatterStartLockIds();  // Start: lock CAS + probes
 const ScatterPhaseIds& ScatterPrefetchIds();   // Start: value prefetch
 const ScatterPhaseIds& ScatterWritebackIds();  // Commit: write-back+unlock
-const ScatterPhaseIds& ScatterFallbackIds();   // 2PL optimistic first pass
 const ScatterPhaseIds& ScatterRoLeaseIds();    // read-only lease + confirm
 
 }  // namespace stat

@@ -7,7 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "src/chaos/injector.h"
 #include "src/common/clock.h"
 #include "src/htm/htm.h"
 #include "src/rdma/phase_scatter.h"
@@ -73,8 +72,8 @@ struct Acquirer::Step {
 // One overlapped scatter round whose completions map back to their steps.
 class Acquirer::Round {
  public:
-  Round(rdma::Fabric& fabric, size_t window, const stat::ScatterPhaseIds& ids)
-      : scatter_(fabric, rdma::SendQueue::Config{window}, &ids) {}
+  Round(rdma::Fabric& fabric, const stat::ScatterPhaseIds& ids)
+      : scatter_(fabric, rdma::SendQueue::Config{}, &ids) {}
 
   // Posts the step's verb on `node`'s queue: a CAS to `*desired`, or a
   // probe READ when `desired` is null.
@@ -161,12 +160,9 @@ bool Acquirer::Resolve(const std::vector<LockRequest*>& reqs) {
     tasks.push_back(std::move(task));
     remote.push_back(r);
   }
-  if (tasks.size() == 1) {
-    tasks[0].result = tasks[0].client->Lookup(tasks[0].key);  // no overlap
-  } else if (!tasks.empty()) {
-    rdma::PhaseScatter scatter(
-        cluster_.fabric(), rdma::SendQueue::Config{cfg_.rdma_batch_window},
-        &stat::ScatterLookupIds());
+  if (!tasks.empty()) {
+    rdma::PhaseScatter scatter(cluster_.fabric(), rdma::SendQueue::Config{},
+                               &stat::ScatterLookupIds());
     store::RemoteKv::ScatterLookup(scatter, &tasks);
   }
   for (size_t t = 0; t < tasks.size(); ++t) {
@@ -302,7 +298,7 @@ Acquirer::Result Acquirer::TryAll(const std::vector<LockRequest*>& reqs,
     }
     // First attempts ride one overlapped round; a CAS retried after
     // losing a race (contention only) goes out as a scalar verb.
-    Round batch(cluster_.fabric(), cfg_.rdma_batch_window, ids);
+    Round batch(cluster_.fabric(), ids);
     for (size_t i = 0; i < reqs.size(); ++i) {
       if (steps[i].op != Step::kDone &&
           IssueStep(*reqs[i], steps[i], steps[i].lost ? nullptr : &batch) !=
@@ -372,13 +368,11 @@ Acquirer::Result Acquirer::AcquireInOrder(std::vector<LockRequest*> reqs) {
   return Result::kOk;
 }
 
-Acquirer::Result Acquirer::Prefetch(const std::vector<LockRequest*>& reqs,
-                                    bool batched) {
+Acquirer::Result Acquirer::Prefetch(const std::vector<LockRequest*>& reqs) {
   std::vector<std::vector<uint8_t>> raws(reqs.size());
   {
-    rdma::PhaseScatter scatter(
-        cluster_.fabric(), rdma::SendQueue::Config{cfg_.rdma_batch_window},
-        &stat::ScatterPrefetchIds());
+    rdma::PhaseScatter scatter(cluster_.fabric(), rdma::SendQueue::Config{},
+                               &stat::ScatterPrefetchIds());
     for (size_t i = 0; i < reqs.size(); ++i) {
       const LockRequest& r = *reqs[i];
       if (!r.found || !(r.locked || r.leased || r.chain_locked)) {
@@ -386,14 +380,8 @@ Acquirer::Result Acquirer::Prefetch(const std::vector<LockRequest*>& reqs,
       }
       raws[i].resize(sizeof(store::EntryHeader) +
                      cluster_.table(r.table).value_size);
-      if (batched) {
-        scatter.To(r.node).PostRead(r.entry_off, raws[i].data(),
-                                    raws[i].size());
-      } else if (cluster_.fabric().Read(r.node, r.entry_off, raws[i].data(),
-                                        raws[i].size()) !=
-                 rdma::OpStatus::kOk) {
-        return Result::kNodeDown;
-      }
+      scatter.To(r.node).PostRead(r.entry_off, raws[i].data(),
+                                  raws[i].size());
     }
     std::vector<rdma::ScatterCompletion> comps;
     scatter.Gather(&comps);
@@ -434,22 +422,13 @@ bool Acquirer::LeasesValid(const std::vector<LockRequest*>& reqs) const {
   return true;
 }
 
-bool Acquirer::Release(const std::vector<LockRequest*>& reqs, bool at_commit) {
-  static const uint32_t kUnlockPoint =
-      chaos::Injector::Global().Point("txn.fallback.unlock");
-  bool released = true;
+void Acquirer::Release(const std::vector<LockRequest*>& reqs) {
   for (LockRequest* r : reqs) {
     r->leased = false;
-    if (!r->locked) {
-      continue;
+    if (r->locked) {
+      DropLock(*r);
     }
-    if (at_commit && chaos::Check(kUnlockPoint, r->node).kind ==
-                         chaos::Decision::Kind::kAbandon) {
-      return false;
-    }
-    released &= DropLock(*r);
   }
-  return released;
 }
 
 bool Acquirer::DropLock(LockRequest& r) {

@@ -13,14 +13,16 @@
 // (§6.3), and the elastic freeze gate is consulted before each one.
 //
 // Two modes drive those moves:
-//   TryAll         non-waiting: each round posts every unsettled
+//   TryAll         non-waiting, for the HTM Start phase and read-only
+//                  transactions: each round posts every unsettled
 //                  request's first attempt on one overlapped PhaseScatter
 //                  round (a CAS retried after losing a race goes out as a
 //                  scalar verb). A lock blocked on its first CAS gets one
 //                  immediate retry; after that, any request that would
 //                  have to wait fails the whole set (acquiring out of
 //                  order is then still deadlock-free: nothing waits).
-//   AcquireInOrder waiting: requests are taken one at a time in the
+//   AcquireInOrder waiting, for the 2PL fallback, its dynamic reads and
+//                  chain locks: requests are taken one at a time in the
 //                  global <table, key> order, waiting out lock holders
 //                  and leases — the order is what makes waiting
 //                  deadlock-free (§6.2).
@@ -116,23 +118,18 @@ class Acquirer {
   // requests acquired so far stay held; the caller releases them.
   Result AcquireInOrder(std::vector<LockRequest*> reqs);
 
-  // Reads the header and value of every held (or chain-locked) request:
-  // in one overlapped scatter round when `batched`, else one scalar READ
-  // each (after a waiting acquisition, which is serial anyway). kConflict
-  // when an entry was deleted (and possibly recycled) under us: its lock
-  // is dropped and it is marked not found, so the retry re-resolves it.
-  Result Prefetch(const std::vector<LockRequest*>& reqs, bool batched = true);
+  // Reads the header and value of every held (or chain-locked) request
+  // in one overlapped scatter round. kConflict when an entry was deleted
+  // (and possibly recycled) under us: its lock is dropped and it is
+  // marked not found, so the retry re-resolves it.
+  Result Prefetch(const std::vector<LockRequest*>& reqs);
 
   // True when every lease held in `reqs` is still valid at one instant,
   // now: the confirmation that makes leased reads serializable.
   bool LeasesValid(const std::vector<LockRequest*>& reqs) const;
 
-  // Drops every held lock (leases simply expire). With `at_commit` the
-  // release ends a committed transaction and the chaos crash point
-  // txn.fallback.unlock may abandon it midway, simulating the machine
-  // dying: the remaining locks stay held and false is returned. False
-  // also when an unlock could not land (DropLock).
-  bool Release(const std::vector<LockRequest*>& reqs, bool at_commit = false);
+  // Drops every held lock; leases simply expire.
+  void Release(const std::vector<LockRequest*>& reqs);
   // Returns false when the unlock could not land on a dead target; the
   // lock then stays held until recovery releases it.
   bool DropLock(LockRequest& r);

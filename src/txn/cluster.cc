@@ -171,7 +171,7 @@ int Cluster::AddTable(const TableSpec& spec) {
 }
 
 store::LocationCache* Cluster::cache(int local_node, int target_node) {
-  if (!config_.enable_location_cache || local_node == target_node) {
+  if (local_node == target_node) {
     return nullptr;
   }
   auto& slot = caches_[static_cast<size_t>(local_node)]

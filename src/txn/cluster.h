@@ -41,28 +41,11 @@ struct ClusterConfig {
   uint64_t delta_us = 300;
   uint64_t softtime_interval_us = 200;
 
-  // Contention management: HTM retries before the fallback handler, and
-  // Start-phase (remote lock) retries before counting as an HTM retry.
+  // Contention management: HTM retries before the fallback handler.
+  // Each worker scales it from its live abort-cause mix
+  // (Worker::AdaptiveRetryLimit); 0 sends every transaction straight to
+  // the fallback.
   int htm_retry_limit = 8;
-  int start_retry_limit = 64;
-  // Lock-observed XABORTs (the body saw a 2PL write lock) mean the
-  // holder is mid-commit: stretch the retry budget by up to this many
-  // extra attempts with a stronger bounded-exponential backoff instead
-  // of falling through to the ~1000x-costlier 2PL fallback (ROADMAP
-  // "SmallBank fallback cost"). 0 restores the paper's flat budget.
-  int lock_abort_extra_retries = 8;
-  // Max-outstanding window for doorbell-batched verbs (rdma::SendQueue)
-  // used by the transaction layer's lock/prefetch/write-back phases.
-  size_t rdma_batch_window = 16;
-  // Adaptive contention management: scale htm_retry_limit /
-  // lock_abort_extra_retries from each worker's live abort-cause mix
-  // (ROADMAP "adaptive budgets") — capacity-dominant mixes shrink the
-  // budget (retrying a deterministic overflow only delays the fallback),
-  // conflict/lock-dominant mixes stretch it. The chosen budget is
-  // exported as gauge txn.adaptive.retry_budget. htm_retry_limit == 0
-  // (fallback-only mode) is never overridden; false restores the static
-  // knobs exactly.
-  bool adaptive_retry_budget = true;
   // Auto-chopping planner (paper section 3 / ROADMAP "transaction
   // chopping"): workloads route capacity-bound transactions through
   // txn::ChopPlanner, which splits a declared footprint that exceeds the
@@ -85,7 +68,6 @@ struct ClusterConfig {
   size_t durability_epoch_bytes = size_t{64} << 10;
   uint64_t durability_epoch_us = 200;
   size_t location_cache_bytes = size_t{16} << 20;
-  bool enable_location_cache = true;
   // When false, remote reads take exclusive locks instead of leases
   // (the paper's "w/o read lease" ablation, Fig. 17).
   bool enable_read_lease = true;
@@ -188,7 +170,7 @@ class Cluster {
   }
 
   // The location cache a client on local_node uses for target_node's
-  // memory (nullptr if caching is disabled).
+  // memory (nullptr for its own node, which needs none).
   store::LocationCache* cache(int local_node, int target_node);
 
   NvramLog* log(int node) {

@@ -23,6 +23,14 @@ namespace txn {
 namespace {
 
 constexpr int kFallbackAttempts = 512;
+// Start-phase (remote lock) conflicts before the HTM path gives up and
+// lets the fallback serialize the transaction.
+constexpr int kStartRetryLimit = 64;
+// Lock-observed XABORTs (the body saw a 2PL write lock) mean the holder
+// is mid-commit: the retry budget stretches by up to this many extra
+// attempts, each after a stronger bounded backoff, before the abort mix
+// scales it (Worker::AdaptiveLockExtraRetries).
+constexpr int kLockAbortExtraRetries = 8;
 
 void SleepUs(uint64_t us) {
   std::this_thread::sleep_for(std::chrono::microseconds(us));
@@ -61,8 +69,6 @@ struct TxnMetricIds {
   uint32_t ro_commit = 0;
   uint32_t ro_retry = 0;
   uint32_t lock_backoff = 0;
-  uint32_t fallback_optimistic_hit = 0;
-  uint32_t fallback_fallthrough = 0;
   uint32_t adaptive_budget_gauge = 0;
   uint32_t htm_attempt_ns = 0;
   uint32_t fallback_ns = 0;
@@ -88,9 +94,6 @@ const TxnMetricIds& Ids() {
     t.ro_commit = reg.CounterId("txn.readonly.commit");
     t.ro_retry = reg.CounterId("txn.readonly.retry");
     t.lock_backoff = reg.CounterId("txn.lock_backoff");
-    t.fallback_optimistic_hit = reg.CounterId("txn.fallback.optimistic_hit");
-    t.fallback_fallthrough =
-        reg.CounterId("txn.fallback.ordered_fallthrough");
     t.adaptive_budget_gauge = reg.GaugeId("txn.adaptive.retry_budget");
     t.htm_attempt_ns = reg.TimerId("phase.htm_attempt_ns");
     t.fallback_ns = reg.TimerId("phase.fallback_ns");
@@ -183,7 +186,7 @@ int Worker::MixRegime() const {
 int Worker::AdaptiveRetryLimit() {
   const int base = cluster_->config().htm_retry_limit;
   int chosen = base;
-  if (cluster_->config().adaptive_retry_budget && base > 0) {
+  if (base > 0) {
     switch (MixRegime()) {
       case 0:
         chosen = std::max(1, base / 2);
@@ -200,17 +203,13 @@ int Worker::AdaptiveRetryLimit() {
 }
 
 int Worker::AdaptiveLockExtraRetries() const {
-  const int base = cluster_->config().lock_abort_extra_retries;
-  if (!cluster_->config().adaptive_retry_budget || base <= 0) {
-    return base;
-  }
   switch (MixRegime()) {
     case 0:
-      return base / 2;
+      return kLockAbortExtraRetries / 2;
     case 1:
-      return base * 2;
+      return kLockAbortExtraRetries * 2;
     default:
-      return base;
+      return kLockAbortExtraRetries;
   }
 }
 
@@ -418,73 +417,97 @@ std::vector<uint8_t> Transaction::WriteBackImage(const Ref& ref) const {
 }
 
 bool Transaction::WriteBackAndUnlock() {
-  const uint64_t init = kStateInit;
-  // Chaos crash point, mirrored from the ordered fallback's release
-  // loop: a machine dying here posts no further write-backs or unlocks
-  // and never writes its Complete record — recovery must redo the WAL
-  // updates and release the remaining locks.
-  static const uint32_t kFallbackUnlockPoint =
+  // Local images land first, whatever the crash point below decides:
+  // like the HTM path's XEND they are the commit's own effects, which
+  // recovery finds in this node's persistent memory and never redoes.
+  // The lock keeps local HTM transactions away, as from an RDMA WRITE.
+  for (const Ref& ref : refs_) {
+    if (ref.local && ref.WritesBack()) {
+      const std::vector<uint8_t> image = WriteBackImage(ref);
+      // drtm-lint: allow(TX03 commit write-back of a locked entry, the lock serializes it like an RDMA WRITE)
+      htm::StrongWrite(cluster_.hash_table(ref.node, ref.table)
+                               ->EntryPtr(ref.entry_off) +
+                           store::kEntryVersionOffset,
+                       image.data(), image.size());
+    }
+  }
+  // Chaos crash point: a machine dying here posts no further write-backs
+  // or unlocks and never writes its Complete record — recovery must redo
+  // the WAL updates and release the remaining locks. Refs from `end` on
+  // are abandoned.
+  static const uint32_t kUnlockPoint =
       chaos::Injector::Global().Point("txn.fallback.unlock");
-  bool release_abandoned = false;
-  bool landed = true;
+  size_t end = 0;
+  for (; end < refs_.size(); ++end) {
+    const Ref& ref = refs_[end];
+    if ((ref.WritesBack() || ref.locked) &&
+        chaos::Check(kUnlockPoint, ref.node).kind ==
+            chaos::Decision::Kind::kAbandon) {
+      break;
+    }
+  }
+  Acquirer acq = acquirer();
+  const bool glob =
+      cluster_.fabric().atomic_level() == rdma::AtomicLevel::kGlob;
+  const uint64_t init = kStateInit;
+  std::vector<std::vector<uint8_t>> images(end);
+  struct Posted {
+    int node;
+    rdma::WrId id;
+    size_t ref_idx;
+    bool unlock;
+  };
+  std::vector<Posted> posted;
   // Per ref: one WRITE for version + (still-held) state + value, then
   // one WRITE to unlock — the two-op commit of REMOTE_WRITE_BACK
   // (Fig. 5). All of a node's WRITEs ride one doorbell and every
   // target's doorbell is rung before any is polled (PhaseScatter), so k
-  // commit targets overlap into ~1 round trip. Each per-target send
-  // queue executes in post order, so each unlock still lands after its
-  // write-back exactly as in the scalar sequence.
-  std::vector<std::vector<uint8_t>> blobs(refs_.size());
-  struct Posted {
-    size_t ref_idx;
-    bool unlock;
-  };
-  // (target, wr_id) -> which ref/kind, for failure handling.
-  std::vector<std::pair<std::pair<int, rdma::WrId>, Posted>> owners;
-  rdma::PhaseScatter scatter(cluster_.fabric(),
-                             rdma::SendQueue::Config{cfg_.rdma_batch_window},
+  // commit targets overlap into ~1 round trip. Each target's queue
+  // executes in post order, and every write-back is posted before any
+  // unlock, so each unlock lands after its write-back.
+  rdma::PhaseScatter scatter(cluster_.fabric(), rdma::SendQueue::Config{},
                              &stat::ScatterWritebackIds());
-  for (size_t i = 0; i < refs_.size(); ++i) {
-    Ref& ref = refs_[i];
-    // Chain-locked dirty remote refs are written back here too — the
-    // state-word field of the blob re-writes the chain's own lock word
-    // (a no-op) — but their unlock belongs to the chain, not this piece.
-    const bool chain_write_back = ref.chain_locked && ref.dirty && !ref.local;
-    if (!ref.locked && !chain_write_back) {
+  for (size_t i = 0; i < end; ++i) {
+    const Ref& ref = refs_[i];
+    if (ref.local || !ref.WritesBack()) {
       continue;
     }
-    if (!release_abandoned &&
-        chaos::Check(kFallbackUnlockPoint, ref.node).kind ==
-            chaos::Decision::Kind::kAbandon) {
-      release_abandoned = true;
+    // A chain-locked image's state-word field re-writes the chain's own
+    // lock word, a no-op; its unlock belongs to the chain.
+    images[i] = WriteBackImage(ref);
+    posted.push_back(Posted{
+        ref.node,
+        scatter.To(ref.node).PostWrite(
+            ref.entry_off + store::kEntryVersionOffset, images[i].data(),
+            images[i].size()),
+        i, false});
+  }
+  for (size_t i = 0; i < end; ++i) {
+    Ref& ref = refs_[i];
+    if (!ref.locked) {
+      continue;
     }
-    if (release_abandoned) {
-      continue;  // simulated death mid-release: lock stays held
+    if (ref.local && glob) {
+      acq.DropLock(ref);  // a strong store on our own state word
+      continue;
     }
-    rdma::SendQueue& sq = scatter.To(ref.node);
-    if (ref.dirty) {
-      blobs[i] = WriteBackImage(ref);
-      const rdma::WrId id =
-          sq.PostWrite(ref.entry_off + store::kEntryVersionOffset,
-                       blobs[i].data(), blobs[i].size());
-      owners.emplace_back(std::make_pair(ref.node, id), Posted{i, false});
-    }
-    if (ref.locked) {
-      const rdma::WrId id = sq.PostWrite(
-          ref.entry_off + store::kEntryStateOffset, &init, sizeof(init));
-      owners.emplace_back(std::make_pair(ref.node, id), Posted{i, true});
-    }
+    posted.push_back(Posted{
+        ref.node,
+        scatter.To(ref.node).PostWrite(
+            ref.entry_off + store::kEntryStateOffset, &init, sizeof(init)),
+        i, true});
   }
   std::vector<rdma::ScatterCompletion> comps;
   scatter.Gather(&comps);
+  bool landed = true;
   for (const rdma::ScatterCompletion& sc : comps) {
     if (sc.comp.status == rdma::OpStatus::kOk) {
       continue;
     }
     const Posted* p = nullptr;
-    for (const auto& [owner_key, posted] : owners) {
-      if (owner_key.first == sc.target && owner_key.second == sc.comp.wr_id) {
-        p = &posted;
+    for (const Posted& candidate : posted) {
+      if (candidate.node == sc.target && candidate.id == sc.comp.wr_id) {
+        p = &candidate;
         break;
       }
     }
@@ -498,27 +521,43 @@ bool Transaction::WriteBackAndUnlock() {
       landed &= WriteUntilRecovered(
           cluster_.fabric(), ref.node,
           ref.entry_off + store::kEntryVersionOffset,
-          blobs[p->ref_idx].data(), blobs[p->ref_idx].size());
+          images[p->ref_idx].data(), images[p->ref_idx].size());
     } else {
-      landed &= acquirer().DropLock(ref);
+      landed &= acq.DropLock(ref);
     }
   }
-  if (!release_abandoned) {
-    for (Ref& ref : refs_) {
-      ref.locked = false;
-    }
+  for (size_t i = 0; i < end; ++i) {
+    refs_[i].locked = false;
   }
-  return !release_abandoned && landed;
+  return end == refs_.size() && landed;
 }
 
-void Transaction::LogComplete() {
-  // Dropping a Complete is benign (redo is version-gated and lock release
-  // idempotent), but a full segment is reclaimed once: the record is what
-  // lets the epoch recycle. A kFaulted append is the modeled drop itself.
-  NvramLog* log = cluster_.log(worker_->node());
-  log->AppendReclaiming(worker_->worker_id(), LogType::kComplete, txn_id_,
-                        nullptr, 0);
-  log->NoteCommit(worker_->worker_id(), txn_id_);
+TxnStatus Transaction::FinishCommit() {
+  bool held_locks = false;
+  for (const Ref& ref : refs_) {
+    held_locks |= ref.locked;
+  }
+  const bool clean = WriteBackAndUnlock();
+  if (held_locks) {
+    replay::Recorder::Global().RecordLockRelease(txn_id_, !clean);
+  }
+  // An unfinished release reports nothing: a chaos-abandoned one is a
+  // machine dead mid-commit, and recovery redoes either kind.
+  if (clean) {
+    if (cfg_.logging) {
+      // Dropping a Complete is benign (redo is version-gated and lock
+      // release idempotent), but a full segment is reclaimed once: the
+      // record is what lets the epoch recycle. A kFaulted append is the
+      // modeled drop itself.
+      NvramLog* log = cluster_.log(worker_->node());
+      log->AppendReclaiming(worker_->worker_id(), LogType::kComplete, txn_id_,
+                            nullptr, 0);
+      log->NoteCommit(worker_->worker_id(), txn_id_);
+    }
+    NotifyCommittedWrites();
+  }
+  stat::Registry::Global().Add(Ids().commit);
+  return TxnStatus::kCommitted;
 }
 
 void Transaction::AbandonAttempt() {
@@ -527,6 +566,7 @@ void Transaction::AbandonAttempt() {
     ref.found = false;
     ref.entry_off = ~uint64_t{0};
     ref.dirty = false;
+    ref.applied = false;
     ref.version = 0;
     ref.lease_end = 0;
   }
@@ -548,8 +588,8 @@ TxnStatus Transaction::Run(const Body& body) {
   int attempt = 0;
   int lock_aborts = 0;
   // The retry budget and its lock-abort extension come from the live
-  // abort-cause mix (AdaptiveRetryLimit); with adaptive_retry_budget off
-  // or too few samples they equal the static knobs.
+  // abort-cause mix (AdaptiveRetryLimit); with too few samples they are
+  // htm_retry_limit and kLockAbortExtraRetries.
   const int base_budget = worker_->AdaptiveRetryLimit();
   const int lock_extra = worker_->AdaptiveLockExtraRetries();
   int retry_budget = base_budget;
@@ -564,7 +604,7 @@ TxnStatus Transaction::Run(const Body& body) {
     if (sr == StartResult::kConflict) {
       AbandonAttempt();
       stat::Registry::Global().Add(Ids().start_conflict);
-      if (++start_conflicts > cfg_.start_retry_limit) {
+      if (++start_conflicts > kStartRetryLimit) {
         break;  // heavy remote contention: let the fallback serialize us
       }
       worker_->Backoff(start_conflicts);
@@ -607,47 +647,23 @@ TxnStatus Transaction::Run(const Body& body) {
     }
 
     if (hstatus == htm::kCommitted) {
-      bool release_clean;
-      {
-        stat::ScopedTimer commit_phase(Ids().commit_ns);
-        if (cfg_.logging) {
-          bool any_remote_effect = false;
-          for (const Ref& ref : refs_) {
-            any_remote_effect |=
-                ref.locked || (ref.chain_locked && ref.dirty && !ref.local);
-          }
-          if (any_remote_effect) {
-            // Externalization barrier: the WAL staged inside the HTM
-            // region must be sealed (recovery-visible) before the first
-            // remote write-back, or a crash mid-write-back could not be
-            // redone. Local-only commits skip this — their effects live
-            // in whole-system-persistent memory and need no redo — so
-            // their epochs keep batching.
-            cluster_.log(worker_->node())->Externalize(worker_->worker_id());
-          }
+      stat::ScopedTimer commit_phase(Ids().commit_ns);
+      if (cfg_.logging) {
+        bool any_remote_effect = false;
+        for (const Ref& ref : refs_) {
+          any_remote_effect |= ref.locked || ref.WritesBack();
         }
-        release_clean = WriteBackAndUnlock();
-        if (replay::Armed()) {
-          bool any_locked = false;
-          for (const Ref& ref : refs_) {
-            any_locked |= ref.locked;
-          }
-          if (any_locked) {
-            replay::Recorder::Global().RecordLockRelease(txn_id_,
-                                                         !release_clean);
-          }
-        }
-        if (release_clean && cfg_.logging) {
-          LogComplete();
+        if (any_remote_effect) {
+          // Externalization barrier: the WAL staged inside the HTM
+          // region must be sealed (recovery-visible) before the first
+          // remote write-back, or a crash mid-write-back could not be
+          // redone. Local-only commits skip this — their effects live in
+          // whole-system-persistent memory and need no redo — so their
+          // epochs keep batching.
+          cluster_.log(worker_->node())->Externalize(worker_->worker_id());
         }
       }
-      if (release_clean) {
-        // An unfinished release reports nothing: a chaos-abandoned one
-        // is a machine dead mid-commit, and recovery redoes either kind.
-        NotifyCommittedWrites();
-      }
-      stat::Registry::Global().Add(Ids().commit);
-      return TxnStatus::kCommitted;
+      return FinishCommit();
     }
 
     AbandonAttempt();
@@ -773,9 +789,8 @@ bool Transaction::LocalWriteInHtm(Ref& ref, const void* value) {
   }
   ref.entry_off = entry;
   ref.version = version;
-  // Local HTM refs are never `locked`, so WriteBackAndUnlock ignores
-  // them; the dirty flag is what NotifyCommittedWrites keys off.
   ref.dirty = true;
+  ref.applied = true;
   RecordWalUpdate(ref, value);
   return true;
 }
@@ -816,6 +831,7 @@ bool Transaction::LocalWriteRangeInHtm(Ref& ref, uint32_t offset,
   ref.entry_off = entry;
   ref.version = version;
   ref.dirty = true;
+  ref.applied = true;
   if (cfg_.logging || replay::Armed()) {
     // The WAL (and the replay digest) record full values; compose the
     // post-write image (the transactional read overlays our buffered
@@ -836,7 +852,7 @@ void Transaction::NotifyCommittedWrites() {
     if (!ref.dirty) {
       continue;
     }
-    if (ref.local && mode_ == Mode::kHtm) {
+    if (ref.applied) {
       // Local HTM writes landed directly in the table; read the
       // committed version/value back with strong accesses. A concurrent
       // later writer may bump them again in between — harmless, the
@@ -938,7 +954,7 @@ bool Transaction::ReadDynamic(int table, uint64_t key, void* out) {
     return false;
   }
   if (acq.AcquireInOrder(one) != StartResult::kOk ||
-      acq.Prefetch(one, /*batched=*/false) != StartResult::kOk) {
+      acq.Prefetch(one) != StartResult::kOk) {
     dynamic_conflict_ = true;
     return false;
   }
@@ -1092,23 +1108,8 @@ Transaction::StartResult Transaction::FallbackAcquire() {
   if (!acq.Resolve(all)) {
     return StartResult::kNodeDown;
   }
-  StartResult result;
-  {
-    stat::ScopedTimer phase(Ids().lock_acquire_ns);
-    result = acq.TryAll(all, stat::ScatterFallbackIds());
-  }
-  if (result == StartResult::kOk) {
-    stat::Registry::Global().Add(Ids().fallback_optimistic_hit);
-    return acq.Prefetch(all);
-  }
-  if (result == StartResult::kConflict) {
-    // Release everything taken out of order before waiting on anything.
-    stat::Registry::Global().Add(Ids().fallback_fallthrough);
-    acq.Release(all);
-    result = acq.AcquireInOrder(all);
-  }
-  return result == StartResult::kOk ? acq.Prefetch(all, /*batched=*/false)
-                                    : result;
+  const StartResult result = acq.AcquireInOrder(all);
+  return result == StartResult::kOk ? acq.Prefetch(all) : result;
 }
 
 bool Transaction::LeasesValid() {
@@ -1194,33 +1195,10 @@ TxnStatus Transaction::RunFallback(const Body& body) {
       log->Externalize(worker_->worker_id());
     }
 
-    // Apply: hash-record write-backs (strong writes abort conflicting HTM
-    // readers; the state word is locked so local transactions stay away),
-    // then the buffered local structural operations, then unlock.
+    // Commit with every lock still held, in the HTM path's order: the
+    // buffered structural operations, each in a small HTM transaction,
+    // then the replay commit, then the shared write-back and unlock.
     stat::ScopedTimer commit_phase(Ids().commit_ns);
-    bool landed = true;
-    for (const Ref& ref : refs_) {
-      // Every dirty ref is locked or chain-locked. A chain-locked one is
-      // applied too (its image's state-word field re-writes the chain's
-      // own lock word, a no-op); the release below skips it — the chain
-      // unlocks after its last piece.
-      if (!ref.dirty) {
-        continue;
-      }
-      const std::vector<uint8_t> image = WriteBackImage(ref);
-      if (ref.local) {
-        // drtm-lint: allow(TX03 commit write-back of a locked entry, the lock serializes it like an RDMA WRITE)
-        htm::StrongWrite(cluster_.hash_table(ref.node, ref.table)
-                             ->EntryPtr(ref.entry_off) +
-                             store::kEntryVersionOffset,
-                         image.data(), image.size());
-      } else {
-        landed &= WriteUntilRecovered(
-            cluster_.fabric(), ref.node,
-            ref.entry_off + store::kEntryVersionOffset, image.data(),
-            image.size());
-      }
-    }
     for (const PendingOp& op : pending_local_ops_) {
       store::ClusterHashTable* hash =
           op.op == PendingOp::kHashInsert || op.op == PendingOp::kHashRemove
@@ -1260,25 +1238,7 @@ TxnStatus Transaction::RunFallback(const Body& body) {
       // fallback commit against concurrent HTM publishes on its lines.
       ReplayRecordFallbackCommit();
     }
-    // A chaos crash point in the release leaves the remaining locks held
-    // and never writes the Complete record — recovery must release them
-    // from the lock-ahead/WAL logs. So does a write-back or unlock that
-    // could not land on a target that stayed down: recovery redoes it.
-    const bool released =
-        acquirer().Release(RequestsOf(refs_), /*at_commit=*/true);
-    const bool release_abandoned = !released || !landed;
-    if (replay::Armed()) {
-      replay::Recorder::Global().RecordLockRelease(txn_id_,
-                                                   release_abandoned);
-    }
-    if (cfg_.logging && !release_abandoned) {
-      LogComplete();
-    }
-    if (!release_abandoned) {
-      NotifyCommittedWrites();
-    }
-    stat::Registry::Global().Add(Ids().commit);
-    return TxnStatus::kCommitted;
+    return FinishCommit();
   }
   stat::Registry::Global().Add(Ids().exhausted);
   return TxnStatus::kAborted;

@@ -50,12 +50,12 @@ inline constexpr uint8_t kCodeLogFull = 5;  // WAL append hit a full log
                                             // segment; reclaim + retry
 
 // Decayed per-worker window of recent HTM abort causes — the input to
-// the adaptive retry budget (ClusterConfig::adaptive_retry_budget).
+// the adaptive retry budget (Worker::AdaptiveRetryLimit).
 // Counts halve once the window fills, so the mix tracks the live
 // workload rather than process history.
 struct AbortMixWindow {
   static constexpr uint64_t kWindow = 512;
-  // Below this many observed aborts the static knobs are used verbatim.
+  // Below this many observed aborts the budgets are left unscaled.
   static constexpr uint64_t kMinSamples = 32;
 
   uint64_t capacity = 0;  // read/write-set overflow: retries are futile
@@ -105,8 +105,8 @@ class Worker {
 
   // Adaptive contention management: the HTM retry budget and the
   // lock-abort extension derived from this worker's live abort-cause
-  // mix. With too few samples (or adaptive_retry_budget off) these are
-  // the static knobs; a capacity-dominant mix halves them (retrying a
+  // mix. With too few samples these are htm_retry_limit and the fixed
+  // extension; a capacity-dominant mix halves them (retrying a
   // deterministic overflow only delays the fallback), a contention-
   // dominant mix doubles them (retries are ~1000x cheaper than a 2PL
   // rerun). htm_retry_limit == 0 (fallback-only mode) is never touched.
@@ -216,6 +216,15 @@ class Transaction {
     bool write = false;
     uint32_t value_size = 0;
     bool dirty = false;
+    // Written in place inside the HTM region (a local record on the HTM
+    // path); every other dirty ref waits in buf for the write-back.
+    bool applied = false;
+
+    // The commit's write-back must still write this ref's image: it is
+    // dirty, not applied in place, and held by us or by our chain.
+    bool WritesBack() const {
+      return dirty && !applied && (locked || chain_locked);
+    }
   };
 
   // Local structural operations buffered by the fallback path until after
@@ -257,25 +266,31 @@ class Transaction {
   // The image a commit writes back in one WRITE (REMOTE_WRITE_BACK,
   // Fig. 5): the bumped version, the still-held lock word, the value.
   std::vector<uint8_t> WriteBackImage(const Ref& ref) const;
-  // Returns false when a chaos crash point abandoned the release
-  // (simulated death mid-commit), or when a write-back or unlock could
-  // not land on a target that stayed down past the retry budget: locks
-  // may stay held and the caller must not write the Complete record, so
-  // recovery of this node's log redoes the updates and releases them.
+  // The one commit write-back of both paths (REMOTE_WRITE_BACK, Fig. 5):
+  // writes every ref that WritesBack() — a local one by a strong write,
+  // a remote one on a scatter round — then unlocks every locked ref, a
+  // local one under GLOB by a strong store, any other by a WRITE queued
+  // behind its write-back. Returns false when the chaos crash point
+  // txn.fallback.unlock abandoned the release (simulated death
+  // mid-commit), or when a write-back or unlock could not land on a
+  // target that stayed down past the retry budget: locks may stay held
+  // and the caller must not write the Complete record, so recovery of
+  // this node's log redoes the updates and releases them.
   bool WriteBackAndUnlock();
-  // Appends the Complete record of a cleanly released commit and
-  // acknowledges the commit to the log.
-  void LogComplete();
+  // The commit tail of both paths, called once the commit is decided and
+  // with every lock still held: WriteBackAndUnlock, the replay
+  // lock-release event, and on a clean release the Complete record and
+  // the elastic notification. Counts the commit.
+  TxnStatus FinishCommit();
   // Releases every lock and forgets the attempt's acquisitions and
   // writes, ready for a retry.
   void AbandonAttempt();
 
   // Fallback path (section 6.2).
   TxnStatus RunFallback(const Body& body);
-  // Takes every lock and lease of a fallback attempt: one non-waiting
-  // overlapped try of the whole set first (acquiring out of order is
-  // deadlock-free because nothing waits), and on contention a release
-  // and the waiting acquisition in global order. Then prefetches.
+  // Takes every lock and lease of a fallback attempt by the waiting
+  // acquisition in global <table, key> order, then prefetches every
+  // record in one scatter round.
   StartResult FallbackAcquire();
   // Every held lease, declared and dynamic, still valid now.
   bool LeasesValid();

@@ -40,6 +40,35 @@ void ForEachLineSlot(VersionTable* table, const void* addr, size_t len,
   }
 }
 
+// Bytes [from, to) of a cache line as an image byte mask (from < to <= 64).
+uint64_t RangeMask(size_t from, size_t to) {
+  const uint64_t upto = to == kCacheLineSize ? ~uint64_t{0}
+                                             : (uint64_t{1} << to) - 1;
+  return upto & ~((uint64_t{1} << from) - 1);
+}
+
+// Calls fn(offset, length) for each run of set bits in a byte mask.
+template <typename Fn>
+void ForEachRun(uint64_t mask, Fn&& fn) {
+  while (mask != 0) {
+    const int from = __builtin_ctzll(mask);
+    const uint64_t rest = ~(mask >> from);
+    const int n = rest == 0 ? 64 - from : __builtin_ctzll(rest);
+    fn(static_cast<size_t>(from), static_cast<size_t>(n));
+    mask &= ~RangeMask(from, from + n);
+  }
+}
+
+// memcpy with the whole-line case inlined: a large value is written,
+// overlaid and installed one full line at a time.
+void CopyLineBytes(uint8_t* dst, const uint8_t* src, size_t n) {
+  if (n == kCacheLineSize) {
+    std::memcpy(dst, src, kCacheLineSize);
+  } else {
+    std::memcpy(dst, src, n);
+  }
+}
+
 // Locks a slot's seqlock (even -> odd). Returns the pre-lock (even) base
 // version. Spins without bound: strong-access critical sections are a few
 // instructions long.
@@ -75,9 +104,7 @@ void HtmThread::Reset() {
     epoch_ = 1;
   }
   read_lines_ = 0;
-  write_lines_ = 0;
-  redo_log_.clear();
-  redo_data_.clear();
+  images_.clear();
 }
 
 void HtmThread::Begin() {
@@ -106,14 +133,13 @@ void HtmThread::Rollback(unsigned status) {
   Reset();
 }
 
-size_t HtmThread::Bucket(const std::atomic<uint64_t>* slot) const {
+size_t HtmThread::Bucket(uintptr_t key) const {
   const size_t mask = index_.size() - 1;
-  const uint64_t h =
-      (reinterpret_cast<uintptr_t>(slot) >> 3) * 0x9e3779b97f4a7c15ULL;
+  const uint64_t h = key * 0x9e3779b97f4a7c15ULL;
   for (size_t i = (h >> 32) & mask;; i = (i + 1) & mask) {
     const uint64_t bucket = index_[i];
     if ((bucket >> 32) != epoch_ ||
-        lines_[static_cast<uint32_t>(bucket)].slot == slot) {
+        lines_[static_cast<uint32_t>(bucket)].key == key) {
       return i;
     }
   }
@@ -122,20 +148,23 @@ size_t HtmThread::Bucket(const std::atomic<uint64_t>* slot) const {
 void HtmThread::Grow() {
   index_.assign(std::max<size_t>(64, 2 * index_.size()), 0);
   for (size_t i = 0; i < lines_.size(); ++i) {
-    index_[Bucket(lines_[i].slot)] = (uint64_t{epoch_} << 32) | i;
+    index_[Bucket(lines_[i].key)] = (uint64_t{epoch_} << 32) | i;
   }
 }
 
-HtmThread::Line& HtmThread::Track(std::atomic<uint64_t>* slot) {
+uint32_t HtmThread::Track(uintptr_t key) {
   if (2 * lines_.size() >= index_.size()) {
     Grow();
   }
-  uint64_t& bucket = index_[Bucket(slot)];
+  uint64_t& bucket = index_[Bucket(key)];
   if ((bucket >> 32) == epoch_) {
-    return lines_[static_cast<uint32_t>(bucket)];
+    return static_cast<uint32_t>(bucket);
   }
-  bucket = (uint64_t{epoch_} << 32) | lines_.size();
-  return lines_.emplace_back(Line{slot});
+  const uint32_t pos = static_cast<uint32_t>(lines_.size());
+  bucket = (uint64_t{epoch_} << 32) | pos;
+  const void* addr = reinterpret_cast<const void*>(key << kCacheLineShift);
+  lines_.push_back(Line{key, table_->SlotFor(addr)});
+  return pos;
 }
 
 void HtmThread::Read(void* dst, const void* src, size_t len) {
@@ -143,22 +172,28 @@ void HtmThread::Read(void* dst, const void* src, size_t len) {
   if (len == 0) {
     return;
   }
+  const uintptr_t lo = reinterpret_cast<uintptr_t>(src);
+  const uintptr_t hi = lo + len;
+  span_.clear();
   bool overlaps_write = false;
-  ForEachLineSlot(table_, src, len, [&](std::atomic<uint64_t>* slot) {
-    Line& line = Track(slot);
-    overlaps_write |= line.written;
+  for (uintptr_t key = lo >> kCacheLineShift;
+       key <= (hi - 1) >> kCacheLineShift; ++key) {
+    const uint32_t pos = Track(key);
+    span_.push_back(pos);
+    Line& line = lines_[pos];
+    overlaps_write |= line.written();
     if (line.read) {
       // Already tracked; freshness is verified by the post-copy check
       // below and by commit validation.
-      return;
+      continue;
     }
-    uint64_t v = slot->load(std::memory_order_acquire);
+    uint64_t v = line.slot->load(std::memory_order_acquire);
     int spins = 0;
     while (VersionTable::IsLocked(v)) {
       if (++spins > config_.lock_spin_limit) {
         AbortWith(kAbortConflict | kAbortRetry);
       }
-      v = slot->load(std::memory_order_acquire);
+      v = line.slot->load(std::memory_order_acquire);
     }
     if (read_lines_ >= config_.max_read_lines) {
       AbortWith(kAbortCapacity);
@@ -166,34 +201,35 @@ void HtmThread::Read(void* dst, const void* src, size_t len) {
     line.read = true;
     line.read_version = v;
     ++read_lines_;
-  });
+  }
   std::atomic_thread_fence(std::memory_order_acquire);
   std::memcpy(dst, src, len);
   std::atomic_thread_fence(std::memory_order_acquire);
   // Seqlock re-check: every line must still carry the version this
   // transaction first observed, otherwise a concurrent commit or strong
   // write raced with the copy.
-  ForEachLineSlot(table_, src, len, [&](std::atomic<uint64_t>* slot) {
-    if (slot->load(std::memory_order_acquire) != Track(slot).read_version) {
+  for (const uint32_t pos : span_) {
+    const Line& line = lines_[pos];
+    if (line.slot->load(std::memory_order_acquire) != line.read_version) {
       AbortWith(kAbortConflict | kAbortRetry);
     }
-  });
+  }
   if (!overlaps_write) {
     return;
   }
-  // Read-your-writes: overlay buffered writes, in program order.
-  const uintptr_t lo = reinterpret_cast<uintptr_t>(src);
-  const uintptr_t hi = lo + len;
-  for (const RedoEntry& e : redo_log_) {
-    const uintptr_t elo = e.dst;
-    const uintptr_t ehi = e.dst + e.len;
-    if (ehi <= lo || elo >= hi) {
+  // Read-your-writes: overlay each written line's masked image bytes.
+  for (const uint32_t pos : span_) {
+    const Line& line = lines_[pos];
+    if (!line.written()) {
       continue;
     }
-    const uintptr_t olo = std::max(lo, elo);
-    const uintptr_t ohi = std::min(hi, ehi);
-    std::memcpy(static_cast<uint8_t*>(dst) + (olo - lo),
-                redo_data_.data() + e.offset + (olo - elo), ohi - olo);
+    const uintptr_t addr = line.key << kCacheLineShift;
+    const size_t from = lo > addr ? lo - addr : 0;
+    const size_t to = std::min<uintptr_t>(hi - addr, kCacheLineSize);
+    ForEachRun(line.mask & RangeMask(from, to), [&](size_t off, size_t n) {
+      CopyLineBytes(static_cast<uint8_t*>(dst) + (addr + off - lo),
+                    images_[line.image].bytes + off, n);
+    });
   }
 }
 
@@ -202,36 +238,26 @@ void HtmThread::Write(void* dst, const void* src, size_t len) {
   if (len == 0) {
     return;
   }
-  ForEachLineSlot(table_, dst, len, [&](std::atomic<uint64_t>* slot) {
-    Line& line = Track(slot);
-    if (line.written) {
-      return;
+  const uintptr_t lo = reinterpret_cast<uintptr_t>(dst);
+  const uintptr_t hi = lo + len;
+  for (uintptr_t key = lo >> kCacheLineShift;
+       key <= (hi - 1) >> kCacheLineShift; ++key) {
+    Line& line = lines_[Track(key)];
+    if (!line.written()) {
+      if (images_.size() >= config_.max_write_lines) {
+        AbortWith(kAbortCapacity);
+      }
+      line.image = static_cast<uint32_t>(images_.size());
+      images_.emplace_back();
     }
-    if (write_lines_ >= config_.max_write_lines) {
-      AbortWith(kAbortCapacity);
-    }
-    line.written = true;
-    ++write_lines_;
-  });
-  if (!redo_log_.empty()) {
-    // A byte-adjacent append (the common pattern when a large value is
-    // written as consecutive slices) extends the previous redo entry
-    // instead of growing the log. Program order is preserved — only the
-    // latest entry ever extends.
-    RedoEntry& last = redo_log_.back();
-    if (last.dst + last.len == reinterpret_cast<uintptr_t>(dst) &&
-        last.offset + last.len == redo_data_.size()) {
-      redo_data_.insert(redo_data_.end(), static_cast<const uint8_t*>(src),
-                        static_cast<const uint8_t*>(src) + len);
-      last.len += static_cast<uint32_t>(len);
-      return;
-    }
+    const uintptr_t addr = key << kCacheLineShift;
+    const size_t from = lo > addr ? lo - addr : 0;
+    const size_t to = std::min<uintptr_t>(hi - addr, kCacheLineSize);
+    CopyLineBytes(images_[line.image].bytes + from,
+                  static_cast<const uint8_t*>(src) + (addr + from - lo),
+                  to - from);
+    line.mask |= RangeMask(from, to);
   }
-  const uint32_t offset = static_cast<uint32_t>(redo_data_.size());
-  redo_data_.insert(redo_data_.end(), static_cast<const uint8_t*>(src),
-                    static_cast<const uint8_t*>(src) + len);
-  redo_log_.push_back(RedoEntry{reinterpret_cast<uintptr_t>(dst), offset,
-                                static_cast<uint32_t>(len)});
 }
 
 void HtmThread::Commit() {
@@ -242,20 +268,32 @@ void HtmThread::Commit() {
     return;
   }
 
-  // Phase 1: lock the written lines in global (slot-address) order, each
-  // entry keeping its pre-lock base. The index is not consulted again
-  // before Reset(), so the entries are reordered in place.
+  // Phase 1: lock the written lines' slots in global (slot-address)
+  // order, each slot once: lines aliasing one slot share its lock and
+  // pre-lock base. The index is not consulted again before Reset(), so
+  // the entries are reordered in place.
   const auto written_end = std::partition(
-      lines_.begin(), lines_.end(), [](const Line& l) { return l.written; });
+      lines_.begin(), lines_.end(), [](const Line& l) { return l.written(); });
   std::sort(lines_.begin(), written_end,
             [](const Line& a, const Line& b) { return a.slot < b.slot; });
-  // Releases the locked prefix [begin, end), adding `bump` to each base.
+  // Whether `it` is the first written entry on its slot (the one that
+  // holds the lock).
+  auto owns_slot = [&](std::vector<Line>::iterator it) {
+    return it == lines_.begin() || std::prev(it)->slot != it->slot;
+  };
+  // Releases the slots locked by [begin, end), adding `bump` to each base.
   auto release = [&](std::vector<Line>::iterator end, uint64_t bump) {
     for (auto it = lines_.begin(); it != end; ++it) {
-      it->slot->store(it->base + bump, std::memory_order_release);
+      if (owns_slot(it)) {
+        it->slot->store(it->base + bump, std::memory_order_release);
+      }
     }
   };
   for (auto it = lines_.begin(); it != written_end; ++it) {
+    if (!owns_slot(it)) {
+      it->base = std::prev(it)->base;
+      continue;
+    }
     int spins = 0;
     while (true) {
       uint64_t v = it->slot->load(std::memory_order_acquire);
@@ -273,36 +311,54 @@ void HtmThread::Commit() {
   }
 
   // Phase 2: validate every read line against its snapshot version. A
-  // line we hold must have been unchanged when we locked it.
-  for (const Line& line : lines_) {
-    if (!line.read) {
+  // slot we hold must have been unchanged when we locked it; a read-only
+  // line can alias one, so a locked slot is looked up among ours.
+  for (auto it = lines_.begin(); it != lines_.end(); ++it) {
+    if (!it->read) {
       continue;
     }
-    const uint64_t current =
-        line.written ? line.base : line.slot->load(std::memory_order_acquire);
-    if (current != line.read_version) {
+    uint64_t current = it->base;
+    if (it >= written_end) {
+      current = it->slot->load(std::memory_order_acquire);
+      if (VersionTable::IsLocked(current)) {
+        const auto held = std::lower_bound(
+            lines_.begin(), written_end, it->slot,
+            [](const Line& l, const std::atomic<uint64_t>* s) {
+              return l.slot < s;
+            });
+        if (held != written_end && held->slot == it->slot) {
+          current = held->base;
+        }
+      }
+    }
+    if (current != it->read_version) {
       release(written_end, 0);
       AbortWith(kAbortConflict | kAbortRetry);
     }
   }
 
-  // Phase 3: install buffered writes, then release with a version bump.
+  // Phase 3: install the write images' masked bytes, then release with a
+  // version bump.
   std::atomic_thread_fence(std::memory_order_release);
-  for (const RedoEntry& e : redo_log_) {
-    std::memcpy(reinterpret_cast<void*>(e.dst), redo_data_.data() + e.offset,
-                e.len);
+  for (auto it = lines_.begin(); it != written_end; ++it) {
+    uint8_t* addr = reinterpret_cast<uint8_t*>(it->key << kCacheLineShift);
+    const uint8_t* image = images_[it->image].bytes;
+    ForEachRun(it->mask, [&](size_t off, size_t n) {
+      CopyLineBytes(addr + off, image + off, n);
+    });
   }
   std::atomic_thread_fence(std::memory_order_release);
   if (g_replay_armed.load(std::memory_order_relaxed) &&
-      g_replay_hooks.on_publish != nullptr && write_lines_ != 0) {
+      g_replay_hooks.on_publish != nullptr && written_end != lines_.begin()) {
     // Inside the critical section (slots still locked): the hook's
     // observation order is the serialization order of conflicting
     // commits. Read-only regions (no locked lines) publish nothing.
     std::vector<PublishedLine> published;
-    published.reserve(write_lines_);
     for (auto it = lines_.begin(); it != written_end; ++it) {
-      published.push_back(PublishedLine{
-          static_cast<uint32_t>(table_->IndexOf(it->slot)), it->base + 2});
+      if (owns_slot(it)) {
+        published.push_back(PublishedLine{
+            static_cast<uint32_t>(table_->IndexOf(it->slot)), it->base + 2});
+      }
     }
     g_replay_hooks.on_publish(published.data(), published.size(), table_);
   }

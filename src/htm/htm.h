@@ -6,7 +6,8 @@
 // HtmThread::Read/Write primitives). The emulator provides the three RTM
 // properties DrTM depends on:
 //
-//   1. ACI: buffered (redo-log) writes, commit-time lock+validate over a
+//   1. ACI: writes buffered per cache line (a 64-byte image and byte mask,
+//      as RTM buffers them in the L1), commit-time lock+validate over a
 //      global per-cache-line version table; a committed transaction is
 //      atomic and serializable against all other transactional and
 //      "strong" accesses.
@@ -29,6 +30,7 @@
 #include <cstring>
 #include <vector>
 
+#include "src/common/cacheline.h"
 #include "src/htm/version_table.h"
 
 namespace drtm {
@@ -130,12 +132,6 @@ class HtmThread {
   static HtmThread* Current();
 
  private:
-  struct RedoEntry {
-    uintptr_t dst;
-    uint32_t offset;  // into redo_data_
-    uint32_t len;
-  };
-
   // Balances the flat-nesting depth increment across any exit path of
   // the inner body, including exception unwinding.
   struct DepthGuard {
@@ -151,20 +147,30 @@ class HtmThread {
   void Rollback(unsigned status);
   [[noreturn]] void AbortWith(unsigned status);
 
-  // One tracked cache line, keyed by its version-table slot: the emulated
-  // read/write bits RTM keeps per line in the L1/L2 (§2.2).
+  // One tracked cache line: the emulated read/write bits RTM keeps per
+  // line in the L1/L2 (§2.2), plus the line's write image when written.
   struct Line {
-    std::atomic<uint64_t>* slot;
-    uint64_t read_version = 0;  // version observed at the first read
-    uint64_t base = 0;          // pre-lock version while Commit holds it
+    uintptr_t key;                // CacheLineOf the tracked line
+    std::atomic<uint64_t>* slot;  // its version-table slot
+    uint64_t read_version = 0;    // version observed at the first read
+    uint64_t base = 0;            // pre-lock version while Commit holds it
+    uint64_t mask = 0;            // image bytes written (bit i = byte i)
+    uint32_t image = 0;           // index into images_ once written
     bool read = false;
-    bool written = false;
+    bool written() const { return mask != 0; }
+  };
+  // A written line's buffered bytes, as the L1 holds them. Only the
+  // bytes its line's mask marks are ever read, so it starts uninitialized.
+  struct alignas(kCacheLineSize) Image {
+    Image() {}  // NOLINT: "= default" would let emplace_back() zero it
+    uint8_t bytes[kCacheLineSize];
   };
 
-  // Returns slot's entry in the line table, adding an empty one if absent.
-  Line& Track(std::atomic<uint64_t>* slot);
-  // Index bucket holding slot's entry, or the empty bucket where it goes.
-  size_t Bucket(const std::atomic<uint64_t>* slot) const;
+  // Returns the position in lines_ of the entry for line `key`, adding
+  // an empty one if absent.
+  uint32_t Track(uintptr_t key);
+  // Index bucket holding key's entry, or the empty bucket where it goes.
+  size_t Bucket(uintptr_t key) const;
   void Grow();
   void Reset();
 
@@ -179,11 +185,11 @@ class HtmThread {
   std::vector<Line> lines_;
   std::vector<uint64_t> index_;
   uint32_t epoch_ = 1;
-  size_t read_lines_ = 0;   // entries with the read bit
-  size_t write_lines_ = 0;  // entries with the written bit
-  // Write buffer, in program order; byte-adjacent appends coalesce.
-  std::vector<RedoEntry> redo_log_;
-  std::vector<uint8_t> redo_data_;
+  size_t read_lines_ = 0;  // entries with the read bit
+  // Write images, one per written entry (write_lines = images_.size()).
+  std::vector<Image> images_;
+  // Entry positions of the lines the current Read spans.
+  std::vector<uint32_t> span_;
 };
 
 // --- Replay hooks -----------------------------------------------------------
@@ -191,9 +197,9 @@ class HtmThread {
 // Seam for the record/replay subsystem (src/replay). The replay library
 // sits above htm in the dependency order, so htm exposes raw function
 // pointers rather than linking against it. The publish hook fires inside
-// the commit critical section — after the redo log is installed, before
-// the seqlock slots are released — so the order in which hooks observe
-// commits IS the conflict order two commits on overlapping lines
+// the commit critical section — after the write images are installed,
+// before the seqlock slots are released — so the order in which hooks
+// observe commits IS the conflict order two commits on overlapping lines
 // serialized in. Disarmed cost: one relaxed atomic load per commit.
 struct PublishedLine {
   uint32_t slot;      // VersionTable::IndexOf of the locked slot
@@ -201,8 +207,9 @@ struct PublishedLine {
 };
 
 struct ReplayHooks {
-  // Called with the committed region's locked lines (empty for read-only
-  // regions, which are skipped). `table` disambiguates non-global tables.
+  // Called with the committed region's locked slots, one entry each
+  // (read-only regions lock none and are skipped). `table`
+  // disambiguates non-global tables.
   void (*on_publish)(const PublishedLine* lines, size_t count,
                      const VersionTable* table) = nullptr;
   // Called when a top-level region rolls back, with the RTM status word.

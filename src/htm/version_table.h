@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 
 #include "src/common/cacheline.h"
@@ -54,7 +55,10 @@ class VersionTable {
   static bool IsLocked(uint64_t version) { return (version & 1) != 0; }
 
  private:
-  std::unique_ptr<std::atomic<uint64_t>[]> slots_;
+  struct Free {
+    void operator()(std::atomic<uint64_t>* p) const { std::free(p); }
+  };
+  std::unique_ptr<std::atomic<uint64_t>[], Free> slots_;
   size_t mask_;
 };
 

@@ -11,7 +11,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 namespace drtm {
 namespace rdma {
@@ -19,6 +18,7 @@ namespace rdma {
 class NodeMemory {
  public:
   NodeMemory(int node_id, size_t capacity);
+  ~NodeMemory();
 
   NodeMemory(const NodeMemory&) = delete;
   NodeMemory& operator=(const NodeMemory&) = delete;
@@ -27,8 +27,8 @@ class NodeMemory {
   size_t capacity() const { return capacity_; }
   size_t used() const { return next_.load(std::memory_order_relaxed); }
 
-  uint8_t* base() { return base_.get(); }
-  const uint8_t* base() const { return base_.get(); }
+  uint8_t* base() { return base_; }
+  const uint8_t* base() const { return base_; }
 
   // Bump allocation of registered memory; never freed individually
   // (stores manage their own free lists inside their allocations).
@@ -36,23 +36,22 @@ class NodeMemory {
   // exhaustion — region sizing is a configuration decision.
   uint64_t Allocate(size_t bytes, size_t alignment = 64);
 
-  void* At(uint64_t offset) { return base_.get() + offset; }
-  const void* At(uint64_t offset) const { return base_.get() + offset; }
+  void* At(uint64_t offset) { return base_ + offset; }
+  const void* At(uint64_t offset) const { return base_ + offset; }
 
   uint64_t OffsetOf(const void* ptr) const {
-    return static_cast<uint64_t>(static_cast<const uint8_t*>(ptr) -
-                                 base_.get());
+    return static_cast<uint64_t>(static_cast<const uint8_t*>(ptr) - base_);
   }
 
   bool Contains(const void* ptr) const {
     const uint8_t* p = static_cast<const uint8_t*>(ptr);
-    return p >= base_.get() && p < base_.get() + capacity_;
+    return p >= base_ && p < base_ + capacity_;
   }
 
  private:
   int node_id_;
   size_t capacity_;
-  std::unique_ptr<uint8_t[]> base_;
+  uint8_t* base_;  // mmap-ed, capacity_ bytes
   std::atomic<size_t> next_{0};
 };
 

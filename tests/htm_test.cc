@@ -5,6 +5,7 @@
 #include <atomic>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/barrier.h"
@@ -125,8 +126,9 @@ TEST(Htm, CapacityAbortOnReadSet) {
   EXPECT_TRUE(status & kAbortCapacity);
 }
 
-TEST(Htm, AliasedLinesShareOneSlotEntry) {
-  // One slot: every line aliases, so lines A and B are one tracked entry.
+TEST(Htm, AliasedLinesShareOneSlotLock) {
+  // One slot: every line aliases, so lines A and B are two entries that
+  // commit locks, validates and bumps as one slot.
   VersionTable table(1);
   alignas(64) uint64_t buf[16] = {};
   buf[8] = 5;
@@ -135,7 +137,7 @@ TEST(Htm, AliasedLinesShareOneSlotEntry) {
   HtmThread htm(Config(), &table);
   const unsigned status = htm.Transact([&] {
     htm.Store(&buf[0], uint64_t{7});
-    // Line B has the slot's written bit but no buffered bytes: it must
+    // Line B shares the written slot but has no buffered bytes: it must
     // read memory.
     EXPECT_EQ(htm.Load(&buf[8]), 5u);
   });
@@ -143,6 +145,91 @@ TEST(Htm, AliasedLinesShareOneSlotEntry) {
   EXPECT_EQ(buf[0], 7u);
   EXPECT_EQ(buf[8], 5u);
   EXPECT_EQ(slot->load(), before + 2);
+}
+
+TEST(Htm, StrongWriteToAliasedReadLineAborts) {
+  // Line B is only read, but its slot is the one commit locks for line A:
+  // B validates against the held base, which the strong write moved.
+  VersionTable table(1);
+  alignas(64) uint64_t buf[16] = {};
+  HtmThread htm(Config(), &table);
+  const unsigned status = htm.Transact([&] {
+    htm.Store(&buf[0], uint64_t{7});
+    EXPECT_EQ(htm.Load(&buf[8]), 0u);
+    const uint64_t nine = 9;
+    StrongWrite(&buf[8], &nine, sizeof(nine), &table);
+  });
+  EXPECT_TRUE(status & kAbortConflict);
+  EXPECT_EQ(buf[0], 0u);
+  EXPECT_EQ(buf[8], 9u);
+}
+
+TEST(Htm, PartialLineWriteOverlaysOnlyMaskedBytes) {
+  alignas(64) uint8_t buf[64];
+  for (int i = 0; i < 64; ++i) {
+    buf[i] = static_cast<uint8_t>(i);
+  }
+  HtmThread htm;
+  htm.Transact([&] {
+    const uint8_t head[3] = {0xa0, 0xa1, 0xa2};
+    const uint8_t tail = 0xbf;
+    htm.Write(buf + 10, head, sizeof(head));
+    htm.Write(buf + 63, &tail, 1);
+    uint8_t out[64];
+    htm.Read(out, buf, sizeof(out));
+    for (int i = 0; i < 64; ++i) {
+      const int want = i >= 10 && i < 13 ? 0xa0 + i - 10 : i == 63 ? 0xbf : i;
+      EXPECT_EQ(out[i], want) << "byte " << i;
+    }
+  });
+  EXPECT_EQ(buf[9], 9);
+  EXPECT_EQ(buf[12], 0xa2);
+  EXPECT_EQ(buf[13], 13);
+  EXPECT_EQ(buf[63], 0xbf);
+}
+
+TEST(Htm, WriteStraddlingLinesReadsBackInSubRanges) {
+  alignas(64) uint8_t buf[128] = {};
+  uint8_t value[16];
+  for (int i = 0; i < 16; ++i) {
+    value[i] = static_cast<uint8_t>(0x40 + i);
+  }
+  // Bytes [56, 72): the last 8 of line 0 and the first 8 of line 1.
+  auto want = [&](int i) { return i >= 56 && i < 72 ? value[i - 56] : 0; };
+  HtmThread htm;
+  const unsigned status = htm.Transact([&] {
+    htm.Write(buf + 56, value, sizeof(value));
+    for (const auto& [from, to] : std::vector<std::pair<int, int>>{
+             {56, 64}, {64, 72}, {60, 68}, {50, 80}, {0, 128}}) {
+      uint8_t out[128];
+      htm.Read(out, buf + from, to - from);
+      for (int i = from; i < to; ++i) {
+        EXPECT_EQ(out[i - from], want(i)) << "[" << from << ", " << to
+                                          << ") byte " << i;
+      }
+    }
+  });
+  EXPECT_EQ(status, kCommitted);
+  for (int i = 0; i < 128; ++i) {
+    EXPECT_EQ(buf[i], want(i)) << "byte " << i;
+  }
+}
+
+TEST(Htm, ManyWritesToOneLineUseOneLineOfBudget) {
+  Config config;
+  config.max_write_lines = 1;
+  HtmThread htm(config);
+  alignas(64) uint64_t line[8] = {};
+  const unsigned status = htm.Transact([&] {
+    for (uint64_t i = 0; i < 100; ++i) {
+      htm.Store(&line[i % 8], i);
+    }
+  });
+  EXPECT_EQ(status, kCommitted);
+  for (uint64_t w = 0; w < 8; ++w) {
+    // The last of the 100 writes to each word.
+    EXPECT_EQ(line[w], w + 8 * ((99 - w) / 8)) << "word " << w;
+  }
 }
 
 TEST(Htm, StrongWriteToReadWrittenLineAborts) {

@@ -30,6 +30,17 @@ TEST(NodeMemory, AllocateAligns) {
   EXPECT_GE(b, a + 10);
 }
 
+TEST(NodeMemory, RegionIsLineAligned) {
+  // Region sizes the benches use: a heap block of these sizes sits 16 B
+  // past a line boundary, which made every 64 B-aligned bucket straddle
+  // one line more than it needs.
+  for (size_t mb : {24, 48, 64}) {
+    NodeMemory mem(0, mb << 20);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(mem.base()) % 64, 0u) << mb;
+    EXPECT_EQ(mem.base()[(mb << 20) - 1], 0) << "zero-filled";
+  }
+}
+
 TEST(NodeMemory, OffsetRoundTrip) {
   NodeMemory mem(0, 4096);
   const uint64_t off = mem.Allocate(100);

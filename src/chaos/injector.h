@@ -3,10 +3,10 @@
 //
 // Point catalog (the names a plan's events bind to):
 //   rdma.read.wqe / rdma.write.wqe / rdma.cas.wqe / rdma.faa.wqe
-//       per-work-request hooks in the fabric's shared executors, so one
-//       hook covers the scalar verbs, the doorbell-batched SendQueue and
-//       the PhaseScatter engine alike (they all funnel through
-//       Fabric::Execute*).
+//       per-work-request hooks in the fabric's executors
+//       (Fabric::Execute*). Every one-sided verb, scalar or batched, is
+//       a WQE of the one submission engine (rdma::PhaseScatter), so one
+//       hook per opcode covers them all.
 //   rdma.send
 //       two-sided SEND/RPC submission.
 //   log.append

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "src/common/clock.h"
-#include "src/rdma/verbs_batch.h"
+#include "src/rdma/phase_scatter.h"
 #include "src/stat/metrics.h"
 
 namespace drtm {
@@ -28,7 +28,7 @@ double AdmissionController::Overload() const {
       static_cast<double>(std::max<int64_t>(config_.knee_queue_depth, 1));
   const double s =
       static_cast<double>(
-          std::max<int64_t>(rdma::SendQueue::OutstandingForTarget(node_), 0)) /
+          std::max<int64_t>(rdma::OutstandingForTarget(node_), 0)) /
       static_cast<double>(std::max<int64_t>(config_.knee_outstanding, 1));
   return std::max(1.0, std::max(q, s) * config_.latency_bias);
 }

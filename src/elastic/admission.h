@@ -1,8 +1,8 @@
 // Per-node admission control: a token bucket whose refill rate is
 // keyed off the two congestion signals the simulation exposes — the
 // node's server-thread RPC backlog (Cluster::ServerQueueDepth) and the
-// doorbell-batched SendQueue outstanding-window occupancy toward the
-// node (rdma::SendQueue::OutstandingForTarget). Past a knee the refill
+// doorbell-batched send-queue outstanding-window occupancy toward the
+// node (rdma::OutstandingForTarget). Past a knee the refill
 // rate falls proportionally to the overload, so new transactions are
 // shed at the door instead of queueing into the latency cliff.
 //

@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "src/common/clock.h"
-#include "src/rdma/verbs_batch.h"
+#include "src/rdma/phase_scatter.h"
 #include "src/stat/metrics.h"
 #include "src/store/kv_layout.h"
 #include "src/txn/lock_state.h"
@@ -114,7 +114,7 @@ bool MigrationEngine::CopyPass(bool catch_up, MigrationReport* report) {
     live_keys_.clear();
   }
 
-  const size_t window = rdma::SendQueue::Config{}.max_outstanding;
+  const size_t window = rdma::PhaseScatter::kMaxOutstanding;
   std::vector<uint8_t> bufs(window * geo.entry_size);
   for (size_t base = 0; base < targets.size(); base += window) {
     const size_t n = std::min(window, targets.size() - base);
@@ -122,23 +122,17 @@ bool MigrationEngine::CopyPass(bool catch_up, MigrationReport* report) {
     if (!catch_up) {
       // Copy pass under traffic: one doorbell batch of whole-entry READs
       // from the source, the same one-sided path a remote reader uses.
-      rdma::SendQueue sq(cluster_->fabric(), plan_.source,
-                         rdma::SendQueue::Config{window});
-      std::vector<rdma::WrId> ids(n);
+      // Each READ's wr_id is its index in the batch.
+      rdma::PhaseScatter scatter(cluster_->fabric());
       for (size_t i = 0; i < n; ++i) {
-        ids[i] = sq.PostRead(targets[base + i].second,
-                             &bufs[i * geo.entry_size], geo.entry_size);
+        scatter.PostRead(plan_.source, i, targets[base + i].second,
+                         &bufs[i * geo.entry_size], geo.entry_size);
       }
-      const std::vector<rdma::Completion> comps = sq.Flush();
-      for (size_t i = 0; i < n; ++i) {
-        bool ok = false;
-        for (const rdma::Completion& comp : comps) {
-          if (comp.wr_id == ids[i]) {
-            ok = comp.status == rdma::OpStatus::kOk;
-            break;
-          }
-        }
-        read_ok[i] = ok;  // a lost READ is repaired by catch-up
+      std::vector<rdma::Completion> comps;
+      scatter.Gather(&comps);
+      for (const rdma::Completion& comp : comps) {
+        // A lost READ is repaired by catch-up.
+        read_ok[comp.wr_id] = comp.status == rdma::OpStatus::kOk;
       }
     } else {
       // Catch-up runs frozen and drained; the host-side pointers are the

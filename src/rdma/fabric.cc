@@ -7,6 +7,7 @@
 #include "src/chaos/injector.h"
 #include "src/common/clock.h"
 #include "src/htm/htm.h"
+#include "src/rdma/phase_scatter.h"
 #include "src/stat/metrics.h"
 
 namespace drtm {
@@ -14,19 +15,15 @@ namespace rdma {
 
 namespace {
 
-// Registry ids for the one-sided verbs and the simulated NIC latency the
-// fabric model charged for each op.  Resolved once per process.
+// Registry ids for the verbs. The modeled latency of one-sided verbs is
+// recorded per doorbell by the submission engine (rdma.batch_ns).
 struct VerbIds {
   uint32_t reads = 0;
   uint32_t read_bytes = 0;
-  uint32_t read_ns = 0;
   uint32_t writes = 0;
   uint32_t write_bytes = 0;
-  uint32_t write_ns = 0;
   uint32_t cas_ops = 0;
-  uint32_t cas_ns = 0;
   uint32_t faa_ops = 0;
-  uint32_t faa_ns = 0;
   uint32_t sends = 0;
   uint32_t send_ns = 0;
 };
@@ -37,14 +34,10 @@ const VerbIds& Verbs() {
     VerbIds v;
     v.reads = reg.CounterId("rdma.read.ops");
     v.read_bytes = reg.CounterId("rdma.read.bytes");
-    v.read_ns = reg.TimerId("rdma.read_ns");
     v.writes = reg.CounterId("rdma.write.ops");
     v.write_bytes = reg.CounterId("rdma.write.bytes");
-    v.write_ns = reg.TimerId("rdma.write_ns");
     v.cas_ops = reg.CounterId("rdma.cas.ops");
-    v.cas_ns = reg.TimerId("rdma.cas_ns");
     v.faa_ops = reg.CounterId("rdma.faa.ops");
-    v.faa_ns = reg.TimerId("rdma.faa_ns");
     v.sends = reg.CounterId("rdma.send.ops");
     v.send_ns = reg.TimerId("rdma.send_ns");
     return v;
@@ -52,11 +45,10 @@ const VerbIds& Verbs() {
   return ids;
 }
 
-// Per-WQE chaos injection points. Placed in the shared executors so the
-// scalar verbs, the doorbell-batched SendQueue and the PhaseScatter
-// engine are all covered by the same hooks (they funnel through
-// Execute*). A kDelayNs decision models a NIC latency spike; kFailOp /
-// kAbandon surface as kNodeDown exactly like a real fail-stop target.
+// Per-WQE chaos injection points. Placed in the executors, which every
+// one-sided verb funnels through, so one hook covers them all. A
+// kDelayNs decision models a NIC latency spike; kFailOp / kAbandon
+// surface as kNodeDown exactly like a real fail-stop target.
 struct WqePoints {
   uint32_t read;
   uint32_t write;
@@ -77,6 +69,25 @@ const WqePoints& ChaosPoints() {
     return p;
   }();
   return points;
+}
+
+// Every verb's preamble: false (the op fails with kNodeDown) when the
+// target is dead or the chaos point fails the op; a latency spike is
+// spun out here. `fault` keeps the decision for the torn-write case.
+bool VerbAdmitted(const Fabric& fabric, int target, uint32_t point,
+                  chaos::Decision* fault) {
+  if (!fabric.IsAlive(target)) {
+    return false;
+  }
+  *fault = chaos::Check(point, target);
+  if (fault->kind == chaos::Decision::Kind::kFailOp ||
+      fault->kind == chaos::Decision::Kind::kAbandon) {
+    return false;
+  }
+  if (fault->kind == chaos::Decision::Kind::kDelayNs) {
+    SpinFor(fault->arg);
+  }
+  return true;
 }
 
 }  // namespace
@@ -110,16 +121,9 @@ Fabric::~Fabric() {
 
 OpStatus Fabric::ExecuteRead(int target, uint64_t offset, void* dst,
                              size_t len) {
-  if (!IsAlive(target)) {
+  chaos::Decision fault;
+  if (!VerbAdmitted(*this, target, ChaosPoints().read, &fault)) {
     return OpStatus::kNodeDown;
-  }
-  const chaos::Decision fault = chaos::Check(ChaosPoints().read, target);
-  if (fault.kind == chaos::Decision::Kind::kFailOp ||
-      fault.kind == chaos::Decision::Kind::kAbandon) {
-    return OpStatus::kNodeDown;
-  }
-  if (fault.kind == chaos::Decision::Kind::kDelayNs) {
-    SpinFor(fault.arg);
   }
   htm::StrongRead(dst, memory(target).At(offset), len);
   stat::Registry& reg = stat::Registry::Global();
@@ -130,12 +134,8 @@ OpStatus Fabric::ExecuteRead(int target, uint64_t offset, void* dst,
 
 OpStatus Fabric::ExecuteWrite(int target, uint64_t offset, const void* src,
                               size_t len) {
-  if (!IsAlive(target)) {
-    return OpStatus::kNodeDown;
-  }
-  const chaos::Decision fault = chaos::Check(ChaosPoints().write, target);
-  if (fault.kind == chaos::Decision::Kind::kFailOp ||
-      fault.kind == chaos::Decision::Kind::kAbandon) {
+  chaos::Decision fault;
+  if (!VerbAdmitted(*this, target, ChaosPoints().write, &fault)) {
     return OpStatus::kNodeDown;
   }
   if (fault.kind == chaos::Decision::Kind::kTornWrite) {
@@ -148,9 +148,6 @@ OpStatus Fabric::ExecuteWrite(int target, uint64_t offset, const void* src,
     }
     return OpStatus::kNodeDown;
   }
-  if (fault.kind == chaos::Decision::Kind::kDelayNs) {
-    SpinFor(fault.arg);
-  }
   htm::StrongWrite(memory(target).At(offset), src, len);
   stat::Registry& reg = stat::Registry::Global();
   reg.Add(Verbs().writes);
@@ -160,16 +157,9 @@ OpStatus Fabric::ExecuteWrite(int target, uint64_t offset, const void* src,
 
 OpStatus Fabric::ExecuteCas(int target, uint64_t offset, uint64_t expected,
                             uint64_t desired, uint64_t* observed) {
-  if (!IsAlive(target)) {
+  chaos::Decision fault;
+  if (!VerbAdmitted(*this, target, ChaosPoints().cas, &fault)) {
     return OpStatus::kNodeDown;
-  }
-  const chaos::Decision fault = chaos::Check(ChaosPoints().cas, target);
-  if (fault.kind == chaos::Decision::Kind::kFailOp ||
-      fault.kind == chaos::Decision::Kind::kAbandon) {
-    return OpStatus::kNodeDown;
-  }
-  if (fault.kind == chaos::Decision::Kind::kDelayNs) {
-    SpinFor(fault.arg);
   }
   uint64_t* addr = static_cast<uint64_t*>(memory(target).At(offset));
   {
@@ -185,16 +175,9 @@ OpStatus Fabric::ExecuteCas(int target, uint64_t offset, uint64_t expected,
 
 OpStatus Fabric::ExecuteFaa(int target, uint64_t offset, uint64_t delta,
                             uint64_t* observed) {
-  if (!IsAlive(target)) {
+  chaos::Decision fault;
+  if (!VerbAdmitted(*this, target, ChaosPoints().faa, &fault)) {
     return OpStatus::kNodeDown;
-  }
-  const chaos::Decision fault = chaos::Check(ChaosPoints().faa, target);
-  if (fault.kind == chaos::Decision::Kind::kFailOp ||
-      fault.kind == chaos::Decision::Kind::kAbandon) {
-    return OpStatus::kNodeDown;
-  }
-  if (fault.kind == chaos::Decision::Kind::kDelayNs) {
-    SpinFor(fault.arg);
   }
   uint64_t* addr = static_cast<uint64_t*>(memory(target).At(offset));
   {
@@ -205,91 +188,38 @@ OpStatus Fabric::ExecuteFaa(int target, uint64_t offset, uint64_t delta,
   return OpStatus::kOk;
 }
 
-template <typename Execute>
-OpStatus Fabric::Scalar(int target, uint64_t latency_ns, uint32_t timer_id,
-                        Execute&& execute) {
-  if (!IsAlive(target)) {
-    return OpStatus::kNodeDown;
-  }
-  SpinFor(latency_ns);
-  const OpStatus status = execute();
-  if (status == OpStatus::kOk) {
-    stat::Registry::Global().Record(timer_id, latency_ns);
-  }
-  return status;
-}
-
 OpStatus Fabric::Read(int target, uint64_t offset, void* dst, size_t len) {
-  return Scalar(target, config_.latency.ReadNs(len), Verbs().read_ns,
-                [&] { return ExecuteRead(target, offset, dst, len); });
+  return PhaseScatter::RunOne(
+      *this, target,
+      {PhaseScatter::Wqe::kRead, 0, offset, dst, nullptr, len, 0, 0}, nullptr);
 }
 
 OpStatus Fabric::Write(int target, uint64_t offset, const void* src,
                        size_t len) {
-  return Scalar(target, config_.latency.WriteNs(len), Verbs().write_ns,
-                [&] { return ExecuteWrite(target, offset, src, len); });
+  return PhaseScatter::RunOne(
+      *this, target,
+      {PhaseScatter::Wqe::kWrite, 0, offset, nullptr, src, len, 0, 0},
+      nullptr);
 }
 
 OpStatus Fabric::Cas(int target, uint64_t offset, uint64_t expected,
                      uint64_t desired, uint64_t* observed) {
-  return Scalar(target, config_.latency.CasNs(), Verbs().cas_ns, [&] {
-    return ExecuteCas(target, offset, expected, desired, observed);
-  });
+  return PhaseScatter::RunOne(*this, target,
+                              {PhaseScatter::Wqe::kCas, 0, offset, nullptr,
+                               nullptr, 0, expected, desired},
+                              observed);
 }
 
 OpStatus Fabric::Faa(int target, uint64_t offset, uint64_t delta,
                      uint64_t* observed) {
-  return Scalar(target, config_.latency.FaaNs(), Verbs().faa_ns,
-                [&] { return ExecuteFaa(target, offset, delta, observed); });
+  return PhaseScatter::RunOne(
+      *this, target,
+      {PhaseScatter::Wqe::kFaa, 0, offset, nullptr, nullptr, 0, 0, delta},
+      observed);
 }
 
-OpStatus Fabric::Send(int from, int to, uint32_t kind,
-                      std::vector<uint8_t> payload) {
-  if (!IsAlive(to)) {
-    return OpStatus::kNodeDown;
-  }
-  const chaos::Decision fault = chaos::Check(ChaosPoints().send, to);
-  if (fault.kind == chaos::Decision::Kind::kFailOp ||
-      fault.kind == chaos::Decision::Kind::kAbandon) {
-    return OpStatus::kNodeDown;
-  }
-  if (fault.kind == chaos::Decision::Kind::kDelayNs) {
-    SpinFor(fault.arg);
-  }
-  const uint64_t latency_ns = config_.latency.SendNs(payload.size());
-  SpinFor(latency_ns);
-  Message msg;
-  msg.from = from;
-  msg.kind = kind;
-  msg.rpc_id = 0;
-  msg.payload = std::move(payload);
-  queue(to).Push(std::move(msg));
-  stat::Registry& reg = stat::Registry::Global();
-  reg.Add(Verbs().sends);
-  reg.Record(Verbs().send_ns, latency_ns);
-  return OpStatus::kOk;
-}
-
-OpStatus Fabric::Rpc(int from, int to, uint32_t kind,
-                     std::vector<uint8_t> payload, std::vector<uint8_t>* reply,
-                     uint64_t timeout_us) {
-  if (!IsAlive(to)) {
-    return OpStatus::kNodeDown;
-  }
-  const chaos::Decision fault = chaos::Check(ChaosPoints().send, to);
-  if (fault.kind == chaos::Decision::Kind::kFailOp ||
-      fault.kind == chaos::Decision::Kind::kAbandon) {
-    return OpStatus::kNodeDown;
-  }
-  if (fault.kind == chaos::Decision::Kind::kDelayNs) {
-    SpinFor(fault.arg);
-  }
-  const uint64_t rpc_id = next_rpc_id_.fetch_add(1, std::memory_order_relaxed);
-  auto pending = std::make_shared<PendingRpc>();
-  {
-    std::lock_guard<std::mutex> lock(rpc_mu_);
-    pending_rpcs_.emplace(rpc_id, pending);
-  }
+void Fabric::Deliver(int from, int to, uint32_t kind, uint64_t rpc_id,
+                     std::vector<uint8_t> payload) {
   const uint64_t latency_ns = config_.latency.SendNs(payload.size());
   SpinFor(latency_ns);
   Message msg;
@@ -298,11 +228,35 @@ OpStatus Fabric::Rpc(int from, int to, uint32_t kind,
   msg.rpc_id = rpc_id;
   msg.payload = std::move(payload);
   queue(to).Push(std::move(msg));
-  {
-    stat::Registry& reg = stat::Registry::Global();
-    reg.Add(Verbs().sends);
-    reg.Record(Verbs().send_ns, latency_ns);
+  stat::Registry& reg = stat::Registry::Global();
+  reg.Add(Verbs().sends);
+  reg.Record(Verbs().send_ns, latency_ns);
+}
+
+OpStatus Fabric::Send(int from, int to, uint32_t kind,
+                      std::vector<uint8_t> payload) {
+  chaos::Decision fault;
+  if (!VerbAdmitted(*this, to, ChaosPoints().send, &fault)) {
+    return OpStatus::kNodeDown;
   }
+  Deliver(from, to, kind, /*rpc_id=*/0, std::move(payload));
+  return OpStatus::kOk;
+}
+
+OpStatus Fabric::Rpc(int from, int to, uint32_t kind,
+                     std::vector<uint8_t> payload, std::vector<uint8_t>* reply,
+                     uint64_t timeout_us) {
+  chaos::Decision fault;
+  if (!VerbAdmitted(*this, to, ChaosPoints().send, &fault)) {
+    return OpStatus::kNodeDown;
+  }
+  const uint64_t rpc_id = next_rpc_id_.fetch_add(1, std::memory_order_relaxed);
+  auto pending = std::make_shared<PendingRpc>();
+  {
+    std::lock_guard<std::mutex> lock(rpc_mu_);
+    pending_rpcs_.emplace(rpc_id, pending);
+  }
+  Deliver(from, to, kind, rpc_id, std::move(payload));
 
   std::unique_lock<std::mutex> lock(pending->mu);
   const bool ok =

@@ -5,7 +5,10 @@
 //   * one-sided READ / WRITE / CAS / FAA against (node, offset), executed
 //     directly by the issuing thread through the HTM strong-access path —
 //     this is what makes the simulated RDMA cache-coherent with the HTM
-//     emulator, the property DrTM's protocol rests on;
+//     emulator, the property DrTM's protocol rests on. Every one-sided
+//     verb is posted and gathered by the submission engine
+//     (rdma::PhaseScatter); the scalar Read/Write/Cas/Faa below are
+//     one-WQE doorbells of it, charged exactly ReadNs/WriteNs/CasNs/FaaNs;
 //   * two-sided SEND/RECV with a blocking RPC wrapper.
 //
 // Atomicity levels (paper sections 4.2 and 6.3): at IBV_ATOMIC_HCA level,
@@ -95,15 +98,13 @@ class Fabric {
   MessageQueue& queue(int node) { return *queues_[static_cast<size_t>(node)]; }
 
  private:
-  // The doorbell-batched submission path (verbs_batch.h) reuses the
-  // per-WQE executors below so batched and scalar ops are
-  // result-equivalent; only the latency accounting differs.
-  friend class SendQueue;
+  // The submission engine (phase_scatter.h) runs every one-sided WQE
+  // through the executors below, and the scalar verbs through the engine.
+  friend class PhaseScatter;
 
   // Execute one work request through the HTM strong-access path and bump
-  // the per-op counters. No latency is charged here: the scalar verbs
-  // charge one full base cost per op, the batched path charges one
-  // doorbell per batch (LatencyModel::BatchNs).
+  // the per-op counters. No latency is charged here: the engine charges
+  // one doorbell per batch (LatencyModel::BatchNs).
   OpStatus ExecuteRead(int target, uint64_t offset, void* dst, size_t len);
   OpStatus ExecuteWrite(int target, uint64_t offset, const void* src,
                         size_t len);
@@ -112,11 +113,9 @@ class Fabric {
   OpStatus ExecuteFaa(int target, uint64_t offset, uint64_t delta,
                       uint64_t* observed);
 
-  // A scalar one-sided verb: the alive check, the modeled latency spin,
-  // the executor, and the verb's latency timer once it succeeded.
-  template <typename Execute>
-  OpStatus Scalar(int target, uint64_t latency_ns, uint32_t timer_id,
-                  Execute&& execute);
+  // Charges one SEND leg and queues the message on `to`.
+  void Deliver(int from, int to, uint32_t kind, uint64_t rpc_id,
+               std::vector<uint8_t> payload);
 
   struct PendingRpc;
 

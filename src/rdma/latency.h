@@ -32,7 +32,7 @@ struct LatencyModel {
   // is allowed to use processor atomics for local records (GLOB mode).
   uint64_t local_cas_ns = 80;
   // Marginal cost of one extra work-queue entry in a doorbell-batched
-  // submission (SendQueue): the NIC fetches and executes additional WQEs
+  // submission (PhaseScatter): the NIC fetches and executes additional WQEs
   // without paying another doorbell/PCIe round trip, so a batch of N
   // small READs costs one read_base_ns plus (N-1) of these.
   uint64_t wqe_overhead_ns = 150;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/rdma/verbs_batch.h"
-
 namespace drtm {
 namespace store {
 
@@ -22,9 +20,8 @@ RemoteKv::RemoteKv(rdma::Fabric* fabric, int target_node,
                    const Geometry& geometry, LocationCache* cache)
     : fabric_(fabric), target_(target_node), geo_(geometry), cache_(cache) {}
 
-// Resumable chain-walk state: the serial Lookup and the multi-target
-// ScatterLookup run the same walk steps, differing only in who rings the
-// doorbell between WalkPostRun and WalkConsumeRun.
+// Resumable chain-walk state; ScatterLookup rings the doorbell between
+// WalkPostRun and WalkConsumeRun.
 struct RemoteKv::Walk {
   uint64_t key = 0;
   bool bypass_cache = false;
@@ -37,6 +34,7 @@ struct RemoteKv::Walk {
   Bucket buckets[kSpeculationWindow];
   bool from_remote[kSpeculationWindow] = {};
   size_t run = 0;
+  bool in_flight = false;  // the run's READs are posted, not yet consumed
   RemoteEntryRef ref;
 
   void Finish() { done = true; }
@@ -104,8 +102,8 @@ void RemoteKv::WalkPredictRun(Walk& w) {
   }
 }
 
-size_t RemoteKv::WalkPostRun(Walk& w, rdma::SendQueue& sq,
-                             std::vector<uint64_t>* wr_ids) {
+size_t RemoteKv::WalkPostRun(Walk& w, rdma::PhaseScatter& scatter,
+                             rdma::WrId wr_id) {
   // Fetch the run: cache-resident buckets are served locally, the rest
   // ride one doorbell batch.
   size_t posted = 0;
@@ -116,19 +114,16 @@ size_t RemoteKv::WalkPostRun(Walk& w, rdma::SendQueue& sq,
       continue;
     }
     w.from_remote[i] = true;
-    const rdma::WrId id =
-        sq.PostRead(w.offsets[i], &w.buckets[i], sizeof(Bucket));
-    if (wr_ids != nullptr) {
-      wr_ids->push_back(id);
-    }
+    scatter.PostRead(target_, wr_id, w.offsets[i], &w.buckets[i],
+                     sizeof(Bucket));
     ++posted;
   }
   return posted;
 }
 
-bool RemoteKv::WalkConsumeRun(Walk& w, bool fetch_failed) {
-  if (fetch_failed) {
-    w.Finish();  // target down mid-walk: report not-found
+bool RemoteKv::WalkConsumeRun(Walk& w) {
+  if (w.ref.fetch_failed) {
+    w.Finish();  // target down or op faulted mid-walk
     return true;
   }
   if (cache_ != nullptr) {
@@ -173,38 +168,6 @@ bool RemoteKv::WalkConsumeRun(Walk& w, bool fetch_failed) {
   return true;
 }
 
-RemoteEntryRef RemoteKv::LookupInternal(uint64_t key, bool bypass_cache) {
-  Walk w;
-  w.key = key;
-  w.bypass_cache = bypass_cache;
-  w.bucket_off = geo_.MainBucketOffset(key);
-  // A chain longer than the indirect pool means corruption; bound the walk.
-  w.max_hops = geo_.indirect_buckets + 1;
-  rdma::SendQueue sq(*fabric_, target_,
-                     rdma::SendQueue::Config{kSpeculationWindow});
-  while (!w.done) {
-    if (WalkServeFromCache(w)) {
-      break;
-    }
-    WalkPredictRun(w);
-    const size_t posted = WalkPostRun(w, sq, nullptr);
-    bool failed = false;
-    if (posted > 0) {
-      ++w.ref.rdma_doorbells;
-      w.ref.rdma_reads += static_cast<int>(posted);
-      for (const rdma::Completion& comp : sq.Flush()) {
-        if (comp.status != rdma::OpStatus::kOk) {
-          failed = true;
-        }
-      }
-    }
-    if (WalkConsumeRun(w, failed)) {
-      break;
-    }
-  }
-  return w.ref;
-}
-
 void RemoteKv::ScatterLookup(rdma::PhaseScatter& scatter,
                              std::vector<LookupTask>* tasks) {
   const size_t n = tasks->size();
@@ -213,18 +176,12 @@ void RemoteKv::ScatterLookup(rdma::PhaseScatter& scatter,
     Walk& w = walks[i];
     LookupTask& task = (*tasks)[i];
     w.key = task.key;
-    w.bypass_cache = false;
+    w.bypass_cache = task.bypass_cache;
     w.bucket_off = task.client->geo_.MainBucketOffset(task.key);
+    // A chain longer than the indirect pool means corruption; bound it.
     w.max_hops = task.client->geo_.indirect_buckets + 1;
   }
-  // Round-distinguishing wr_id ownership: (target, wr_id) -> task index,
-  // rebuilt per round (wr_ids are unique per target queue for the
-  // scatter's lifetime, but the map only needs this round's READs).
-  std::vector<std::pair<std::pair<int, uint64_t>, size_t>> owners;
-  std::vector<uint64_t> round_ids;
-  std::vector<bool> posted_this_round(n, false);
-  std::vector<bool> failed(n, false);
-  std::vector<rdma::ScatterCompletion> comps;
+  std::vector<rdma::Completion> comps;
   const auto any_open = [&walks] {
     return std::any_of(walks.begin(), walks.end(),
                        [](const Walk& w) { return !w.done; });
@@ -233,11 +190,9 @@ void RemoteKv::ScatterLookup(rdma::PhaseScatter& scatter,
     // Scatter: each unfinished walk serves what it can from its cache,
     // predicts its next run, and posts the run's READs on its host
     // node's queue. Nothing is polled yet.
-    owners.clear();
     bool any_posted = false;
     for (size_t i = 0; i < n; ++i) {
       Walk& w = walks[i];
-      posted_this_round[i] = false;
       if (w.done) {
         continue;
       }
@@ -246,45 +201,35 @@ void RemoteKv::ScatterLookup(rdma::PhaseScatter& scatter,
         continue;
       }
       kv->WalkPredictRun(w);
-      round_ids.clear();
-      const size_t posted =
-          kv->WalkPostRun(w, scatter.To(kv->target_), &round_ids);
+      const size_t posted = kv->WalkPostRun(w, scatter, i);
       if (posted == 0) {
         // The whole run turned cache-resident after the cache probe
-        // missed (another worker installed it): consume it now, as the
-        // serial Lookup does, so the walk moves on without a READ.
-        kv->WalkConsumeRun(w, /*fetch_failed=*/false);
+        // missed (another worker installed it): consume it now, so the
+        // walk moves on without a READ.
+        kv->WalkConsumeRun(w);
         continue;
       }
       ++w.ref.rdma_doorbells;
       w.ref.rdma_reads += static_cast<int>(posted);
-      for (const uint64_t id : round_ids) {
-        owners.emplace_back(std::make_pair(kv->target_, id), i);
-      }
-      posted_this_round[i] = true;
+      w.in_flight = true;
       any_posted = true;
     }
     if (!any_posted) {
       continue;  // no READ in flight; open walks advanced from cache
     }
-    // Gather: one overlapped doorbell per target, then match each READ's
-    // status back to its walk.
+    // Gather: one overlapped doorbell per target; a failed READ fails
+    // the walk that posted it.
     comps.clear();
     scatter.Gather(&comps);
-    for (const rdma::ScatterCompletion& sc : comps) {
-      if (sc.comp.status == rdma::OpStatus::kOk) {
-        continue;
-      }
-      for (const auto& [owner_key, task_idx] : owners) {
-        if (owner_key.first == sc.target && owner_key.second == sc.comp.wr_id) {
-          failed[task_idx] = true;
-          break;
-        }
+    for (const rdma::Completion& comp : comps) {
+      if (comp.status != rdma::OpStatus::kOk) {
+        walks[comp.wr_id].ref.fetch_failed = true;
       }
     }
     for (size_t i = 0; i < n; ++i) {
-      if (posted_this_round[i]) {
-        (*tasks)[i].client->WalkConsumeRun(walks[i], failed[i]);
+      if (walks[i].in_flight) {
+        walks[i].in_flight = false;
+        (*tasks)[i].client->WalkConsumeRun(walks[i]);
       }
     }
   }
@@ -293,8 +238,14 @@ void RemoteKv::ScatterLookup(rdma::PhaseScatter& scatter,
   }
 }
 
-RemoteEntryRef RemoteKv::Lookup(uint64_t key) {
-  return LookupInternal(key, /*bypass_cache=*/false);
+RemoteEntryRef RemoteKv::Lookup(uint64_t key, bool bypass_cache) {
+  std::vector<LookupTask> tasks(1);
+  tasks[0].client = this;
+  tasks[0].key = key;
+  tasks[0].bypass_cache = bypass_cache;
+  rdma::PhaseScatter scatter(*fabric_);
+  ScatterLookup(scatter, &tasks);
+  return tasks[0].result;
 }
 
 bool RemoteKv::ReadEntry(uint64_t entry_off, RemoteEntrySnapshot* out) {
@@ -318,7 +269,7 @@ bool RemoteKv::ReadValue(uint64_t entry_off, void* out) {
 bool RemoteKv::Get(uint64_t key, void* value_out) {
   for (int attempt = 0; attempt < 2; ++attempt) {
     const bool bypass = (attempt == 1);
-    const RemoteEntryRef ref = LookupInternal(key, bypass);
+    const RemoteEntryRef ref = Lookup(key, bypass);
     if (!ref.found) {
       if (!bypass && cache_ != nullptr) {
         // The miss may be a stale cached bucket; retry against the host.

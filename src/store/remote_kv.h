@@ -6,14 +6,14 @@
 // cache. The walk is pipelined: chain-shape hints remembered by the
 // cache (LocationCache::NextHint) let the client post the predicted
 // next bucket's READ in the same doorbell batch as the current one
-// (rdma::SendQueue), so a k-deep chain costs one doorbell instead of k
-// serialized round trips whenever the shape was seen before. A
+// (rdma::PhaseScatter), so a k-deep chain costs one doorbell instead of
+// k serialized round trips whenever the shape was seen before. A
 // misprediction only wastes the speculative READ — correctness never
 // depends on a hint, because every fetched bucket is re-examined for
-// the key and the true chain pointer. A hit through the cache is
-// validated by incarnation checking against the fetched entry; a stale
-// location degrades to a cache miss and a refetch, never to a wrong
-// answer.
+// the key and the true chain pointer. A lookup of one key is a one-task
+// ScatterLookup. A hit through the cache is validated by incarnation
+// checking against the fetched entry; a stale location degrades to a
+// cache miss and a refetch, never to a wrong answer.
 #ifndef SRC_STORE_REMOTE_KV_H_
 #define SRC_STORE_REMOTE_KV_H_
 
@@ -30,6 +30,9 @@ namespace store {
 
 struct RemoteEntryRef {
   bool found = false;
+  // A chain READ failed (dead or faulted target): not-found then means
+  // "unknown", not "absent".
+  bool fetch_failed = false;
   uint64_t entry_off = kInvalidOffset;
   uint32_t incarnation = 0;
   int rdma_reads = 0;  // READs spent on this lookup (bench instrumentation)
@@ -49,8 +52,9 @@ class RemoteKv {
            LocationCache* cache = nullptr);
 
   // Locates the entry for key. On a found result, entry_off addresses the
-  // entry in the target node's region.
-  RemoteEntryRef Lookup(uint64_t key);
+  // entry in the target node's region. `bypass_cache` distrusts cached
+  // bucket contents (Get's retry after a stale cached location).
+  RemoteEntryRef Lookup(uint64_t key, bool bypass_cache = false);
 
   // Reads header + value in one RDMA READ. Returns false if the node is
   // down.
@@ -71,6 +75,7 @@ class RemoteKv {
   struct LookupTask {
     RemoteKv* client = nullptr;
     uint64_t key = 0;
+    bool bypass_cache = false;
     RemoteEntryRef result;
   };
 
@@ -80,25 +85,22 @@ class RemoteKv {
   // target (overlapped — see rdma::PhaseScatter), then consumes the
   // fetched buckets. A transaction resolving keys on k nodes pays
   // ~max(chain depth) overlapped rounds instead of the sum of every
-  // node's walk. A task against a dead node reports not-found, exactly
-  // like Lookup.
+  // node's walk. A task whose READ fails reports not-found with
+  // fetch_failed set. Each READ's wr_id is its task's index.
   static void ScatterLookup(rdma::PhaseScatter& scatter,
                             std::vector<LookupTask>* tasks);
 
  private:
   struct Walk;  // resumable chain-walk state (defined in remote_kv.cc)
 
-  RemoteEntryRef LookupInternal(uint64_t key, bool bypass_cache);
-
-  // Chain-walk steps shared by the serial and scatter lookups. A walk
-  // round is: serve from cache (may finish the walk), predict the next
-  // speculative run, post the run's uncached READs, then — after the
-  // doorbell — consume the fetched buckets (may finish or restart).
+  // Chain-walk steps. A walk round is: serve from cache (may finish the
+  // walk), predict the next speculative run, post the run's uncached
+  // READs, then — after the doorbell — consume the fetched buckets (may
+  // finish or restart).
   bool WalkServeFromCache(Walk& w);  // true when the walk finished
   void WalkPredictRun(Walk& w);
-  size_t WalkPostRun(Walk& w, rdma::SendQueue& sq,
-                     std::vector<uint64_t>* wr_ids);
-  bool WalkConsumeRun(Walk& w, bool fetch_failed);  // true when finished
+  size_t WalkPostRun(Walk& w, rdma::PhaseScatter& scatter, rdma::WrId wr_id);
+  bool WalkConsumeRun(Walk& w);  // true when finished
 
   rdma::Fabric* fabric_;
   int target_;

@@ -69,57 +69,45 @@ struct Acquirer::Step {
   bool lost = false;  // a CAS of ours has lost a race
 };
 
-// One overlapped scatter round whose completions map back to their steps.
+// One overlapped scatter round. Each verb's wr_id is its step's address,
+// so a completion finds its step directly.
 class Acquirer::Round {
  public:
   Round(rdma::Fabric& fabric, const stat::ScatterPhaseIds& ids)
-      : scatter_(fabric, rdma::SendQueue::Config{}, &ids) {}
+      : scatter_(fabric, &ids) {}
 
   // Posts the step's verb on `node`'s queue: a CAS to `*desired`, or a
   // probe READ when `desired` is null.
   void Post(int node, uint64_t offset, Step& step, const uint64_t* desired) {
-    rdma::SendQueue& sq = scatter_.To(node);
-    const rdma::WrId id =
-        desired != nullptr
-            ? sq.PostCas(offset, step.expected, *desired)
-            : sq.PostRead(offset, &step.observed, sizeof(step.observed));
-    posted_.push_back(Posted{node, id, &step, desired != nullptr});
+    const rdma::WrId id = reinterpret_cast<uintptr_t>(&step);
+    if (desired != nullptr) {
+      scatter_.PostCas(node, id, offset, step.expected, *desired);
+    } else {
+      scatter_.PostRead(node, id, offset, &step.observed,
+                        sizeof(step.observed));
+    }
   }
 
   // Rings every target's doorbell, then records each CAS's observed
   // word. A failed completion ends its step; returns false if any did.
   bool Gather() {
-    std::vector<rdma::ScatterCompletion> comps;
+    std::vector<rdma::Completion> comps;
     scatter_.Gather(&comps);
     bool ok = true;
-    for (const rdma::ScatterCompletion& sc : comps) {
-      const Posted* p = nullptr;
-      for (const Posted& posted : posted_) {
-        if (posted.node == sc.target && posted.id == sc.comp.wr_id) {
-          p = &posted;
-          break;
-        }
-      }
-      if (sc.comp.status != rdma::OpStatus::kOk) {
-        p->step->op = Step::kDone;
+    for (const rdma::Completion& comp : comps) {
+      Step& step = *reinterpret_cast<Step*>(comp.wr_id);
+      if (comp.status != rdma::OpStatus::kOk) {
+        step.op = Step::kDone;
         ok = false;
-      } else if (p->cas) {
-        p->step->observed = sc.comp.observed;
+      } else if (step.op == Step::kCas) {
+        step.observed = comp.observed;
       }
     }
     return ok;
   }
 
  private:
-  struct Posted {
-    int node;
-    rdma::WrId id;
-    Step* step;
-    bool cas;
-  };
-
   rdma::PhaseScatter scatter_;
-  std::vector<Posted> posted_;
 };
 
 Acquirer::Acquirer(Worker* worker, uint64_t lease_end, uint64_t lease_us)
@@ -139,7 +127,7 @@ void Acquirer::Route(LockRequest& r) const {
 
 bool Acquirer::Resolve(const std::vector<LockRequest*>& reqs) {
   // One RemoteKv per remote request (geometry is per <node, table>); the
-  // scatter dedups queues per target node, so all chains walk in
+  // scatter keeps one queue per target node, so all chains walk in
   // lockstep with one overlapped doorbell per node per round.
   std::vector<std::unique_ptr<store::RemoteKv>> clients;
   std::vector<store::RemoteKv::LookupTask> tasks;
@@ -161,12 +149,14 @@ bool Acquirer::Resolve(const std::vector<LockRequest*>& reqs) {
     remote.push_back(r);
   }
   if (!tasks.empty()) {
-    rdma::PhaseScatter scatter(cluster_.fabric(), rdma::SendQueue::Config{},
-                               &stat::ScatterLookupIds());
+    rdma::PhaseScatter scatter(cluster_.fabric(), &stat::ScatterLookupIds());
     store::RemoteKv::ScatterLookup(scatter, &tasks);
   }
   for (size_t t = 0; t < tasks.size(); ++t) {
-    if (!cluster_.fabric().IsAlive(remote[t]->node)) {
+    // A failed chain READ leaves the key's presence unknown: reading it
+    // as absent would turn a NIC fault into a user-visible miss.
+    if (tasks[t].result.fetch_failed ||
+        !cluster_.fabric().IsAlive(remote[t]->node)) {
       return false;
     }
     remote[t]->found = tasks[t].result.found;
@@ -297,7 +287,7 @@ Acquirer::Result Acquirer::TryAll(const std::vector<LockRequest*>& reqs,
       return Result::kConflict;
     }
     // First attempts ride one overlapped round; a CAS retried after
-    // losing a race (contention only) goes out as a scalar verb.
+    // losing a race (contention only) goes out as its own doorbell.
     Round batch(cluster_.fabric(), ids);
     for (size_t i = 0; i < reqs.size(); ++i) {
       if (steps[i].op != Step::kDone &&
@@ -371,8 +361,7 @@ Acquirer::Result Acquirer::AcquireInOrder(std::vector<LockRequest*> reqs) {
 Acquirer::Result Acquirer::Prefetch(const std::vector<LockRequest*>& reqs) {
   std::vector<std::vector<uint8_t>> raws(reqs.size());
   {
-    rdma::PhaseScatter scatter(cluster_.fabric(), rdma::SendQueue::Config{},
-                               &stat::ScatterPrefetchIds());
+    rdma::PhaseScatter scatter(cluster_.fabric(), &stat::ScatterPrefetchIds());
     for (size_t i = 0; i < reqs.size(); ++i) {
       const LockRequest& r = *reqs[i];
       if (!r.found || !(r.locked || r.leased || r.chain_locked)) {
@@ -380,13 +369,13 @@ Acquirer::Result Acquirer::Prefetch(const std::vector<LockRequest*>& reqs) {
       }
       raws[i].resize(sizeof(store::EntryHeader) +
                      cluster_.table(r.table).value_size);
-      scatter.To(r.node).PostRead(r.entry_off, raws[i].data(),
-                                  raws[i].size());
+      scatter.PostRead(r.node, i, r.entry_off, raws[i].data(),
+                       raws[i].size());
     }
-    std::vector<rdma::ScatterCompletion> comps;
+    std::vector<rdma::Completion> comps;
     scatter.Gather(&comps);
-    for (const rdma::ScatterCompletion& sc : comps) {
-      if (sc.comp.status != rdma::OpStatus::kOk) {
+    for (const rdma::Completion& comp : comps) {
+      if (comp.status != rdma::OpStatus::kOk) {
         return Result::kNodeDown;
       }
     }

@@ -16,11 +16,12 @@
 //   TryAll         non-waiting, for the HTM Start phase and read-only
 //                  transactions: each round posts every unsettled
 //                  request's first attempt on one overlapped PhaseScatter
-//                  round (a CAS retried after losing a race goes out as a
-//                  scalar verb). A lock blocked on its first CAS gets one
-//                  immediate retry; after that, any request that would
-//                  have to wait fails the whole set (acquiring out of
-//                  order is then still deadlock-free: nothing waits).
+//                  round (a CAS retried after losing a race goes out as
+//                  its own one-WQE doorbell, Fabric::Cas). A lock blocked
+//                  on its first CAS gets one immediate retry; after
+//                  that, any request that would have to wait fails the
+//                  whole set (acquiring out of order is then still
+//                  deadlock-free: nothing waits).
 //   AcquireInOrder waiting, for the 2PL fallback, its dynamic reads and
 //                  chain locks: requests are taken one at a time in the
 //                  global <table, key> order, waiting out lock holders
@@ -106,7 +107,7 @@ class Acquirer {
   void Route(LockRequest& r) const;
   // Resolves every request's entry offset: local records by a direct
   // lookup, remote chains walked in lockstep by one scatter lookup.
-  // Returns false if a target died mid-walk.
+  // Returns false if a target is dead or a chain READ failed.
   bool Resolve(const std::vector<LockRequest*>& reqs);
 
   // Non-waiting batched acquisition of every found request (see above).

@@ -44,7 +44,7 @@ constexpr uint32_t kEpochOpen = 0x45504f50;    // "EPOP"
 constexpr uint32_t kEpochSealed = 0x4550534c;  // "EPSL"
 constexpr size_t kHeaderBytes = sizeof(RecordHeader);
 constexpr size_t kEpochHeaderBytes = sizeof(RecordHeader) + sizeof(EpochInfo);
-// Flush-device window, mirroring SendQueue's max-outstanding doorbells:
+// Flush-device window, mirroring the RDMA send queue's depth:
 // at most this many sealed epochs may be in flight before a submit
 // blocks on the oldest completion.
 constexpr size_t kMaxInflightFlushes = 4;
@@ -354,7 +354,7 @@ void NvramLog::SubmitFlush(int worker, uint64_t end_lsn, size_t bytes) {
   }
   if (state.inflight.size() >= kMaxInflightFlushes) {
     // Window full: block on the oldest in-flight flush, like a full
-    // SendQueue blocks on its oldest completion.
+    // RDMA send queue waits out its pending batch.
     const uint64_t ready = state.inflight.front().ready_ns;
     const uint64_t now = MonotonicNanos();
     if (ready > now) {

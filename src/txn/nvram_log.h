@@ -19,7 +19,7 @@
 // data length and checksum), epochs seal on byte/time thresholds or at
 // externalization barriers, and each sealed epoch is submitted to a
 // per-worker flush device asynchronously — doorbell-style, the same
-// one-submission-per-batch amortization shape as rdma::SendQueue. A
+// one-submission-per-batch amortization shape as rdma::PhaseScatter. A
 // transaction is durably *acknowledged* only once the flush covering
 // its records completes (DurableUpTo / WaitDurable). Recovery never
 // looks past the sealed frontier, and validates each epoch's checksum,

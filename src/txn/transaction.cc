@@ -381,7 +381,7 @@ void Transaction::WriteWalInHtm() {
   if (!cfg_.logging && !replay::Armed()) {
     return;
   }
-  // Local updates were recorded as they happened (LocalWriteInHtm);
+  // Local updates were recorded as they happened (LocalWriteRangeInHtm);
   // remote updates sit in their prefetch buffers until write-back, so
   // log their final values here. With replay recording armed this also
   // folds the remote updates into the replay WAL digest even when
@@ -451,22 +451,15 @@ bool Transaction::WriteBackAndUnlock() {
       cluster_.fabric().atomic_level() == rdma::AtomicLevel::kGlob;
   const uint64_t init = kStateInit;
   std::vector<std::vector<uint8_t>> images(end);
-  struct Posted {
-    int node;
-    rdma::WrId id;
-    size_t ref_idx;
-    bool unlock;
-  };
-  std::vector<Posted> posted;
   // Per ref: one WRITE for version + (still-held) state + value, then
   // one WRITE to unlock — the two-op commit of REMOTE_WRITE_BACK
   // (Fig. 5). All of a node's WRITEs ride one doorbell and every
   // target's doorbell is rung before any is polled (PhaseScatter), so k
   // commit targets overlap into ~1 round trip. Each target's queue
   // executes in post order, and every write-back is posted before any
-  // unlock, so each unlock lands after its write-back.
-  rdma::PhaseScatter scatter(cluster_.fabric(), rdma::SendQueue::Config{},
-                             &stat::ScatterWritebackIds());
+  // unlock, so each unlock lands after its write-back. A WRITE's wr_id
+  // is 2 * ref index, plus 1 for the unlock.
+  rdma::PhaseScatter scatter(cluster_.fabric(), &stat::ScatterWritebackIds());
   for (size_t i = 0; i < end; ++i) {
     const Ref& ref = refs_[i];
     if (ref.local || !ref.WritesBack()) {
@@ -475,12 +468,9 @@ bool Transaction::WriteBackAndUnlock() {
     // A chain-locked image's state-word field re-writes the chain's own
     // lock word, a no-op; its unlock belongs to the chain.
     images[i] = WriteBackImage(ref);
-    posted.push_back(Posted{
-        ref.node,
-        scatter.To(ref.node).PostWrite(
-            ref.entry_off + store::kEntryVersionOffset, images[i].data(),
-            images[i].size()),
-        i, false});
+    scatter.PostWrite(ref.node, 2 * i,
+                      ref.entry_off + store::kEntryVersionOffset,
+                      images[i].data(), images[i].size());
   }
   for (size_t i = 0; i < end; ++i) {
     Ref& ref = refs_[i];
@@ -491,37 +481,29 @@ bool Transaction::WriteBackAndUnlock() {
       acq.DropLock(ref);  // a strong store on our own state word
       continue;
     }
-    posted.push_back(Posted{
-        ref.node,
-        scatter.To(ref.node).PostWrite(
-            ref.entry_off + store::kEntryStateOffset, &init, sizeof(init)),
-        i, true});
+    scatter.PostWrite(ref.node, 2 * i + 1,
+                      ref.entry_off + store::kEntryStateOffset, &init,
+                      sizeof(init));
   }
-  std::vector<rdma::ScatterCompletion> comps;
+  std::vector<rdma::Completion> comps;
   scatter.Gather(&comps);
   bool landed = true;
-  for (const rdma::ScatterCompletion& sc : comps) {
-    if (sc.comp.status == rdma::OpStatus::kOk) {
+  for (const rdma::Completion& comp : comps) {
+    if (comp.status == rdma::OpStatus::kOk) {
       continue;
-    }
-    const Posted* p = nullptr;
-    for (const Posted& candidate : posted) {
-      if (candidate.node == sc.target && candidate.id == sc.comp.wr_id) {
-        p = &candidate;
-        break;
-      }
     }
     // Target down mid-commit: the transaction has committed, so retry
     // until the node recovers (§4.6(e)), preserving per-ref order
-    // (scatter completions come back in per-target post order, so a
-    // write-back failure is retried before its unlock, which also
-    // failed and follows later in `comps`).
-    Ref& ref = refs_[p->ref_idx];
-    if (!p->unlock) {
+    // (completions come back in per-target post order, so a write-back
+    // failure is retried before its unlock, which also failed and
+    // follows later in `comps`).
+    const size_t i = comp.wr_id / 2;
+    Ref& ref = refs_[i];
+    if (comp.wr_id % 2 == 0) {
       landed &= WriteUntilRecovered(
           cluster_.fabric(), ref.node,
-          ref.entry_off + store::kEntryVersionOffset,
-          images[p->ref_idx].data(), images[p->ref_idx].size());
+          ref.entry_off + store::kEntryVersionOffset, images[i].data(),
+          images[i].size());
     } else {
       landed &= acq.DropLock(ref);
     }
@@ -743,7 +725,8 @@ bool Transaction::LocalReadInHtm(Ref& ref, void* out) {
   return true;
 }
 
-bool Transaction::LocalWriteInHtm(Ref& ref, const void* value) {
+bool Transaction::LocalWriteRangeInHtm(Ref& ref, uint32_t offset,
+                                       const void* data, uint32_t len) {
   store::ClusterHashTable* table = cluster_.hash_table(ref.node, ref.table);
   const uint64_t entry = table->FindEntry(ref.key);
   if (entry == store::kInvalidOffset) {
@@ -756,16 +739,19 @@ bool Transaction::LocalWriteInHtm(Ref& ref, const void* value) {
   if (!GateAllows(cluster_, ref.table, ref.key)) {
     htm.Abort(kCodeLocked);
   }
-  // LOCAL_WRITE (Fig. 6): write the version bump and the value
+  // LOCAL_WRITE (Fig. 6): write the version bump and the value slice
   // speculatively, then subscribe the state word as late as possible
   // (lazy lock subscription, rtmseq): probing before the data writes
   // would hold the word in the HTM read set across the value copy and
   // abort needlessly on the holder's unlock store. Safe to defer — if
   // the word turns out locked/leased we abort and the region's stores
-  // are discarded wholesale.
+  // are discarded wholesale. Only the slice's lines (plus the header)
+  // enter the HTM write set — this is what lets a chopped piece update
+  // one slice of a value whose full footprint overflows the budget.
   const uint32_t version = htm.Load(table->VersionPtr(entry));
   htm.Store(table->VersionPtr(entry), version + 1);
-  htm.Write(table->ValuePtr(entry), value, ref.value_size);
+  htm.Write(static_cast<uint8_t*>(table->ValuePtr(entry)) + offset, data,
+            len);
   // Abort on a write lock or an unexpired lease; actively clear an
   // expired lease (side effect: the state word joins the HTM write set,
   // which is why LOCAL_READ does not do this). A chain-locked ref's
@@ -791,48 +777,9 @@ bool Transaction::LocalWriteInHtm(Ref& ref, const void* value) {
   ref.version = version;
   ref.dirty = true;
   ref.applied = true;
-  RecordWalUpdate(ref, value);
-  return true;
-}
-
-bool Transaction::LocalWriteRangeInHtm(Ref& ref, uint32_t offset,
-                                       const void* data, uint32_t len) {
-  store::ClusterHashTable* table = cluster_.hash_table(ref.node, ref.table);
-  const uint64_t entry = table->FindEntry(ref.key);
-  if (entry == store::kInvalidOffset) {
-    return false;
-  }
-  htm::HtmThread& htm = worker_->htm();
-  if (!GateAllows(cluster_, ref.table, ref.key)) {
-    htm.Abort(kCodeLocked);
-  }
-  // The sliced LOCAL_WRITE: only the slice's lines (plus the header)
-  // enter the HTM write set — this is what lets a chopped piece update
-  // one slice of a value whose full footprint overflows the budget.
-  const uint32_t version = htm.Load(table->VersionPtr(entry));
-  htm.Store(table->VersionPtr(entry), version + 1);
-  htm.Write(static_cast<uint8_t*>(table->ValuePtr(entry)) + offset, data,
-            len);
-  // Lazy state subscription, identical to LocalWriteInHtm.
-  const uint64_t state = htm.Load(table->StatePtr(entry));
-  if (IsWriteLocked(state) && !ref.chain_locked) {
-    htm.Abort(kCodeLocked);
-  }
-  if (HasLease(state)) {
-    const uint64_t now =
-        cfg_.softtime_read_every_local_op
-            ? htm.Load(cluster_.synctime().Word(worker_->node()))
-            : now_start_;
-    if (!LeaseExpired(LeaseEnd(state), now, cfg_.delta_us)) {
-      htm.Abort(kCodeLocked);
-    }
-    htm.Store(table->StatePtr(entry), kStateInit);
-  }
-  ref.entry_off = entry;
-  ref.version = version;
-  ref.dirty = true;
-  ref.applied = true;
-  if (cfg_.logging || replay::Armed()) {
+  if (offset == 0 && len == ref.value_size) {
+    RecordWalUpdate(ref, data);
+  } else if (cfg_.logging || replay::Armed()) {
     // The WAL (and the replay digest) record full values; compose the
     // post-write image (the transactional read overlays our buffered
     // slice). Logging/recording-only cost.
@@ -913,7 +860,7 @@ bool Transaction::Write(int table, uint64_t key, const void* value) {
     ref->dirty = true;
     return true;
   }
-  return LocalWriteInHtm(*ref, value);
+  return LocalWriteRangeInHtm(*ref, 0, value, ref->value_size);
 }
 
 bool Transaction::WriteRange(int table, uint64_t key, uint32_t offset,
@@ -1171,7 +1118,7 @@ TxnStatus Transaction::RunFallback(const Body& body) {
       return TxnStatus::kUserAbort;
     }
     // Gather WAL updates for buffered hash writes (local ones were
-    // buffered, not applied through LocalWriteInHtm).
+    // buffered, not applied through LocalWriteRangeInHtm).
     for (Ref& ref : refs_) {
       if (ref.dirty) {
         RecordWalUpdate(ref, ref.buf.data());

@@ -297,7 +297,6 @@ class Transaction {
 
   // In-body helpers.
   bool LocalReadInHtm(Ref& ref, void* out);
-  bool LocalWriteInHtm(Ref& ref, const void* value);
   bool LocalWriteRangeInHtm(Ref& ref, uint32_t offset, const void* data,
                             uint32_t len);
   void RecordWalUpdate(const Ref& ref, const void* value);

@@ -2,7 +2,7 @@
 // migration under traffic (conservation + mid-migration oracle),
 // location-cache invalidation across an ownership flip, admission
 // control shedding, hot-key tracking / read-lease replicas, and the
-// SendQueue outstanding-window gauge.
+// send-queue outstanding-window gauge.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +14,7 @@
 #include "src/elastic/hotkey.h"
 #include "src/elastic/migration.h"
 #include "src/elastic/routing.h"
-#include "src/rdma/verbs_batch.h"
+#include "src/rdma/phase_scatter.h"
 #include "src/stat/metrics.h"
 #include "src/store/kv_layout.h"
 #include "src/txn/cluster.h"
@@ -394,26 +394,27 @@ TEST(SendQueueOccupancyTest, OutstandingWindowGaugeTracksWqes) {
   config.num_nodes = 2;
   config.region_bytes = 1 << 20;
   rdma::Fabric fabric(config);
-  const int64_t base = rdma::SendQueue::OutstandingForTarget(1);
+  const int64_t base = rdma::OutstandingForTarget(1);
 
   uint64_t scratch = 0;
-  rdma::SendQueue sq(fabric, 1, rdma::SendQueue::Config{64});
+  rdma::PhaseScatter scatter(fabric);
   for (int i = 0; i < 5; ++i) {
-    sq.PostRead(0, &scratch, sizeof(scratch));
+    scatter.PostRead(1, i, 0, &scratch, sizeof(scratch));
   }
-  EXPECT_EQ(rdma::SendQueue::OutstandingForTarget(1), base + 5);
-  sq.Flush();
-  EXPECT_EQ(rdma::SendQueue::OutstandingForTarget(1), base);
+  EXPECT_EQ(rdma::OutstandingForTarget(1), base + 5);
+  std::vector<rdma::Completion> comps;
+  scatter.Gather(&comps);
+  EXPECT_EQ(rdma::OutstandingForTarget(1), base);
   stat::Registry& reg = stat::Registry::Global();
   EXPECT_EQ(reg.GaugeValue(reg.GaugeId("rdma.sendq.outstanding")), base);
 
   // Abandoned WQEs refund their occupancy at destruction.
   {
-    rdma::SendQueue leaky(fabric, 1, rdma::SendQueue::Config{64});
-    leaky.PostRead(0, &scratch, sizeof(scratch));
-    EXPECT_EQ(rdma::SendQueue::OutstandingForTarget(1), base + 1);
+    rdma::PhaseScatter leaky(fabric);
+    leaky.PostRead(1, 0, 0, &scratch, sizeof(scratch));
+    EXPECT_EQ(rdma::OutstandingForTarget(1), base + 1);
   }
-  EXPECT_EQ(rdma::SendQueue::OutstandingForTarget(1), base);
+  EXPECT_EQ(rdma::OutstandingForTarget(1), base);
 }
 
 }  // namespace

@@ -324,7 +324,7 @@ TEST(RemoteKvStress, ScatterLookupSurvivesConcurrentCacheReinstalls) {
       }
     }
   });
-  rdma::PhaseScatter scatter(fabric, rdma::SendQueue::Config{4});
+  rdma::PhaseScatter scatter(fabric);
   int misses = 0;
   for (int round = 0; round < 100000; ++round) {
     std::vector<RemoteKv::LookupTask> tasks(2);

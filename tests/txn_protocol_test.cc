@@ -8,6 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/chaos/fault_plan.h"
+#include "src/chaos/injector.h"
 #include "src/htm/htm.h"
 #include "src/stat/metrics.h"
 #include "src/store/kv_layout.h"
@@ -550,6 +552,25 @@ TEST_F(TxnProtocolTest, NodeFailureSurfacesAndLocksReleased) {
   EXPECT_EQ(StrongBalance(0), kInitialBalance);
   cluster_->Revive(1);
   EXPECT_EQ(Transfer(&worker, 0, 1, 10), TxnStatus::kCommitted);
+}
+
+TEST_F(TxnProtocolTest, FailedLookupReadOnLiveNodeIsNodeFailure) {
+  // A chain READ that fails against a live node leaves the key's
+  // presence unknown. Read as "absent", the body would see a present
+  // record missing and user-abort; the failure must surface as
+  // kNodeFailure instead, like any other failed verb.
+  SetUpCluster(SmallConfig(2));
+  Worker worker(cluster_.get(), 0, 0);
+  chaos::FaultPlan plan;
+  plan.Add(chaos::FaultEvent{"rdma.read.wqe", 1, chaos::FaultKind::kDropOp,
+                             -1, 0});
+  chaos::Injector::Global().Arm(plan);
+  const TxnStatus status = Transfer(&worker, 0, 1, 10);
+  chaos::Injector::Global().Disarm();
+  EXPECT_EQ(status, TxnStatus::kNodeFailure);
+  EXPECT_TRUE(cluster_->fabric().IsAlive(1));
+  EXPECT_EQ(Transfer(&worker, 0, 1, 10), TxnStatus::kCommitted);
+  EXPECT_EQ(StrongBalance(1), kInitialBalance + 10);
 }
 
 TEST_F(TxnProtocolTest, FallbackWaitsOutAHeldLock) {

@@ -1,16 +1,22 @@
-#include "src/rdma/verbs_batch.h"
+// Tests for the RDMA submission engine (src/rdma/phase_scatter.h):
+// posting with caller-owned wr_ids, per-target post order, the
+// reliable-connection error flush, the auto-doorbell window, overlapped
+// per-target doorbells, and the scalar verbs as one-WQE doorbells.
+#include "src/rdma/phase_scatter.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/chaos/fault_plan.h"
+#include "src/chaos/injector.h"
 #include "src/htm/htm.h"
 #include "src/rdma/fabric.h"
-#include "src/rdma/phase_scatter.h"
 #include "src/stat/metrics.h"
 #include "src/stat/scatter_stats.h"
 
@@ -28,21 +34,27 @@ Fabric::Config TestConfig(int nodes,
   return config;
 }
 
-TEST(SendQueue, BatchedReadWriteMatchScalar) {
+std::vector<Completion> GatherAll(PhaseScatter& scatter) {
+  std::vector<Completion> comps;
+  scatter.Gather(&comps);
+  return comps;
+}
+
+TEST(PhaseScatter, BatchedReadWriteMatchScalar) {
   Fabric fabric(TestConfig(2));
   const uint64_t off_a = fabric.memory(1).Allocate(64);
   const uint64_t off_b = fabric.memory(1).Allocate(64);
   const char msg_a[] = "first remote payload";
   const char msg_b[] = "second remote payload";
 
-  SendQueue sq(fabric, 1);
-  sq.PostWrite(off_a, msg_a, sizeof(msg_a));
-  sq.PostWrite(off_b, msg_b, sizeof(msg_b));
+  PhaseScatter scatter(fabric);
+  scatter.PostWrite(1, 0, off_a, msg_a, sizeof(msg_a));
+  scatter.PostWrite(1, 1, off_b, msg_b, sizeof(msg_b));
   char got_a[sizeof(msg_a)] = {0};
   char got_b[sizeof(msg_b)] = {0};
-  sq.PostRead(off_a, got_a, sizeof(got_a));
-  sq.PostRead(off_b, got_b, sizeof(got_b));
-  for (const Completion& comp : sq.Flush()) {
+  scatter.PostRead(1, 2, off_a, got_a, sizeof(got_a));
+  scatter.PostRead(1, 3, off_b, got_b, sizeof(got_b));
+  for (const Completion& comp : GatherAll(scatter)) {
     EXPECT_EQ(comp.status, OpStatus::kOk);
   }
   EXPECT_STREQ(got_a, msg_a);
@@ -54,44 +66,59 @@ TEST(SendQueue, BatchedReadWriteMatchScalar) {
   EXPECT_STREQ(scalar_a, msg_a);
 }
 
-TEST(SendQueue, CompletionsExactlyOnceInPostOrder) {
+TEST(PhaseScatter, CompletionsExactlyOnceInPostOrderWithCallerWrIds) {
   Fabric fabric(TestConfig(2));
   const uint64_t off = fabric.memory(1).Allocate(8);
-  SendQueue sq(fabric, 1);
-  std::vector<WrId> posted;
+  PhaseScatter scatter(fabric);
+  const WrId ids[4] = {42, 7, 1000, 7};  // caller-chosen, even repeated
   uint64_t scratch[4];
   for (int i = 0; i < 4; ++i) {
-    posted.push_back(sq.PostRead(off, &scratch[i], 8));
+    scatter.PostRead(1, ids[i], off, &scratch[i], 8);
   }
-  EXPECT_EQ(sq.pending(), 4u);
-  EXPECT_EQ(sq.RingDoorbell(), 4u);
-  EXPECT_EQ(sq.pending(), 0u);
-  EXPECT_EQ(sq.inflight(), 4u);
-
-  // Drain in two unequal polls; ids must come back in post order.
-  Completion out[3];
-  ASSERT_EQ(sq.PollCompletions(out, 3), 3u);
-  EXPECT_EQ(out[0].wr_id, posted[0]);
-  EXPECT_EQ(out[1].wr_id, posted[1]);
-  EXPECT_EQ(out[2].wr_id, posted[2]);
-  ASSERT_EQ(sq.PollCompletions(out, 3), 1u);
-  EXPECT_EQ(out[0].wr_id, posted[3]);
-  // Exactly once: nothing left.
-  EXPECT_EQ(sq.PollCompletions(out, 3), 0u);
-  EXPECT_EQ(sq.inflight(), 0u);
-  // An empty doorbell is a no-op.
-  EXPECT_EQ(sq.RingDoorbell(), 0u);
+  std::vector<Completion> comps;
+  EXPECT_EQ(scatter.Gather(&comps), 4u);
+  ASSERT_EQ(comps.size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(comps[i].wr_id, ids[i]);
+    EXPECT_EQ(comps[i].target, 1);
+  }
+  // Exactly once: a second gather has nothing left.
+  EXPECT_EQ(scatter.Gather(&comps), 0u);
+  EXPECT_EQ(comps.size(), 4u);
 }
 
-TEST(SendQueue, BatchedCasReportsPreSwapValue) {
+TEST(PhaseScatter, SameWrIdOnTwoTargetsComesBackOncePerTarget) {
+  Fabric fabric(TestConfig(3));
+  const uint64_t off1 = fabric.memory(1).Allocate(8);
+  const uint64_t off2 = fabric.memory(2).Allocate(8);
+  fabric.SetAlive(2, false);
+  PhaseScatter scatter(fabric);
+  uint64_t scratch1 = 0, scratch2 = 0;
+  scatter.PostRead(2, 5, off2, &scratch2, 8);
+  scatter.PostRead(1, 5, off1, &scratch1, 8);
+  std::vector<Completion> comps = GatherAll(scatter);
+  ASSERT_EQ(comps.size(), 2u);
+  std::sort(comps.begin(), comps.end(),
+            [](const Completion& a, const Completion& b) {
+              return a.target < b.target;
+            });
+  EXPECT_EQ(comps[0].target, 1);
+  EXPECT_EQ(comps[0].wr_id, 5u);
+  EXPECT_EQ(comps[0].status, OpStatus::kOk);
+  EXPECT_EQ(comps[1].target, 2);
+  EXPECT_EQ(comps[1].wr_id, 5u);
+  EXPECT_EQ(comps[1].status, OpStatus::kNodeDown);
+}
+
+TEST(PhaseScatter, BatchedCasReportsPreSwapValue) {
   Fabric fabric(TestConfig(2));
   const uint64_t off = fabric.memory(1).Allocate(8);
-  SendQueue sq(fabric, 1);
+  PhaseScatter scatter(fabric);
   // In-order QP: the first CAS wins, the second sees the swapped value —
   // identical to two scalar CASes issued back to back.
-  sq.PostCas(off, 0, 55);
-  sq.PostCas(off, 0, 66);
-  const std::vector<Completion> comps = sq.Flush();
+  scatter.PostCas(1, 0, off, 0, 55);
+  scatter.PostCas(1, 1, off, 0, 66);
+  const std::vector<Completion> comps = GatherAll(scatter);
   ASSERT_EQ(comps.size(), 2u);
   EXPECT_EQ(comps[0].status, OpStatus::kOk);
   EXPECT_EQ(comps[0].observed, 0u);  // swap happened
@@ -101,13 +128,13 @@ TEST(SendQueue, BatchedCasReportsPreSwapValue) {
   EXPECT_EQ(value, 55u);
 }
 
-TEST(SendQueue, BatchedFaaAccumulatesInOrder) {
+TEST(PhaseScatter, BatchedFaaAccumulatesInOrder) {
   Fabric fabric(TestConfig(1));
   const uint64_t off = fabric.memory(0).Allocate(8);
-  SendQueue sq(fabric, 0);
-  sq.PostFaa(off, 3);
-  sq.PostFaa(off, 4);
-  const std::vector<Completion> comps = sq.Flush();
+  PhaseScatter scatter(fabric);
+  scatter.PostFaa(0, 0, off, 3);
+  scatter.PostFaa(0, 1, off, 4);
+  const std::vector<Completion> comps = GatherAll(scatter);
   ASSERT_EQ(comps.size(), 2u);
   EXPECT_EQ(comps[0].observed, 0u);
   EXPECT_EQ(comps[1].observed, 3u);
@@ -116,24 +143,60 @@ TEST(SendQueue, BatchedFaaAccumulatesInOrder) {
   EXPECT_EQ(value, 7u);
 }
 
-TEST(SendQueue, AutoDoorbellAtWindow) {
+TEST(PhaseScatter, ConsecutiveGathersExecuteInOrder) {
   Fabric fabric(TestConfig(2));
   const uint64_t off = fabric.memory(1).Allocate(8);
-  SendQueue sq(fabric, 1, SendQueue::Config{2});
-  uint64_t scratch[3];
-  sq.PostRead(off, &scratch[0], 8);
-  EXPECT_EQ(sq.pending(), 1u);
-  // Filling the window submits the batch automatically.
-  sq.PostRead(off, &scratch[1], 8);
-  EXPECT_EQ(sq.pending(), 0u);
-  EXPECT_EQ(sq.inflight(), 2u);
-  sq.PostRead(off, &scratch[2], 8);
-  EXPECT_EQ(sq.pending(), 1u);
-  const std::vector<Completion> comps = sq.Flush();
-  EXPECT_EQ(comps.size(), 3u);
+  PhaseScatter scatter(fabric);
+  // Two rounds on one scatter behave like two doorbells in order: the
+  // first round's CAS is visible to the second.
+  scatter.PostCas(1, 0, off, 0, 11);
+  const std::vector<Completion> first = GatherAll(scatter);
+  scatter.PostCas(1, 1, off, 11, 22);
+  const std::vector<Completion> second = GatherAll(scatter);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(first[0].observed, 0u);
+  EXPECT_EQ(second[0].observed, 11u);
+  uint64_t value = 0;
+  fabric.Read(1, off, &value, 8);
+  EXPECT_EQ(value, 22u);
 }
 
-TEST(SendQueue, BatchedWriteAbortsConflictingHtm) {
+TEST(PhaseScatter, AutoDoorbellAtWindow) {
+  Fabric fabric(TestConfig(2));
+  const uint64_t off = fabric.memory(1).Allocate(8);
+  const uint64_t seed = 0x5eed;
+  ASSERT_EQ(fabric.Write(1, off, &seed, 8), OpStatus::kOk);
+  stat::Registry& reg = stat::Registry::Global();
+  const stat::Snapshot before = reg.TakeSnapshot();
+  PhaseScatter scatter(fabric);
+  std::vector<uint64_t> scratch(PhaseScatter::kMaxOutstanding + 1, 0);
+  for (size_t i = 0; i + 1 < PhaseScatter::kMaxOutstanding; ++i) {
+    scatter.PostRead(1, i, off, &scratch[i], 8);
+  }
+  EXPECT_EQ(scratch[0], 0u);  // below the window nothing has executed
+  // Filling the window submits the batch on the spot.
+  const size_t last = PhaseScatter::kMaxOutstanding - 1;
+  scatter.PostRead(1, last, off, &scratch[last], 8);
+  EXPECT_EQ(scratch[0], seed);
+  EXPECT_EQ(scratch[last], seed);
+  EXPECT_EQ(reg.TakeSnapshot().DeltaSince(before).Counter(
+                "rdma.batch.doorbells"),
+            1u);
+  scatter.PostRead(1, last + 1, off, &scratch[last + 1], 8);
+  // The auto-rung batch's completions come back with the next gather,
+  // ahead of the target's later WQEs.
+  const std::vector<Completion> comps = GatherAll(scatter);
+  ASSERT_EQ(comps.size(), PhaseScatter::kMaxOutstanding + 1);
+  for (size_t i = 0; i < comps.size(); ++i) {
+    EXPECT_EQ(comps[i].wr_id, i);
+  }
+  EXPECT_EQ(reg.TakeSnapshot().DeltaSince(before).Counter(
+                "rdma.batch.doorbells"),
+            2u);
+}
+
+TEST(PhaseScatter, BatchedWriteAbortsConflictingHtm) {
   Fabric fabric(TestConfig(2));
   const uint64_t off = fabric.memory(1).Allocate(8);
   uint64_t* addr = static_cast<uint64_t*>(fabric.memory(1).At(off));
@@ -143,27 +206,71 @@ TEST(SendQueue, BatchedWriteAbortsConflictingHtm) {
     // A batched one-sided WRITE lands while the word is in the HTM read
     // set: per-WQE strong atomicity must abort the transaction exactly
     // as the scalar verb does.
-    SendQueue sq(fabric, 1);
+    PhaseScatter scatter(fabric);
     const uint64_t v = 99;
-    sq.PostWrite(off, &v, 8);
-    sq.Flush();
+    scatter.PostWrite(1, 0, off, &v, 8);
+    std::vector<Completion> comps;
+    scatter.Gather(&comps);
   });
   EXPECT_TRUE(status & htm::kAbortConflict);
   EXPECT_EQ(*addr, 99u);
 }
 
-TEST(SendQueue, DeadNodeCompletesEveryWqeNodeDown) {
+TEST(PhaseScatter, DeadNodeCompletesEveryWqeNodeDown) {
   Fabric fabric(TestConfig(2));
   const uint64_t off = fabric.memory(1).Allocate(8);
   fabric.SetAlive(1, false);
-  SendQueue sq(fabric, 1);
+  PhaseScatter scatter(fabric);
   uint64_t scratch = 0;
-  sq.PostRead(off, &scratch, 8);
-  sq.PostCas(off, 0, 1);
-  const std::vector<Completion> comps = sq.Flush();
+  scatter.PostRead(1, 0, off, &scratch, 8);
+  scatter.PostCas(1, 1, off, 0, 1);
+  const std::vector<Completion> comps = GatherAll(scatter);
   ASSERT_EQ(comps.size(), 2u);
   EXPECT_EQ(comps[0].status, OpStatus::kNodeDown);
   EXPECT_EQ(comps[1].status, OpStatus::kNodeDown);
+}
+
+TEST(PhaseScatter, ScalarVerbToDeadNodeReturnsNodeDown) {
+  Fabric fabric(TestConfig(2));
+  const uint64_t off = fabric.memory(1).Allocate(8);
+  fabric.SetAlive(1, false);
+  uint64_t word = 0;
+  uint64_t observed = 0;
+  EXPECT_EQ(fabric.Read(1, off, &word, 8), OpStatus::kNodeDown);
+  EXPECT_EQ(fabric.Write(1, off, &word, 8), OpStatus::kNodeDown);
+  EXPECT_EQ(fabric.Cas(1, off, 0, 1, &observed), OpStatus::kNodeDown);
+  EXPECT_EQ(fabric.Faa(1, off, 1, &observed), OpStatus::kNodeDown);
+}
+
+// The first failed WQE errors the queue: every later WQE in the batch
+// completes kNodeDown without executing (the RC flush), and the next
+// doorbell runs on a re-armed queue.
+TEST(PhaseScatter, FailedWqeFlushesTheRestOfItsBatch) {
+  Fabric fabric(TestConfig(2));
+  const uint64_t off_a = fabric.memory(1).Allocate(8);
+  const uint64_t off_b = fabric.memory(1).Allocate(8);
+  const uint64_t one = 1;
+  chaos::FaultPlan plan;
+  plan.Add(chaos::FaultEvent{"rdma.write.wqe", 1, chaos::FaultKind::kDropOp,
+                             -1, 0});
+  chaos::Injector::Global().Arm(plan);
+  PhaseScatter scatter(fabric);
+  scatter.PostWrite(1, 0, off_a, &one, 8);  // dropped by the plan
+  scatter.PostWrite(1, 1, off_b, &one, 8);  // flushed behind it
+  std::vector<Completion> comps = GatherAll(scatter);
+  ASSERT_EQ(comps.size(), 2u);
+  EXPECT_EQ(comps[0].status, OpStatus::kNodeDown);
+  EXPECT_EQ(comps[1].status, OpStatus::kNodeDown);
+  uint64_t value = 0;
+  ASSERT_EQ(fabric.Read(1, off_b, &value, 8), OpStatus::kOk);
+  EXPECT_EQ(value, 0u);  // the flushed WRITE never executed
+  scatter.PostWrite(1, 2, off_b, &one, 8);
+  comps = GatherAll(scatter);
+  chaos::Injector::Global().Disarm();
+  ASSERT_EQ(comps.size(), 1u);
+  EXPECT_EQ(comps[0].status, OpStatus::kOk);
+  ASSERT_EQ(fabric.Read(1, off_b, &value, 8), OpStatus::kOk);
+  EXPECT_EQ(value, 1u);
 }
 
 // Batched CAS must keep NIC-level atomicity against concurrent batched
@@ -176,13 +283,13 @@ void RunConcurrentBatchedCas(AtomicLevel level) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      SendQueue sq(fabric, 1);
+      PhaseScatter scatter(fabric);
       for (int i = 0; i < kIncrements; ++i) {
         while (true) {
           uint64_t current = 0;
           fabric.Read(1, off, &current, 8);
-          sq.PostCas(off, current, current + 1);
-          const std::vector<Completion> comps = sq.Flush();
+          scatter.PostCas(1, 0, off, current, current + 1);
+          const std::vector<Completion> comps = GatherAll(scatter);
           ASSERT_EQ(comps.size(), 1u);
           if (comps[0].observed == current) {
             break;
@@ -199,25 +306,25 @@ void RunConcurrentBatchedCas(AtomicLevel level) {
   EXPECT_EQ(value, uint64_t{kThreads} * kIncrements);
 }
 
-TEST(SendQueue, ConcurrentBatchedCasAtomicAtHcaLevel) {
+TEST(PhaseScatter, ConcurrentBatchedCasAtomicAtHcaLevel) {
   RunConcurrentBatchedCas(AtomicLevel::kHca);
 }
 
-TEST(SendQueue, ConcurrentBatchedCasAtomicAtGlobLevel) {
+TEST(PhaseScatter, ConcurrentBatchedCasAtomicAtGlobLevel) {
   RunConcurrentBatchedCas(AtomicLevel::kGlob);
 }
 
-TEST(SendQueue, BatchMetricsRecorded) {
+TEST(PhaseScatter, BatchMetricsRecorded) {
   Fabric fabric(TestConfig(2));
   const uint64_t off = fabric.memory(1).Allocate(64);
   stat::Registry& reg = stat::Registry::Global();
   const stat::Snapshot before = reg.TakeSnapshot();
-  SendQueue sq(fabric, 1);
+  PhaseScatter scatter(fabric);
   uint64_t scratch[3];
-  sq.PostRead(off, &scratch[0], 8);
-  sq.PostRead(off, &scratch[1], 8);
-  sq.PostRead(off, &scratch[2], 8);
-  sq.Flush();
+  scatter.PostRead(1, 0, off, &scratch[0], 8);
+  scatter.PostRead(1, 1, off, &scratch[1], 8);
+  scatter.PostRead(1, 2, off, &scratch[2], 8);
+  GatherAll(scatter);
   const stat::Snapshot delta = reg.TakeSnapshot().DeltaSince(before);
   EXPECT_EQ(delta.Counter("rdma.batch.doorbells"), 1u);
   EXPECT_EQ(delta.Counter("rdma.batch.wqes"), 3u);
@@ -228,17 +335,17 @@ TEST(SendQueue, BatchMetricsRecorded) {
   EXPECT_GE(sizes->max(), 3u);
 }
 
-TEST(SendQueue, BatchedOpsCountInRegistry) {
+TEST(PhaseScatter, BatchedOpsCountInRegistry) {
   Fabric fabric(TestConfig(2));
   const uint64_t off = fabric.memory(1).Allocate(64);
   stat::Registry& reg = stat::Registry::Global();
   const stat::Snapshot before = reg.TakeSnapshot();
-  SendQueue sq(fabric, 1);
+  PhaseScatter scatter(fabric);
   char buf[32] = {0};
-  sq.PostRead(off, buf, sizeof(buf));
-  sq.PostWrite(off, buf, sizeof(buf));
-  sq.PostCas(off, 0, 1);
-  sq.Flush();
+  scatter.PostRead(1, 0, off, buf, sizeof(buf));
+  scatter.PostWrite(1, 1, off, buf, sizeof(buf));
+  scatter.PostCas(1, 2, off, 0, 1);
+  GatherAll(scatter);
   const stat::Snapshot delta = reg.TakeSnapshot().DeltaSince(before);
   EXPECT_EQ(delta.Counter("rdma.read.ops"), 1u);
   EXPECT_EQ(delta.Counter("rdma.read.bytes"), 32u);
@@ -246,80 +353,58 @@ TEST(SendQueue, BatchedOpsCountInRegistry) {
   EXPECT_EQ(delta.Counter("rdma.cas.ops"), 1u);
 }
 
-TEST(SendQueue, AsyncSubmissionMatchesRingDoorbell) {
-  Fabric fabric(TestConfig(2));
-  const uint64_t off = fabric.memory(1).Allocate(64);
-  const char msg[] = "async payload";
-  SendQueue sq(fabric, 1);
-  char got[sizeof(msg)] = {0};
-  sq.PostWrite(off, msg, sizeof(msg));
-  sq.PostRead(off, got, sizeof(got));
-  ASSERT_FALSE(sq.submission_pending());
-  const SendQueue::Submission sub = sq.SubmitAsync();
-  EXPECT_EQ(sub.wqes, 2u);
-  EXPECT_TRUE(sq.submission_pending());
-  EXPECT_EQ(sq.pending(), 0u);
-  // Nothing has executed yet; the READ buffer is untouched until the
-  // submission completes.
-  sq.CompleteSubmission();
-  EXPECT_FALSE(sq.submission_pending());
-  EXPECT_STREQ(got, msg);
-  Completion out[2];
-  ASSERT_EQ(sq.PollCompletions(out, 2), 2u);
-  EXPECT_EQ(out[0].status, OpStatus::kOk);
-  EXPECT_EQ(out[1].status, OpStatus::kOk);
-  // An empty async submit is a no-op submission.
-  EXPECT_EQ(sq.SubmitAsync().wqes, 0u);
-  EXPECT_FALSE(sq.submission_pending());
-}
-
-TEST(SendQueue, SecondSubmitCompletesTheFirst) {
-  Fabric fabric(TestConfig(2));
-  const uint64_t off = fabric.memory(1).Allocate(8);
-  SendQueue sq(fabric, 1);
-  // Back-to-back async submissions must behave like two doorbells in
-  // order: CASes from the first batch are visible to the second.
-  sq.PostCas(off, 0, 11);
-  ASSERT_EQ(sq.SubmitAsync().wqes, 1u);
-  sq.PostCas(off, 11, 22);
-  ASSERT_EQ(sq.SubmitAsync().wqes, 1u);
-  sq.CompleteSubmission();
-  std::vector<Completion> comps(2);
-  ASSERT_EQ(sq.PollCompletions(comps.data(), 2), 2u);
-  EXPECT_EQ(comps[0].observed, 0u);
-  EXPECT_EQ(comps[1].observed, 11u);
-  uint64_t value = 0;
-  fabric.Read(1, off, &value, 8);
-  EXPECT_EQ(value, 22u);
-}
-
-TEST(SendQueue, AsyncBatchChargesSameLatencyAsSync) {
+// A scalar verb is a one-WQE doorbell: it counts one doorbell and one
+// WQE, and rdma.batch_ns records exactly the verb's own modeled cost.
+TEST(PhaseScatter, ScalarVerbsAreOneWqeDoorbells) {
   const LatencyModel lat = LatencyModel::Calibrated(1.0);
   Fabric::Config config = TestConfig(2);
   config.latency = lat;
   Fabric fabric(config);
-  const uint64_t off = fabric.memory(1).Allocate(8);
-  SendQueue sq(fabric, 1);
-  uint64_t scratch[2];
-  sq.PostRead(off, &scratch[0], 8);
-  sq.PostRead(off, &scratch[1], 8);
-  const SendQueue::Submission sub = sq.SubmitAsync();
-  // The async submission carries exactly the modeled batch cost the
-  // synchronous doorbell would have spun for.
-  const uint64_t payload =
-      static_cast<uint64_t>(lat.read_per_byte_ns * 8.0);
-  EXPECT_EQ(sub.batch_ns, lat.BatchNs(lat.read_base_ns, 2 * payload, 2));
-  sq.CompleteSubmission();
+  const uint64_t off = fabric.memory(1).Allocate(64);
+  stat::Registry& reg = stat::Registry::Global();
+  uint64_t word = 0;
+  struct Case {
+    const char* verb;
+    uint64_t modeled_ns;
+    std::function<OpStatus()> issue;
+  };
+  uint64_t observed = 0;
+  const Case cases[] = {
+      {"read", lat.ReadNs(8),
+       [&] { return fabric.Read(1, off, &word, 8); }},
+      {"cas", lat.CasNs(),
+       [&] { return fabric.Cas(1, off, 0, 1, &observed); }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.verb);
+    const stat::Snapshot before = reg.TakeSnapshot();
+    ASSERT_EQ(c.issue(), OpStatus::kOk);
+    const stat::Snapshot delta = reg.TakeSnapshot().DeltaSince(before);
+    EXPECT_EQ(delta.Counter("rdma.batch.doorbells"), 1u);
+    EXPECT_EQ(delta.Counter("rdma.batch.wqes"), 1u);
+    EXPECT_EQ(delta.Counter(std::string("rdma.") + c.verb + ".ops"), 1u);
+    const Histogram* charged = delta.Hist("rdma.batch_ns");
+    ASSERT_NE(charged, nullptr);
+    ASSERT_EQ(charged->count(), 1u);
+    EXPECT_EQ(static_cast<uint64_t>(charged->Mean()), c.modeled_ns);
+  }
 }
 
-TEST(PhaseScatter, QueuesArePerTargetAndPersistent) {
+TEST(PhaseScatter, OneDoorbellPerTarget) {
   Fabric fabric(TestConfig(3));
-  PhaseScatter scatter(fabric, SendQueue::Config{});
-  SendQueue& q1 = scatter.To(1);
-  SendQueue& q2 = scatter.To(2);
-  EXPECT_NE(&q1, &q2);
-  EXPECT_EQ(&scatter.To(1), &q1);
-  EXPECT_EQ(&scatter.To(2), &q2);
+  const uint64_t off1 = fabric.memory(1).Allocate(8);
+  const uint64_t off2 = fabric.memory(2).Allocate(8);
+  stat::Registry& reg = stat::Registry::Global();
+  const stat::Snapshot before = reg.TakeSnapshot();
+  PhaseScatter scatter(fabric);
+  uint64_t scratch[3];
+  scatter.PostRead(1, 0, off1, &scratch[0], 8);
+  scatter.PostRead(2, 1, off2, &scratch[1], 8);
+  scatter.PostRead(1, 2, off1, &scratch[2], 8);
+  EXPECT_EQ(GatherAll(scatter).size(), 3u);
+  const stat::Snapshot delta = reg.TakeSnapshot().DeltaSince(before);
+  EXPECT_EQ(delta.Counter("rdma.batch.doorbells"), 2u);
+  EXPECT_EQ(delta.Counter("rdma.batch.wqes"), 3u);
 }
 
 TEST(PhaseScatter, GatherTagsCompletionsWithTargetInPostOrder) {
@@ -327,23 +412,20 @@ TEST(PhaseScatter, GatherTagsCompletionsWithTargetInPostOrder) {
   const uint64_t off1 = fabric.memory(1).Allocate(8);
   const uint64_t off2 = fabric.memory(2).Allocate(8);
   const uint64_t a = 7, b = 8, c = 9;
-  PhaseScatter scatter(fabric, SendQueue::Config{});
-  const WrId w1 = scatter.To(1).PostWrite(off1, &a, 8);
-  const WrId w2 = scatter.To(2).PostWrite(off2, &b, 8);
-  const WrId w3 = scatter.To(1).PostWrite(off1, &c, 8);
-  EXPECT_EQ(scatter.pending(), 3u);
-  EXPECT_EQ(scatter.pending_targets(), 2u);
-  std::vector<ScatterCompletion> comps;
+  PhaseScatter scatter(fabric);
+  scatter.PostWrite(1, 1, off1, &a, 8);
+  scatter.PostWrite(2, 2, off2, &b, 8);
+  scatter.PostWrite(1, 3, off1, &c, 8);
+  std::vector<Completion> comps;
   EXPECT_EQ(scatter.Gather(&comps), 3u);
-  EXPECT_EQ(scatter.pending(), 0u);
   ASSERT_EQ(comps.size(), 3u);
   // Grouped per target in first-use order, FIFO within a target.
   EXPECT_EQ(comps[0].target, 1);
-  EXPECT_EQ(comps[0].comp.wr_id, w1);
+  EXPECT_EQ(comps[0].wr_id, 1u);
   EXPECT_EQ(comps[1].target, 1);
-  EXPECT_EQ(comps[1].comp.wr_id, w3);
+  EXPECT_EQ(comps[1].wr_id, 3u);
   EXPECT_EQ(comps[2].target, 2);
-  EXPECT_EQ(comps[2].comp.wr_id, w2);
+  EXPECT_EQ(comps[2].wr_id, 2u);
   uint64_t v1 = 0, v2 = 0;
   fabric.Read(1, off1, &v1, 8);
   fabric.Read(2, off2, &v2, 8);
@@ -356,16 +438,16 @@ TEST(PhaseScatter, DeadTargetFailsOnlyItsOwnWqes) {
   const uint64_t off1 = fabric.memory(1).Allocate(8);
   const uint64_t off2 = fabric.memory(2).Allocate(8);
   fabric.SetAlive(2, false);
-  PhaseScatter scatter(fabric, SendQueue::Config{});
+  PhaseScatter scatter(fabric);
   uint64_t scratch1 = 0, scratch2 = 0;
-  scatter.To(1).PostRead(off1, &scratch1, 8);
-  scatter.To(2).PostRead(off2, &scratch2, 8);
-  std::vector<ScatterCompletion> comps;
+  scatter.PostRead(1, 0, off1, &scratch1, 8);
+  scatter.PostRead(2, 1, off2, &scratch2, 8);
+  std::vector<Completion> comps;
   EXPECT_EQ(scatter.Gather(&comps), 2u);
   ASSERT_EQ(comps.size(), 2u);
-  for (const ScatterCompletion& sc : comps) {
-    EXPECT_EQ(sc.comp.status,
-              sc.target == 2 ? OpStatus::kNodeDown : OpStatus::kOk);
+  for (const Completion& comp : comps) {
+    EXPECT_EQ(comp.status,
+              comp.target == 2 ? OpStatus::kNodeDown : OpStatus::kOk);
   }
 }
 
@@ -374,8 +456,8 @@ TEST(PhaseScatter, EmptyGatherRecordsNoRound) {
   const stat::ScatterPhaseIds ids =
       stat::RegisterScatterPhase("test_empty_round");
   const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
-  PhaseScatter scatter(fabric, SendQueue::Config{}, &ids);
-  std::vector<ScatterCompletion> comps;
+  PhaseScatter scatter(fabric, &ids);
+  std::vector<Completion> comps;
   EXPECT_EQ(scatter.Gather(&comps), 0u);
   EXPECT_TRUE(comps.empty());
   const stat::Snapshot delta =
@@ -392,12 +474,12 @@ TEST(PhaseScatter, RecordsDoorbellAndOverlapStats) {
   const stat::ScatterPhaseIds ids =
       stat::RegisterScatterPhase("test_overlap");
   const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
-  PhaseScatter scatter(fabric, SendQueue::Config{}, &ids);
+  PhaseScatter scatter(fabric, &ids);
   uint64_t scratch[3];
-  scatter.To(1).PostRead(off1, &scratch[0], 8);
-  scatter.To(1).PostRead(off1, &scratch[1], 8);
-  scatter.To(2).PostRead(off2, &scratch[2], 8);
-  EXPECT_EQ(scatter.Gather(nullptr), 3u);
+  scatter.PostRead(1, 0, off1, &scratch[0], 8);
+  scatter.PostRead(1, 1, off1, &scratch[1], 8);
+  scatter.PostRead(2, 2, off2, &scratch[2], 8);
+  EXPECT_EQ(GatherAll(scatter).size(), 3u);
   const stat::Snapshot delta =
       stat::Registry::Global().TakeSnapshot().DeltaSince(before);
   EXPECT_EQ(delta.Counter("rdma.scatter.test_overlap.rounds"), 1u);

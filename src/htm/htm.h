@@ -105,6 +105,16 @@ class HtmThread {
     }
   }
 
+  // Runs fn as a transaction, retrying every abort until one commits:
+  // for short regions whose aborts are all transient (one store op, a
+  // reconnaissance read). fn resets its own per-attempt state. Inside an
+  // enclosing region it flattens into it, like Transact.
+  template <typename Fn>
+  void TransactUntilCommitted(Fn&& fn) {
+    while (Transact(fn) != kCommitted) {
+    }
+  }
+
   // Transactional read/write of an arbitrary byte range.
   void Read(void* dst, const void* src, size_t len);
   void Write(void* dst, const void* src, size_t len);

@@ -133,15 +133,17 @@ size_t PhaseScatter::Gather(std::vector<Completion>* out) {
   const size_t gathered = early_.size() + wqes;
   out->insert(out->end(), early_.begin(), early_.end());
   early_.clear();
-  if (wqes == 0) {
-    return gathered;
-  }
   // Gather: complete each batch, waiting only for its own remaining
-  // deadline (everything after the longest one is already past).
+  // deadline (everything after the longest one is already past). The
+  // round ends here, so every queue is re-armed.
   for (Queue& q : queues_) {
     if (!q.wqes.empty()) {
       Drain(q, out);
     }
+    q.errored = false;
+  }
+  if (wqes == 0) {
+    return gathered;
   }
   if (ids_ != nullptr) {
     stat::Registry& reg = stat::Registry::Global();
@@ -166,21 +168,22 @@ void PhaseScatter::Drain(Queue& q, std::vector<Completion>* out) {
   }
   // Execute the WQEs in post order. Reliable-connection semantics: the
   // first WQE that fails moves the QP to the error state, and every
-  // WQE behind it completes flushed (kNodeDown) WITHOUT executing.
-  // Later-posted ops must not land when an earlier one did not — e.g.
-  // a commit's unlock WRITE must never apply if its write-back WRITE
-  // was lost, or the failure handler's write-back retry would re-lock
-  // the entry after the stale unlock and leak the lock forever. The
-  // next doorbell starts from a re-armed QP (transient faults do not
-  // poison the queue for good; a dead node keeps failing via IsAlive).
-  bool errored = false;
+  // WQE behind it completes flushed (kNodeDown) WITHOUT executing —
+  // in a later auto-rung doorbell of the same round too. Later-posted
+  // ops must not land when an earlier one did not — e.g. a commit's
+  // unlock WRITE must never apply if its write-back WRITE was lost, or
+  // the failure handler's write-back retry would re-lock the entry
+  // after the stale unlock and leak the lock forever. The next round
+  // starts from a re-armed QP (transient faults do not poison the queue
+  // for good; a dead node keeps failing via IsAlive).
   for (const Wqe& wqe : q.wqes) {
     Completion comp;
     comp.target = q.target;
     comp.wr_id = wqe.wr_id;
-    comp.status = errored ? OpStatus::kNodeDown
-                          : ExecuteWqe(fabric_, q.target, wqe, &comp.observed);
-    errored = comp.status != OpStatus::kOk;
+    comp.status = q.errored
+                      ? OpStatus::kNodeDown
+                      : ExecuteWqe(fabric_, q.target, wqe, &comp.observed);
+    q.errored = comp.status != OpStatus::kOk;
     out->push_back(comp);
   }
   CountDoorbell(q.wqes.size(), q.batch_ns);

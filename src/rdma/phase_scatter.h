@@ -26,10 +26,10 @@
 //     behaviour hold per op. A batch is NOT atomic as a unit. RDMA
 //     atomics serialize on the target NIC latch at both AtomicLevels.
 //   * A WQE against a dead node completes with kNodeDown. The first WQE
-//     of a batch that fails errors the queue, and every WQE behind it in
-//     the same batch completes with kNodeDown without executing (the
-//     flush a real RC QP performs in the error state). The next doorbell
-//     starts on a re-armed queue.
+//     that fails errors the queue, and every WQE behind it until the end
+//     of the Gather() round completes with kNodeDown without executing
+//     (the flush a real RC QP performs in the error state), auto-rung
+//     doorbells included. The next round starts on a re-armed queue.
 //   * Posting the kMaxOutstanding-th pending WQE to one target rings that
 //     target's doorbell at once and waits it out (a full hardware send
 //     queue forces a flush). Its completions come back with the next
@@ -121,6 +121,8 @@ class PhaseScatter {
     // MonotonicNanos clock.
     uint64_t batch_ns = 0;
     uint64_t deadline_ns = 0;
+    // In the error state since a WQE failed this round; Gather re-arms.
+    bool errored = false;
   };
 
   // One doorbell's modeled latency.

@@ -277,12 +277,83 @@ void Cluster::ServerLoop(int node) {
 
 namespace {
 
-struct KvRequest {
+// The wire image of a shipped StoreOp: this header, then the value bytes
+// (if any). The RPC kind names the op; an insert or remove applies to
+// the ordered store iff the table is ordered.
+struct StoreOpHeader {
   int32_t table;
+  uint32_t version;
   uint64_t key;
 };
 
+StoreOp DecodeStoreOp(const rdma::Message& msg, StoreOp::Kind kind) {
+  StoreOpHeader header;
+  std::memcpy(&header, msg.payload.data(), sizeof(header));
+  return StoreOp{kind, header.table, header.key, header.version,
+                 std::vector<uint8_t>(msg.payload.begin() + sizeof(header),
+                                      msg.payload.end())};
+}
+
+struct CacheInvalHeader {
+  int32_t source;
+  uint32_t count;
+};
+
 }  // namespace
+
+bool Cluster::ApplyStoreOp(int node, const StoreOp& op, htm::HtmThread& htm) {
+  store::ClusterHashTable* hash = hash_table(node, op.table);
+  store::BPlusTree* tree = ordered_table(node, op.table);
+  const uint8_t* value = op.value.data();
+  bool ok = false;
+  htm.TransactUntilCommitted([&] {
+    switch (op.kind) {
+      case StoreOp::kHashInsert:
+        ok = hash->Insert(op.key, value);
+        break;
+      case StoreOp::kHashRemove:
+      case StoreOp::kErase:
+        ok = hash->Remove(op.key);
+        break;
+      case StoreOp::kUpsert:
+        ok = hash->InstallVersioned(op.key, op.version, value);
+        break;
+      case StoreOp::kOrderedInsert:
+        ok = tree->Insert(op.key, value);
+        break;
+      case StoreOp::kOrderedPut:
+        ok = tree->Put(op.key, value);
+        break;
+      case StoreOp::kOrderedRemove:
+        ok = tree->Remove(op.key);
+        break;
+    }
+  });
+  return ok;
+}
+
+void Cluster::NotifyStructuralOp(int node, const StoreOp& op) {
+  ElasticHooks* hooks = elastic_hooks();
+  if (hooks == nullptr ||
+      (op.kind != StoreOp::kHashInsert && op.kind != StoreOp::kHashRemove)) {
+    return;
+  }
+  const bool inserted = op.kind == StoreOp::kHashInsert;
+  hooks->OnStructuralOp(node, op.table, op.key, inserted,
+                        inserted ? op.value.data() : nullptr,
+                        static_cast<uint32_t>(op.value.size()));
+}
+
+std::vector<uint8_t> Cluster::ServeStoreOp(int node, const StoreOp& op,
+                                           htm::HtmThread& htm,
+                                           const char* name) {
+  const bool ok = ApplyStoreOp(node, op, htm);
+  replay::Recorder::Global().RecordRpcApply(name, node, op.table, op.key, ok);
+  if (ok) {
+    NotifyStructuralOp(node, op);
+  }
+  return {static_cast<uint8_t>(ok ? 1 : 0)};
+}
 
 std::vector<uint8_t> Cluster::HandleKvInsert(int node,
                                              const rdma::Message& msg,
@@ -290,46 +361,17 @@ std::vector<uint8_t> Cluster::HandleKvInsert(int node,
   if (ChaosDropsRpc(RpcPoints().insert, node)) {
     return {static_cast<uint8_t>(0)};
   }
-  KvRequest req;
-  std::memcpy(&req, msg.payload.data(), sizeof(req));
-  const uint8_t* value = msg.payload.data() + sizeof(req);
-  bool ok = false;
-  if (tables_[static_cast<size_t>(req.table)].ordered) {
-    // Ordered tables take the same shipped-insert channel; a dedicated
-    // point lets scripted chaos plans drop B+-tree inserts specifically.
-    if (ChaosDropsRpc(RpcPoints().ordered_insert, node)) {
-      return {static_cast<uint8_t>(0)};
-    }
-    store::BPlusTree* tree = ordered_table(node, req.table);
-    while (true) {
-      const unsigned status =
-          htm.Transact([&] { ok = tree->Insert(req.key, value); });
-      if (status == htm::kCommitted) {
-        break;
-      }
-    }
-    replay::Recorder::Global().RecordRpcApply("rpc.ordered.insert", node,
-                                              req.table, req.key, ok);
-  } else {
-    store::ClusterHashTable* table = hash_table(node, req.table);
-    while (true) {
-      const unsigned status =
-          htm.Transact([&] { ok = table->Insert(req.key, value); });
-      if (status == htm::kCommitted) {
-        break;
-      }
-    }
-    replay::Recorder::Global().RecordRpcApply("rpc.insert", node, req.table,
-                                              req.key, ok);
+  StoreOp op = DecodeStoreOp(msg, StoreOp::kHashInsert);
+  if (!tables_[static_cast<size_t>(op.table)].ordered) {
+    return ServeStoreOp(node, op, htm, "rpc.insert");
   }
-  if (ok) {
-    if (ElasticHooks* hooks = elastic_hooks()) {
-      hooks->OnStructuralOp(node, req.table, req.key, /*inserted=*/true,
-                            value,
-                            tables_[static_cast<size_t>(req.table)].value_size);
-    }
+  // Ordered tables take the same shipped-insert channel; a dedicated
+  // point lets scripted chaos plans drop B+-tree inserts specifically.
+  if (ChaosDropsRpc(RpcPoints().ordered_insert, node)) {
+    return {static_cast<uint8_t>(0)};
   }
-  return {static_cast<uint8_t>(ok ? 1 : 0)};
+  op.kind = StoreOp::kOrderedInsert;
+  return ServeStoreOp(node, op, htm, "rpc.ordered.insert");
 }
 
 std::vector<uint8_t> Cluster::HandleKvRemove(int node,
@@ -338,58 +380,16 @@ std::vector<uint8_t> Cluster::HandleKvRemove(int node,
   if (ChaosDropsRpc(RpcPoints().remove, node)) {
     return {static_cast<uint8_t>(0)};
   }
-  KvRequest req;
-  std::memcpy(&req, msg.payload.data(), sizeof(req));
-  bool ok = false;
-  if (tables_[static_cast<size_t>(req.table)].ordered) {
-    if (ChaosDropsRpc(RpcPoints().ordered_remove, node)) {
-      return {static_cast<uint8_t>(0)};
-    }
-    store::BPlusTree* tree = ordered_table(node, req.table);
-    while (true) {
-      const unsigned status =
-          htm.Transact([&] { ok = tree->Remove(req.key); });
-      if (status == htm::kCommitted) {
-        break;
-      }
-    }
-    replay::Recorder::Global().RecordRpcApply("rpc.ordered.remove", node,
-                                              req.table, req.key, ok);
-  } else {
-    store::ClusterHashTable* table = hash_table(node, req.table);
-    while (true) {
-      const unsigned status =
-          htm.Transact([&] { ok = table->Remove(req.key); });
-      if (status == htm::kCommitted) {
-        break;
-      }
-    }
-    replay::Recorder::Global().RecordRpcApply("rpc.remove", node, req.table,
-                                              req.key, ok);
+  StoreOp op = DecodeStoreOp(msg, StoreOp::kHashRemove);
+  if (!tables_[static_cast<size_t>(op.table)].ordered) {
+    return ServeStoreOp(node, op, htm, "rpc.remove");
   }
-  if (ok) {
-    if (ElasticHooks* hooks = elastic_hooks()) {
-      hooks->OnStructuralOp(node, req.table, req.key, /*inserted=*/false,
-                            nullptr, 0);
-    }
+  if (ChaosDropsRpc(RpcPoints().ordered_remove, node)) {
+    return {static_cast<uint8_t>(0)};
   }
-  return {static_cast<uint8_t>(ok ? 1 : 0)};
+  op.kind = StoreOp::kOrderedRemove;
+  return ServeStoreOp(node, op, htm, "rpc.ordered.remove");
 }
-
-namespace {
-
-struct UpsertRequest {
-  int32_t table;
-  uint32_t version;
-  uint64_t key;
-};
-
-struct CacheInvalHeader {
-  int32_t source;
-  uint32_t count;
-};
-
-}  // namespace
 
 std::vector<uint8_t> Cluster::HandleKvUpsert(int node,
                                              const rdma::Message& msg,
@@ -399,21 +399,8 @@ std::vector<uint8_t> Cluster::HandleKvUpsert(int node,
   if (ChaosDropsRpc(RpcPoints().upsert, node)) {
     return {static_cast<uint8_t>(0)};
   }
-  UpsertRequest req;
-  std::memcpy(&req, msg.payload.data(), sizeof(req));
-  const uint8_t* value = msg.payload.data() + sizeof(req);
-  store::ClusterHashTable* table = hash_table(node, req.table);
-  bool ok = false;
-  while (true) {
-    const unsigned status = htm.Transact(
-        [&] { ok = table->InstallVersioned(req.key, req.version, value); });
-    if (status == htm::kCommitted) {
-      break;
-    }
-  }
-  replay::Recorder::Global().RecordRpcApply("rpc.upsert", node, req.table,
-                                            req.key, ok);
-  return {static_cast<uint8_t>(ok ? 1 : 0)};
+  return ServeStoreOp(node, DecodeStoreOp(msg, StoreOp::kUpsert), htm,
+                      "rpc.upsert");
 }
 
 std::vector<uint8_t> Cluster::HandleKvErase(int node,
@@ -422,20 +409,8 @@ std::vector<uint8_t> Cluster::HandleKvErase(int node,
   if (ChaosDropsRpc(RpcPoints().erase, node)) {
     return {static_cast<uint8_t>(0)};
   }
-  KvRequest req;
-  std::memcpy(&req, msg.payload.data(), sizeof(req));
-  store::ClusterHashTable* table = hash_table(node, req.table);
-  bool ok = false;
-  while (true) {
-    const unsigned status =
-        htm.Transact([&] { ok = table->Remove(req.key); });
-    if (status == htm::kCommitted) {
-      break;
-    }
-  }
-  replay::Recorder::Global().RecordRpcApply("rpc.erase", node, req.table,
-                                            req.key, ok);
-  return {static_cast<uint8_t>(ok ? 1 : 0)};
+  return ServeStoreOp(node, DecodeStoreOp(msg, StoreOp::kErase), htm,
+                      "rpc.erase");
 }
 
 std::vector<uint8_t> Cluster::HandleCacheInval(int node,
@@ -496,13 +471,8 @@ std::vector<uint8_t> Cluster::HandleOrderedGet(int node,
                                   .value_size;
   std::vector<uint8_t> reply(1 + value_size, 0);
   bool found = false;
-  while (true) {
-    const unsigned status =
-        htm.Transact([&] { found = tree->Get(req.key, reply.data() + 1); });
-    if (status == htm::kCommitted) {
-      break;
-    }
-  }
+  htm.TransactUntilCommitted(
+      [&] { found = tree->Get(req.key, reply.data() + 1); });
   reply[0] = found ? 1 : 0;
   return reply;
 }
@@ -522,22 +492,17 @@ std::vector<uint8_t> Cluster::HandleOrderedScan(int node,
                                   .value_size;
   std::vector<uint8_t> reply(4, 0);
   uint32_t count = 0;
-  while (true) {
+  htm.TransactUntilCommitted([&] {
     reply.resize(4);
     count = 0;
-    const unsigned status = htm.Transact([&] {
-      tree->Scan(req.lo, req.hi, [&](uint64_t key, const void* value) {
-        const size_t base = reply.size();
-        reply.resize(base + 8 + value_size);
-        std::memcpy(reply.data() + base, &key, 8);
-        std::memcpy(reply.data() + base + 8, value, value_size);
-        return ++count < req.limit;
-      });
+    tree->Scan(req.lo, req.hi, [&](uint64_t key, const void* value) {
+      const size_t base = reply.size();
+      reply.resize(base + 8 + value_size);
+      std::memcpy(reply.data() + base, &key, 8);
+      std::memcpy(reply.data() + base + 8, value, value_size);
+      return ++count < req.limit;
     });
-    if (status == htm::kCommitted) {
-      break;
-    }
-  }
+  });
   std::memcpy(reply.data(), &count, 4);
   return reply;
 }
@@ -587,65 +552,55 @@ bool Cluster::RemoteOrderedScan(int from_node, int target_node, int table,
   return true;
 }
 
+StoreOp Cluster::MakeStoreOp(StoreOp::Kind kind, int table, uint64_t key,
+                             const void* value, uint32_t version) const {
+  const auto* bytes = static_cast<const uint8_t*>(value);
+  return StoreOp{kind, table, key, version,
+                 value == nullptr
+                     ? std::vector<uint8_t>()
+                     : std::vector<uint8_t>(
+                           bytes, bytes + tables_[static_cast<size_t>(table)]
+                                              .value_size)};
+}
+
+bool Cluster::ShipStoreOp(int from_node, int target_node, uint32_t kind,
+                          const StoreOp& op, uint32_t counter) {
+  const StoreOpHeader header{op.table, op.version, op.key};
+  std::vector<uint8_t> payload(sizeof(header));
+  std::memcpy(payload.data(), &header, sizeof(header));
+  payload.insert(payload.end(), op.value.begin(), op.value.end());
+  std::vector<uint8_t> reply;
+  stat::Registry::Global().Add(counter);
+  return fabric_->Rpc(from_node, target_node, kind, std::move(payload),
+                      &reply) == rdma::OpStatus::kOk &&
+         !reply.empty() && reply[0] == 1;
+}
+
 bool Cluster::RemoteInsert(int from_node, int table, uint64_t key,
                            const void* value) {
-  const TableSpec& spec = tables_[static_cast<size_t>(table)];
-  KvRequest req{table, key};
-  std::vector<uint8_t> payload(sizeof(req) + spec.value_size);
-  std::memcpy(payload.data(), &req, sizeof(req));
-  std::memcpy(payload.data() + sizeof(req), value, spec.value_size);
-  std::vector<uint8_t> reply;
-  const int target = PartitionOf(table, key);
-  stat::Registry::Global().Add(ClusterIds().insert_shipped);
-  if (fabric_->Rpc(from_node, target, kRpcKvInsert, std::move(payload),
-                   &reply) != rdma::OpStatus::kOk) {
-    return false;
-  }
-  return !reply.empty() && reply[0] == 1;
+  return ShipStoreOp(from_node, PartitionOf(table, key), kRpcKvInsert,
+                     MakeStoreOp(StoreOp::kHashInsert, table, key, value),
+                     ClusterIds().insert_shipped);
 }
 
 bool Cluster::RemoteRemove(int from_node, int table, uint64_t key) {
-  KvRequest req{table, key};
-  std::vector<uint8_t> payload(sizeof(req));
-  std::memcpy(payload.data(), &req, sizeof(req));
-  std::vector<uint8_t> reply;
-  const int target = PartitionOf(table, key);
-  stat::Registry::Global().Add(ClusterIds().remove_shipped);
-  if (fabric_->Rpc(from_node, target, kRpcKvRemove, std::move(payload),
-                   &reply) != rdma::OpStatus::kOk) {
-    return false;
-  }
-  return !reply.empty() && reply[0] == 1;
+  return ShipStoreOp(from_node, PartitionOf(table, key), kRpcKvRemove,
+                     MakeStoreOp(StoreOp::kHashRemove, table, key),
+                     ClusterIds().remove_shipped);
 }
 
 bool Cluster::ShipUpsert(int from_node, int target_node, int table,
                          uint64_t key, uint32_t version, const void* value) {
-  const TableSpec& spec = tables_[static_cast<size_t>(table)];
-  UpsertRequest req{table, version, key};
-  std::vector<uint8_t> payload(sizeof(req) + spec.value_size);
-  std::memcpy(payload.data(), &req, sizeof(req));
-  std::memcpy(payload.data() + sizeof(req), value, spec.value_size);
-  std::vector<uint8_t> reply;
-  stat::Registry::Global().Add(ClusterIds().upsert_shipped);
-  if (fabric_->Rpc(from_node, target_node, kRpcKvUpsert, std::move(payload),
-                   &reply) != rdma::OpStatus::kOk) {
-    return false;
-  }
-  return !reply.empty() && reply[0] == 1;
+  return ShipStoreOp(from_node, target_node, kRpcKvUpsert,
+                     MakeStoreOp(StoreOp::kUpsert, table, key, value, version),
+                     ClusterIds().upsert_shipped);
 }
 
 bool Cluster::ShipErase(int from_node, int target_node, int table,
                         uint64_t key) {
-  KvRequest req{table, key};
-  std::vector<uint8_t> payload(sizeof(req));
-  std::memcpy(payload.data(), &req, sizeof(req));
-  std::vector<uint8_t> reply;
-  stat::Registry::Global().Add(ClusterIds().erase_shipped);
-  if (fabric_->Rpc(from_node, target_node, kRpcKvErase, std::move(payload),
-                   &reply) != rdma::OpStatus::kOk) {
-    return false;
-  }
-  return !reply.empty() && reply[0] == 1;
+  return ShipStoreOp(from_node, target_node, kRpcKvErase,
+                     MakeStoreOp(StoreOp::kErase, table, key),
+                     ClusterIds().erase_shipped);
 }
 
 int Cluster::BroadcastCacheInvalidate(

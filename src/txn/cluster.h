@@ -92,6 +92,31 @@ struct TableSpec {
   std::function<int(uint64_t)> partition;
 };
 
+// One structural operation on one node's local store: what a
+// transaction's Insert/Remove/Ordered* builds (the 2PL fallback buffers it
+// until its serialization point) and what the server thread decodes from
+// a shipped INSERT/DELETE or migration upsert/erase.
+// Cluster::ApplyStoreOp is the one place any of them is applied.
+struct StoreOp {
+  enum Kind : uint8_t {
+    kHashInsert,
+    kHashRemove,
+    kOrderedInsert,
+    kOrderedPut,
+    kOrderedRemove,
+    // Migration-side install-or-overwrite at `version` (max-version-wins)
+    // and erase: hash tables only, gate-free, never reported to the
+    // elastic hooks (they carry the migration itself).
+    kUpsert,
+    kErase,
+  };
+  Kind kind = kHashInsert;
+  int table = 0;
+  uint64_t key = 0;
+  uint32_t version = 0;        // kUpsert only
+  std::vector<uint8_t> value;  // the table's value_size bytes, or empty
+};
+
 class Cluster {
  public:
   // Built-in RPC kinds; user handlers start at kUserRpcBase.
@@ -183,6 +208,20 @@ class Cluster {
                     const void* value);
   bool RemoteRemove(int from_node, int table, uint64_t key);
 
+  // Applies `op` to `node`'s local store in one HTM region on `htm`,
+  // retried until it commits (inside an enclosing region on `htm` it
+  // flattens into it), and returns the store's result. The only apply of
+  // a StoreOp: the HTM path's ops, the fallback's buffered ones and the
+  // server thread's shipped ones all land here.
+  bool ApplyStoreOp(int node, const StoreOp& op, htm::HtmThread& htm);
+  // A StoreOp carrying a copy of the table's value_size bytes of `value`
+  // (none for nullptr).
+  StoreOp MakeStoreOp(StoreOp::Kind kind, int table, uint64_t key,
+                      const void* value = nullptr, uint32_t version = 0) const;
+  // Reports a hash insert or remove on `node` that took effect to the
+  // installed elastic hooks. Every other kind is not elastic-managed.
+  void NotifyStructuralOp(int node, const StoreOp& op);
+
   // --- elastic-tier plumbing -----------------------------------------------
   // Installs (or clears, with nullptr) the migration hooks. The caller
   // must DrainTxnWindows() after every toggle before relying on it.
@@ -261,6 +300,18 @@ class Cluster {
                                      htm::HtmThread& htm);
   std::vector<uint8_t> HandleKvErase(int node, const rdma::Message& msg,
                                     htm::HtmThread& htm);
+  // The shared tail of the four structural-op handlers: applies the
+  // decoded op, records it for replay under `name`, reports it to the
+  // elastic hooks and builds the 1-byte reply.
+  std::vector<uint8_t> ServeStoreOp(int node, const StoreOp& op,
+                                    htm::HtmThread& htm, const char* name);
+  // The one encoder of the four structural-op RPCs: encodes `op`, counts
+  // it under `counter` and ships it to `target_node`'s server thread as
+  // RPC `kind`. op.kind does not travel: the RPC kind names the op, and
+  // the server applies an insert or remove to the ordered store iff the
+  // table is ordered. True iff the op applied.
+  bool ShipStoreOp(int from_node, int target_node, uint32_t kind,
+                   const StoreOp& op, uint32_t counter);
   std::vector<uint8_t> HandleCacheInval(int node, const rdma::Message& msg);
   std::vector<uint8_t> HandleOrderedGet(int node, const rdma::Message& msg,
                                        htm::HtmThread& htm);

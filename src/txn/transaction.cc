@@ -321,11 +321,11 @@ void Transaction::ConfirmLeasesInHtm() {
 
 void Transaction::RecordWalUpdate(const Ref& ref, const void* value) {
   if (replay::Armed()) {
-    // Wrapping sum of per-update digests: order-insensitive, so the HTM
-    // path (locals logged in program order, remotes gathered at commit)
-    // and the fallback path (everything gathered in sorted ref order)
-    // produce the same digest for the same logical updates. Deliberately
-    // excludes entry_off — entry allocation is not replay-stable.
+    // Wrapping sum of per-update digests. StageWal is its only caller and
+    // walks the refs in one order on both paths; the sum stays
+    // order-insensitive anyway, so the digest depends on the logical
+    // updates alone. Deliberately excludes entry_off — entry allocation
+    // is not replay-stable.
     replay_wal_sum_ +=
         replay::WalUpdateDigest(ref.node, ref.table, ref.key,
                                 ref.version + 1, value, ref.value_size);
@@ -377,28 +377,41 @@ void Transaction::ReplayRecordFallbackCommit() {
                                                   replay_wal_sum_);
 }
 
-void Transaction::WriteWalInHtm() {
+bool Transaction::StageWal() {
+  wal_buffer_.clear();
+  replay_wal_sum_ = 0;
   if (!cfg_.logging && !replay::Armed()) {
-    return;
+    return false;
   }
-  // Local updates were recorded as they happened (LocalWriteRangeInHtm);
-  // remote updates sit in their prefetch buffers until write-back, so
-  // log their final values here. With replay recording armed this also
-  // folds the remote updates into the replay WAL digest even when
-  // durability logging itself is off.
+  std::vector<uint8_t> image;
   for (const Ref& ref : refs_) {
-    if (!ref.local && ref.dirty) {
-      RecordWalUpdate(ref, ref.buf.data());
+    if (!ref.dirty) {
+      continue;
     }
+    const void* value = ref.buf.data();
+    if (ref.applied) {
+      // Written in place: the transactional read overlays the region's
+      // buffered writes, so it sees every slice the body wrote. It adds
+      // no write lines, so the region's write capacity is unchanged.
+      image.resize(ref.value_size);
+      worker_->htm().Read(
+          image.data(),
+          cluster_.hash_table(ref.node, ref.table)->ValuePtr(ref.entry_off),
+          ref.value_size);
+      value = image.data();
+    }
+    RecordWalUpdate(ref, value);
   }
-  if (!cfg_.logging || wal_buffer_.empty()) {
-    return;
-  }
+  return cfg_.logging && !wal_buffer_.empty();
+}
+
+void Transaction::WriteWalInHtm() {
   // Inside the HTM region: the record becomes durable iff XEND commits
   // (all-or-nothing), which is what recovery keys off (§4.6). A full
   // segment cannot be reclaimed here (reclamation takes the flush
   // mutex), so abort; the retry path reclaims outside the region.
-  if (!cluster_.log(worker_->node())
+  if (StageWal() &&
+      !cluster_.log(worker_->node())
            ->Append(worker_->worker_id(), LogType::kWriteAhead, txn_id_,
                     wal_buffer_.data(), wal_buffer_.size())) {
     worker_->htm().Abort(kCodeLogFull);
@@ -552,8 +565,6 @@ void Transaction::AbandonAttempt() {
     ref.version = 0;
     ref.lease_end = 0;
   }
-  wal_buffer_.clear();
-  replay_wal_sum_ = 0;
 }
 
 TxnStatus Transaction::Run(const Body& body) {
@@ -594,8 +605,6 @@ TxnStatus Transaction::Run(const Body& body) {
     }
 
     user_abort_ = false;
-    wal_buffer_.clear();
-    replay_wal_sum_ = 0;
     // HTM-mode structural ops append notification-only records here;
     // an aborted attempt's records must not survive into the retry
     // (plain heap state is not rolled back by the HTM emulator).
@@ -748,8 +757,11 @@ bool Transaction::LocalWriteRangeInHtm(Ref& ref, uint32_t offset,
   // are discarded wholesale. Only the slice's lines (plus the header)
   // enter the HTM write set — this is what lets a chopped piece update
   // one slice of a value whose full footprint overflows the budget.
-  const uint32_t version = htm.Load(table->VersionPtr(entry));
-  htm.Store(table->VersionPtr(entry), version + 1);
+  // The version is bumped once per commit, by the ref's first write.
+  if (!ref.applied) {
+    ref.version = htm.Load(table->VersionPtr(entry));
+    htm.Store(table->VersionPtr(entry), ref.version + 1);
+  }
   htm.Write(static_cast<uint8_t*>(table->ValuePtr(entry)) + offset, data,
             len);
   // Abort on a write lock or an unexpired lease; actively clear an
@@ -774,19 +786,8 @@ bool Transaction::LocalWriteRangeInHtm(Ref& ref, uint32_t offset,
     htm.Store(table->StatePtr(entry), kStateInit);
   }
   ref.entry_off = entry;
-  ref.version = version;
   ref.dirty = true;
   ref.applied = true;
-  if (offset == 0 && len == ref.value_size) {
-    RecordWalUpdate(ref, data);
-  } else if (cfg_.logging || replay::Armed()) {
-    // The WAL (and the replay digest) record full values; compose the
-    // post-write image (the transactional read overlays our buffered
-    // slice). Logging/recording-only cost.
-    std::vector<uint8_t> full(ref.value_size);
-    htm.Read(full.data(), table->ValuePtr(entry), ref.value_size);
-    RecordWalUpdate(ref, full.data());
-  }
   return true;
 }
 
@@ -819,20 +820,8 @@ void Transaction::NotifyCommittedWrites() {
                               ref.buf.data(), ref.value_size);
     }
   }
-  for (const PendingOp& op : pending_local_ops_) {
-    switch (op.op) {
-      case PendingOp::kHashInsert:
-        hooks->OnStructuralOp(worker_->node(), op.table, op.key,
-                              /*inserted=*/true, op.value.data(),
-                              static_cast<uint32_t>(op.value.size()));
-        break;
-      case PendingOp::kHashRemove:
-        hooks->OnStructuralOp(worker_->node(), op.table, op.key,
-                              /*inserted=*/false, nullptr, 0);
-        break;
-      default:
-        break;  // ordered stores are not elastic-managed
-    }
+  for (const StoreOp& op : pending_local_ops_) {
+    cluster_.NotifyStructuralOp(worker_->node(), op);
   }
 }
 
@@ -850,17 +839,7 @@ bool Transaction::Read(int table, uint64_t key, void* out) {
 }
 
 bool Transaction::Write(int table, uint64_t key, const void* value) {
-  Ref* ref = FindRef(table, key);
-  assert(ref != nullptr && ref->write && "write requires AddWrite");
-  if (mode_ == Mode::kFallback || !ref->local) {
-    if (!ref->found) {
-      return false;
-    }
-    std::memcpy(ref->buf.data(), value, ref->value_size);
-    ref->dirty = true;
-    return true;
-  }
-  return LocalWriteRangeInHtm(*ref, 0, value, ref->value_size);
+  return WriteRange(table, key, 0, value, cluster_.table(table).value_size);
 }
 
 bool Transaction::WriteRange(int table, uint64_t key, uint32_t offset,
@@ -910,86 +889,57 @@ bool Transaction::ReadDynamic(int table, uint64_t key, void* out) {
   return true;
 }
 
-void Transaction::BufferOp(PendingOp::Kind op, int table, uint64_t key,
-                           const void* value) {
-  const auto* bytes = static_cast<const uint8_t*>(value);
-  pending_local_ops_.push_back(PendingOp{
-      op, table, key,
-      value == nullptr ? std::vector<uint8_t>()
-                       : std::vector<uint8_t>(
-                             bytes, bytes + cluster_.table(table).value_size)});
+bool Transaction::LocalStoreOp(StoreOp op) {
+  if (mode_ == Mode::kFallback) {
+    pending_local_ops_.push_back(std::move(op));
+    return true;
+  }
+  // In the HTM path's region ApplyStoreOp's own region flattens into it.
+  const bool ok = cluster_.ApplyStoreOp(worker_->node(), op, worker_->htm());
+  if (ok && cluster_.elastic_hooks() != nullptr) {
+    // Notification-only record: the op already landed in the table;
+    // NotifyCommittedWrites reports it to the elastic hooks after commit
+    // (aborted attempts clear pending_local_ops_).
+    pending_local_ops_.push_back(std::move(op));
+  }
+  return ok;
 }
 
 bool Transaction::Insert(int table, uint64_t key, const void* value) {
   assert(cluster_.PartitionOf(table, key) == worker_->node() &&
          "in-transaction INSERT must target the local partition; remote "
          "inserts are shipped outside transactions (paper footnote 5)");
-  store::ClusterHashTable* host = cluster_.hash_table(worker_->node(), table);
-  if (mode_ == Mode::kHtm) {
-    const bool ok = host->Insert(key, value);
-    if (ok && cluster_.elastic_hooks() != nullptr) {
-      // Notification-only record: the insert already landed in the
-      // table; NotifyCommittedWrites replays it to the elastic hooks
-      // after commit (aborted attempts clear pending_local_ops_).
-      BufferOp(PendingOp::kHashInsert, table, key, value);
-    }
-    return ok;
-  }
-  BufferOp(PendingOp::kHashInsert, table, key, value);
-  return true;
+  return LocalStoreOp(
+      cluster_.MakeStoreOp(StoreOp::kHashInsert, table, key, value));
 }
 
 bool Transaction::Remove(int table, uint64_t key) {
   assert(cluster_.PartitionOf(table, key) == worker_->node());
-  store::ClusterHashTable* host = cluster_.hash_table(worker_->node(), table);
-  if (mode_ == Mode::kHtm) {
-    const bool ok = host->Remove(key);
-    if (ok && cluster_.elastic_hooks() != nullptr) {
-      BufferOp(PendingOp::kHashRemove, table, key);
-    }
-    return ok;
-  }
-  BufferOp(PendingOp::kHashRemove, table, key);
-  return true;
+  return LocalStoreOp(cluster_.MakeStoreOp(StoreOp::kHashRemove, table, key));
 }
 
 bool Transaction::OrderedInsert(int table, uint64_t key, const void* value) {
-  store::BPlusTree* tree = cluster_.ordered_table(worker_->node(), table);
-  if (mode_ == Mode::kHtm) {
-    return tree->Insert(key, value);
-  }
-  BufferOp(PendingOp::kOrderedInsert, table, key, value);
-  return true;
+  return LocalStoreOp(
+      cluster_.MakeStoreOp(StoreOp::kOrderedInsert, table, key, value));
 }
 
 bool Transaction::OrderedPut(int table, uint64_t key, const void* value) {
-  store::BPlusTree* tree = cluster_.ordered_table(worker_->node(), table);
-  if (mode_ == Mode::kHtm) {
-    return tree->Put(key, value);
-  }
-  BufferOp(PendingOp::kOrderedPut, table, key, value);
-  return true;
+  return LocalStoreOp(
+      cluster_.MakeStoreOp(StoreOp::kOrderedPut, table, key, value));
 }
 
 bool Transaction::OrderedRemove(int table, uint64_t key) {
-  store::BPlusTree* tree = cluster_.ordered_table(worker_->node(), table);
-  if (mode_ == Mode::kHtm) {
-    return tree->Remove(key);
-  }
-  BufferOp(PendingOp::kOrderedRemove, table, key);
-  return true;
+  return LocalStoreOp(
+      cluster_.MakeStoreOp(StoreOp::kOrderedRemove, table, key));
 }
 
+// In the HTM path's region the lookups flatten into it; in the fallback
+// each is its own small region.
 bool Transaction::OrderedGet(int table, uint64_t key, void* out) {
   store::BPlusTree* tree = cluster_.ordered_table(worker_->node(), table);
-  if (mode_ == Mode::kHtm) {
-    return tree->Get(key, out);
-  }
   bool found = false;
-  htm::HtmThread& htm = worker_->htm();
-  while (htm.Transact([&] { found = tree->Get(key, out); }) !=
-         htm::kCommitted) {
-  }
+  worker_->htm().TransactUntilCommitted(
+      [&] { found = tree->Get(key, out); });
   return found;
 }
 
@@ -1001,25 +951,19 @@ size_t Transaction::OrderedScan(
     return tree->Scan(lo, hi, fn);
   }
   size_t count = 0;
-  htm::HtmThread& htm = worker_->htm();
   // Buffer results so a conflict-retry does not re-invoke fn.
   std::vector<std::pair<uint64_t, std::vector<uint8_t>>> rows;
   const uint32_t value_size = cluster_.table(table).value_size;
-  while (true) {
+  worker_->htm().TransactUntilCommitted([&] {
     rows.clear();
-    const unsigned status = htm.Transact([&] {
-      tree->Scan(lo, hi, [&](uint64_t key, const void* value) {
-        rows.emplace_back(key,
-                          std::vector<uint8_t>(
-                              static_cast<const uint8_t*>(value),
-                              static_cast<const uint8_t*>(value) + value_size));
-        return true;
-      });
+    tree->Scan(lo, hi, [&](uint64_t key, const void* value) {
+      rows.emplace_back(key,
+                        std::vector<uint8_t>(
+                            static_cast<const uint8_t*>(value),
+                            static_cast<const uint8_t*>(value) + value_size));
+      return true;
     });
-    if (status == htm::kCommitted) {
-      break;
-    }
-  }
+  });
   for (const auto& [key, value] : rows) {
     ++count;
     if (!fn(key, value.data())) {
@@ -1032,15 +976,9 @@ size_t Transaction::OrderedScan(
 bool Transaction::OrderedFindFloor(int table, uint64_t lo, uint64_t bound,
                                    uint64_t* key_out, void* value_out) {
   store::BPlusTree* tree = cluster_.ordered_table(worker_->node(), table);
-  if (mode_ == Mode::kHtm) {
-    return tree->FindFloor(lo, bound, key_out, value_out);
-  }
   bool found = false;
-  htm::HtmThread& htm = worker_->htm();
-  while (htm.Transact([&] {
-           found = tree->FindFloor(lo, bound, key_out, value_out);
-         }) != htm::kCommitted) {
-  }
+  worker_->htm().TransactUntilCommitted(
+      [&] { found = tree->FindFloor(lo, bound, key_out, value_out); });
   return found;
 }
 
@@ -1070,15 +1008,12 @@ bool Transaction::LeasesValid() {
 TxnStatus Transaction::RunFallback(const Body& body) {
   mode_ = Mode::kFallback;
   stat::ScopedTimer fallback_phase(Ids().fallback_ns);
-  htm::HtmThread& htm = worker_->htm();
 
   for (int attempt = 0; attempt < kFallbackAttempts; ++attempt) {
     WindowGuard window(cluster_);
     now_start_ = cluster_.synctime().ReadStrong(worker_->node());
     lease_end_ = now_start_ + cfg_.lease_rw_us;
     pending_local_ops_.clear();
-    wal_buffer_.clear();
-    replay_wal_sum_ = 0;
     dynamic_refs_.clear();
 
     StartResult fail = FallbackAcquire();
@@ -1117,14 +1052,7 @@ TxnStatus Transaction::RunFallback(const Body& body) {
       stat::Registry::Global().Add(Ids().user_abort);
       return TxnStatus::kUserAbort;
     }
-    // Gather WAL updates for buffered hash writes (local ones were
-    // buffered, not applied through LocalWriteRangeInHtm).
-    for (Ref& ref : refs_) {
-      if (ref.dirty) {
-        RecordWalUpdate(ref, ref.buf.data());
-      }
-    }
-    if (cfg_.logging && !wal_buffer_.empty()) {
+    if (StageWal()) {
       NvramLog* log = cluster_.log(worker_->node());
       if (log->AppendReclaiming(worker_->worker_id(), LogType::kWriteAhead,
                                 txn_id_, wal_buffer_.data(),
@@ -1146,38 +1074,8 @@ TxnStatus Transaction::RunFallback(const Body& body) {
     // buffered structural operations, each in a small HTM transaction,
     // then the replay commit, then the shared write-back and unlock.
     stat::ScopedTimer commit_phase(Ids().commit_ns);
-    for (const PendingOp& op : pending_local_ops_) {
-      store::ClusterHashTable* hash =
-          op.op == PendingOp::kHashInsert || op.op == PendingOp::kHashRemove
-              ? cluster_.hash_table(worker_->node(), op.table)
-              : nullptr;
-      store::BPlusTree* tree =
-          hash == nullptr ? cluster_.ordered_table(worker_->node(), op.table)
-                          : nullptr;
-      while (true) {
-        const unsigned status = htm.Transact([&] {
-          switch (op.op) {
-            case PendingOp::kHashInsert:
-              hash->Insert(op.key, op.value.data());
-              break;
-            case PendingOp::kHashRemove:
-              hash->Remove(op.key);
-              break;
-            case PendingOp::kOrderedInsert:
-              tree->Insert(op.key, op.value.data());
-              break;
-            case PendingOp::kOrderedPut:
-              tree->Put(op.key, op.value.data());
-              break;
-            case PendingOp::kOrderedRemove:
-              tree->Remove(op.key);
-              break;
-          }
-        });
-        if (status == htm::kCommitted) {
-          break;
-        }
-      }
+    for (const StoreOp& op : pending_local_ops_) {
+      cluster_.ApplyStoreOp(worker_->node(), op, worker_->htm());
     }
     if (replay::Armed()) {
       // Every 2PL lock is still held, so the sequence number this

@@ -184,13 +184,15 @@ class Transaction {
   // which is confirmed with the static leases before any update.
   bool ReadDynamic(int table, uint64_t key, void* out);
 
-  // Local dynamic operations (the key's partition must be this node):
+  // Local dynamic operations (the key's partition must be this node).
+  // In fallback mode these and the ordered Insert/Put/Remove below are
+  // buffered, report success, and apply at commit:
   bool Insert(int table, uint64_t key, const void* value);
   bool Remove(int table, uint64_t key);
 
   // Local ordered-store operations (HTM-protected; in fallback mode each
-  // runs as its own small HTM transaction while the 2PL locks on the
-  // declared records serialize the logical transaction):
+  // read runs as its own small HTM transaction while the 2PL locks on
+  // the declared records serialize the logical transaction):
   bool OrderedInsert(int table, uint64_t key, const void* value);
   bool OrderedGet(int table, uint64_t key, void* out);
   bool OrderedPut(int table, uint64_t key, const void* value);
@@ -217,7 +219,9 @@ class Transaction {
     uint32_t value_size = 0;
     bool dirty = false;
     // Written in place inside the HTM region (a local record on the HTM
-    // path); every other dirty ref waits in buf for the write-back.
+    // path): the first such write bumped the version, and StageWal reads
+    // the image back from the table. Every other dirty ref waits in buf
+    // for the write-back.
     bool applied = false;
 
     // The commit's write-back must still write this ref's image: it is
@@ -227,29 +231,12 @@ class Transaction {
     }
   };
 
-  // Local structural operations buffered by the fallback path until after
-  // lease confirmation (its serialization point), then applied inside
-  // small HTM transactions.
-  struct PendingOp {
-    enum Kind {
-      kHashInsert,
-      kHashRemove,
-      kOrderedInsert,
-      kOrderedPut,
-      kOrderedRemove,
-    };
-    Kind op;
-    int table;
-    uint64_t key;
-    std::vector<uint8_t> value;
-  };
-
   Ref* FindRef(int table, uint64_t key);
   void SortRefs();
-  // Appends a structural op (copying the table's value_size bytes of
-  // `value`, if any) to pending_local_ops_.
-  void BufferOp(PendingOp::Kind op, int table, uint64_t key,
-                const void* value = nullptr);
+  // The one path of the five local structural ops: the fallback buffers
+  // `op` until its serialization point; the HTM path applies it in place
+  // and returns the store's result.
+  bool LocalStoreOp(StoreOp op);
   // The engine for this attempt: leases end at lease_end_.
   Acquirer acquirer() {
     return Acquirer(worker_, lease_end_, cfg_.lease_rw_us);
@@ -262,6 +249,8 @@ class Transaction {
   // pays ~2 overlapped round trips, not 2k serial ones.
   StartResult StartPhase();
   void ConfirmLeasesInHtm();
+  // Stages the WAL inside the HTM region (StageWal), then appends it, or
+  // aborts with kCodeLogFull when the segment is full.
   void WriteWalInHtm();
   // The image a commit writes back in one WRITE (REMOTE_WRITE_BACK,
   // Fig. 5): the bumped version, the still-held lock word, the value.
@@ -299,6 +288,13 @@ class Transaction {
   bool LocalReadInHtm(Ref& ref, void* out);
   bool LocalWriteRangeInHtm(Ref& ref, uint32_t offset, const void* data,
                             uint32_t len);
+  // The one commit staging point of both paths (§4.6): encodes one WAL
+  // update per dirty ref into wal_buffer_ and folds it into the replay
+  // digest. The image is ref.buf, or for an applied ref the table's,
+  // read back transactionally (so on the HTM path it runs inside the
+  // region). A no-op unless logging or replay recording is on. True when
+  // there is a WAL record to append.
+  bool StageWal();
   void RecordWalUpdate(const Ref& ref, const void* value);
 
   // Replay taps (src/replay): hand the recorder this commit's logical
@@ -327,9 +323,13 @@ class Transaction {
   bool user_abort_ = false;
   std::vector<uint8_t> wal_buffer_;
   // Order-insensitive digest of this attempt's WAL updates (replay
-  // recording); reset wherever wal_buffer_ is.
+  // recording); reset with wal_buffer_ by StageWal.
   uint64_t replay_wal_sum_ = 0;
-  std::vector<PendingOp> pending_local_ops_;
+  // The fallback's structural ops, buffered until after lease
+  // confirmation (its serialization point) and then applied one by one
+  // by Cluster::ApplyStoreOp. On the HTM path, with elastic hooks
+  // installed, notification-only records of the ops it applied.
+  std::vector<StoreOp> pending_local_ops_;
   // Leases taken by ReadDynamic in fallback mode (confirmed post-body).
   std::vector<Ref> dynamic_refs_;
   bool dynamic_conflict_ = false;

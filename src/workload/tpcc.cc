@@ -514,36 +514,34 @@ txn::TxnStatus TpccDb::RunPayment(txn::Worker* worker) {
   return static_cast<txn::TxnStatus>(reply[0]);
 }
 
+bool TpccDb::CustomerByName(txn::Worker* worker, uint64_t w, uint64_t d,
+                            uint64_t name, uint64_t* c) {
+  std::vector<uint64_t> matches;
+  store::BPlusTree* index =
+      cluster_->ordered_table(worker->node(), name_index_);
+  worker->htm().TransactUntilCommitted([&] {
+    matches.clear();
+    index->Scan(NameIndexKey(w, d, name, 0), NameIndexKey(w, d, name, 0xfff),
+                [&](uint64_t, const void* value) {
+                  uint64_t c_id;
+                  std::memcpy(&c_id, value, 8);
+                  matches.push_back(c_id);
+                  return true;
+                });
+  });
+  if (matches.empty()) {
+    return false;
+  }
+  *c = matches[matches.size() / 2];  // the spec's "middle" customer
+  return true;
+}
+
 txn::TxnStatus TpccDb::PaymentLocal(txn::Worker* worker,
                                     const PaymentArgs& args) {
-  // Resolve by-name customers with a local index scan (reconnaissance;
-  // names are immutable so no in-transaction re-check is needed).
   uint64_t c = args.customer;
-  if (args.by_name != 0) {
-    std::vector<uint64_t> matches;
-    store::BPlusTree* index =
-        cluster_->ordered_table(worker->node(), name_index_);
-    htm::HtmThread& htm = worker->htm();
-    while (true) {
-      matches.clear();
-      const unsigned status = htm.Transact([&] {
-        index->Scan(NameIndexKey(args.cw, args.cd, args.customer, 0),
-                    NameIndexKey(args.cw, args.cd, args.customer, 0xfff),
-                    [&](uint64_t, const void* value) {
-                      uint64_t c_id;
-                      std::memcpy(&c_id, value, 8);
-                      matches.push_back(c_id);
-                      return true;
-                    });
-      });
-      if (status == htm::kCommitted) {
-        break;
-      }
-    }
-    if (matches.empty()) {
-      return txn::TxnStatus::kUserAbort;
-    }
-    c = matches[matches.size() / 2];  // the spec's "middle" customer
+  if (args.by_name != 0 &&
+      !CustomerByName(worker, args.cw, args.cd, args.customer, &c)) {
+    return txn::TxnStatus::kUserAbort;
   }
 
   const uint64_t ck = CustomerKey(args.cw, args.cd, c);
@@ -588,32 +586,9 @@ txn::TxnStatus TpccDb::RunOrderStatus(txn::Worker* worker) {
   const uint64_t d = rng.NextBounded(kDistrictsPerWarehouse);
   uint64_t c = NuRandCustomer(rng);
   if (rng.Bernoulli(params_.payment_by_name)) {
-    // By-name resolution against the local index (reconnaissance).
     const uint64_t name = rng.NextBounded(
         static_cast<uint64_t>(params_.name_count));
-    std::vector<uint64_t> matches;
-    store::BPlusTree* index =
-        cluster_->ordered_table(worker->node(), name_index_);
-    htm::HtmThread& htm = worker->htm();
-    while (true) {
-      matches.clear();
-      const unsigned status = htm.Transact([&] {
-        index->Scan(NameIndexKey(w, d, name, 0),
-                    NameIndexKey(w, d, name, 0xfff),
-                    [&](uint64_t, const void* value) {
-                      uint64_t c_id;
-                      std::memcpy(&c_id, value, 8);
-                      matches.push_back(c_id);
-                      return true;
-                    });
-      });
-      if (status == htm::kCommitted) {
-        break;
-      }
-    }
-    if (!matches.empty()) {
-      c = matches[matches.size() / 2];
-    }
+    CustomerByName(worker, w, d, name, &c);  // keeps c when none match
   }
 
   const uint64_t ck = CustomerKey(w, d, c);
@@ -664,34 +639,24 @@ txn::TxnStatus TpccDb::RunDelivery(txn::Worker* worker) {
   htm::HtmThread& htm = worker->htm();
   for (uint64_t d = 0; d < kDistrictsPerWarehouse; ++d) {
     uint64_t oldest = ~uint64_t{0};
-    while (true) {
+    htm.TransactUntilCommitted([&] {
       oldest = ~uint64_t{0};
-      const unsigned status = htm.Transact([&] {
-        cluster_->ordered_table(worker->node(), new_order_)
-            ->Scan(OrderKey(w, d, 0), OrderKey(w, d, 0xffffffff),
-                   [&](uint64_t key, const void*) {
-                     oldest = key & 0xffffffff;
-                     return false;  // first = oldest
-                   });
-      });
-      if (status == htm::kCommitted) {
-        break;
-      }
-    }
+      cluster_->ordered_table(worker->node(), new_order_)
+          ->Scan(OrderKey(w, d, 0), OrderKey(w, d, 0xffffffff),
+                 [&](uint64_t key, const void*) {
+                   oldest = key & 0xffffffff;
+                   return false;  // first = oldest
+                 });
+    });
     if (oldest == ~uint64_t{0}) {
       continue;
     }
     OrderRow orow{};
     bool found = false;
-    while (true) {
-      const unsigned status = htm.Transact([&] {
-        found = cluster_->ordered_table(worker->node(), order_)
-                    ->Get(OrderKey(w, d, oldest), &orow);
-      });
-      if (status == htm::kCommitted) {
-        break;
-      }
-    }
+    htm.TransactUntilCommitted([&] {
+      found = cluster_->ordered_table(worker->node(), order_)
+                  ->Get(OrderKey(w, d, oldest), &orow);
+    });
     if (found) {
       targets.push_back(Target{d, oldest, orow.c_id});
     }

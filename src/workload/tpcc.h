@@ -202,6 +202,12 @@ class TpccDb {
   uint64_t HomeWarehouse(txn::Worker* worker);
   uint64_t NuRandCustomer(Xoshiro256& rng);
   uint64_t NuRandItem(Xoshiro256& rng);
+  // By-name customer resolution with a scan of the worker's local name
+  // index (reconnaissance, section 4.1; names are immutable, so no
+  // in-transaction re-check is needed): sets *c to the spec's "middle"
+  // match of (w, d, name), or returns false when nothing matches.
+  bool CustomerByName(txn::Worker* worker, uint64_t w, uint64_t d,
+                      uint64_t name, uint64_t* c);
 
   // Payment executed where the customer is local; warehouse/district may
   // be remote. Registered as an RPC handler for shipped transactions.

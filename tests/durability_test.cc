@@ -3,9 +3,13 @@
 // and cooperative recovery after fail-stop crashes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "src/htm/htm.h"
 #include "src/store/kv_layout.h"
@@ -59,8 +63,10 @@ class DurabilityTest : public ::testing::Test {
     }
   }
 
+  // With write_from_twice the body first writes a draft to `from`, then
+  // the final balance: one record written twice in one transaction.
   TxnStatus Transfer(Worker* worker, uint64_t from, uint64_t to,
-                     uint64_t amount) {
+                     uint64_t amount, bool write_from_twice = false) {
     Transaction txn(worker);
     txn.AddWrite(table_, from);
     txn.AddWrite(table_, to);
@@ -70,49 +76,117 @@ class DurabilityTest : public ::testing::Test {
       if (!t.Read(table_, from, &a) || !t.Read(table_, to, &b)) {
         return false;
       }
+      const uint64_t draft = a + 1;
+      if (write_from_twice && !t.Write(table_, from, &draft)) {
+        return false;
+      }
       a -= amount;
       b += amount;
       return t.Write(table_, from, &a) && t.Write(table_, to, &b);
     });
   }
 
+  uint32_t VersionOf(uint64_t key) {
+    store::ClusterHashTable* host =
+        cluster_->hash_table(cluster_->PartitionOf(table_, key), table_);
+    return htm::Load(host->VersionPtr(host->FindEntry(key)));
+  }
+
+  // (node, table, key, version, value) of every WAL update in node 0's
+  // log, sorted: the multiset recovery would redo.
+  using WalUpdate = std::tuple<int, int, uint64_t, uint32_t, uint64_t>;
+  std::vector<WalUpdate> LoggedUpdates() {
+    std::vector<WalUpdate> updates;
+    cluster_->log(0)->ForEach([&](int, const LogRecord& record) {
+      if (record.type != LogType::kWriteAhead) {
+        return;
+      }
+      NvramLog::DecodeUpdates(
+          record.payload, [&](const LogUpdate& u, const uint8_t* value) {
+            EXPECT_EQ(u.value_len, 8u);
+            uint64_t v = 0;
+            std::memcpy(&v, value, sizeof(v));
+            updates.emplace_back(u.node, u.table, u.key, u.version, v);
+          });
+    });
+    std::sort(updates.begin(), updates.end());
+    return updates;
+  }
+
   std::unique_ptr<Cluster> cluster_;
   int table_ = -1;
 };
 
+// Both paths stage the WAL at one commit point: the HTM path and the
+// fallback (htm_retry_limit = 0) log the same updates, one per dirty
+// ref, also when the body writes the local side twice.
 TEST_F(DurabilityTest, CommittedDistributedTxnLogsEverything) {
-  SetUpCluster(2);
-  Worker worker(cluster_.get(), 0, 0);
-  ASSERT_EQ(Transfer(&worker, 0, 1, 50), TxnStatus::kCommitted);
-  bool lock_ahead = false;
-  bool wal = false;
-  bool complete = false;
-  cluster_->log(0)->ForEach([&](int, const LogRecord& record) {
-    switch (record.type) {
-      case LogType::kLockAhead:
-        lock_ahead = true;
-        break;
-      case LogType::kWriteAhead: {
-        wal = true;
-        int updates = 0;
-        NvramLog::DecodeUpdates(record.payload,
-                                [&](const LogUpdate& u, const uint8_t*) {
-                                  ++updates;
-                                  EXPECT_EQ(u.value_len, 8u);
-                                });
-        EXPECT_EQ(updates, 2);  // both sides of the transfer
-        break;
-      }
-      case LogType::kComplete:
-        complete = true;
-        break;
-      default:
-        break;
+  struct Input {
+    const char* name;
+    int htm_retry_limit;
+    bool write_local_twice;
+  };
+  for (const Input& in : {Input{"htm", 8, false}, Input{"fallback", 0, false},
+                          Input{"htm, local side twice", 8, true},
+                          Input{"fallback, local side twice", 0, true}}) {
+    SCOPED_TRACE(in.name);
+    ClusterConfig config;
+    config.num_nodes = 2;
+    config.region_bytes = 32 << 20;
+    config.logging = true;
+    config.htm_retry_limit = in.htm_retry_limit;
+    SetUpClusterWith(config);
+    Worker worker(cluster_.get(), 0, 0);
+    const uint32_t local_version = VersionOf(0);
+    const uint32_t remote_version = VersionOf(1);
+    ASSERT_EQ(Transfer(&worker, 0, 1, 50, in.write_local_twice),
+              TxnStatus::kCommitted);
+    bool lock_ahead = false;
+    int wal_records = 0;
+    bool complete = false;
+    cluster_->log(0)->ForEach([&](int, const LogRecord& record) {
+      lock_ahead |= record.type == LogType::kLockAhead;
+      wal_records += record.type == LogType::kWriteAhead ? 1 : 0;
+      complete |= record.type == LogType::kComplete;
+    });
+    if (in.htm_retry_limit > 0) {
+      EXPECT_TRUE(lock_ahead);
     }
-  });
-  EXPECT_TRUE(lock_ahead);
-  EXPECT_TRUE(wal);
-  EXPECT_TRUE(complete);
+    EXPECT_EQ(wal_records, 1);
+    EXPECT_TRUE(complete);
+    const std::vector<WalUpdate> expected = {
+        {0, table_, 0, local_version + 1, kInitialBalance - 50},
+        {1, table_, 1, remote_version + 1, kInitialBalance + 50}};
+    EXPECT_EQ(LoggedUpdates(), expected);
+    EXPECT_EQ(VersionOf(0), local_version + 1);
+    cluster_->Stop();
+    cluster_.reset();
+  }
+}
+
+// Two slices of one local record written in place in one HTM region:
+// one version bump and one WAL update carrying the composed value.
+TEST_F(DurabilityTest, TwoSlicesOfOneLocalRecordBumpAndLogOnce) {
+  SetUpCluster(1);
+  Worker worker(cluster_.get(), 0, 0);
+  const uint32_t version = VersionOf(0);
+  const uint32_t low = 0x11111111;
+  const uint32_t high = 0x22222222;
+  Transaction txn(&worker);
+  txn.AddWrite(table_, 0);
+  ASSERT_EQ(txn.Run([&](Transaction& t) {
+    return t.WriteRange(table_, 0, 0, &low, 4) &&
+           t.WriteRange(table_, 0, 4, &high, 4);
+  }),
+            TxnStatus::kCommitted);
+  const uint64_t composed = 0x2222222211111111ULL;
+  uint64_t value = 0;
+  ASSERT_TRUE(cluster_->hash_table(0, table_)->Get(0, &value));
+  EXPECT_EQ(value, composed);
+  EXPECT_EQ(VersionOf(0), version + 1);
+  const std::vector<WalUpdate> expected = {
+      {0, table_, 0, version + 1, composed}};
+  EXPECT_EQ(LoggedUpdates(), expected);
 }
 
 TEST_F(DurabilityTest, UserAbortedTxnLeavesNoWal) {

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -35,7 +36,9 @@ class TxnProtocolTest : public ::testing::Test {
   static constexpr uint64_t kAccounts = 64;
   static constexpr uint64_t kInitialBalance = 1000;
 
-  void SetUpCluster(ClusterConfig config) {
+  // With `tree`, also registers an ordered table hosted on node 0 and
+  // returns its id there.
+  void SetUpCluster(ClusterConfig config, int* tree = nullptr) {
     cluster_ = std::make_unique<Cluster>(config);
     TableSpec spec;
     spec.value_size = 8;
@@ -46,6 +49,13 @@ class TxnProtocolTest : public ::testing::Test {
       return static_cast<int>(key % static_cast<uint64_t>(nodes));
     };
     table_ = cluster_->AddTable(spec);
+    if (tree != nullptr) {
+      TableSpec ordered;
+      ordered.value_size = 8;
+      ordered.ordered = true;
+      ordered.partition = [](uint64_t) { return 0; };
+      *tree = cluster_->AddTable(ordered);
+    }
     cluster_->Start();
     // Load: each account on its home node.
     for (uint64_t k = 0; k < kAccounts; ++k) {
@@ -621,6 +631,134 @@ TEST_F(TxnProtocolTest, FallbackWritesBackInOneScatterRound) {
               kStateInit)
         << "key " << k << " still locked";
   }
+}
+
+// Records every structural op reported to the elastic hooks, and whether
+// the op had already landed in the table when it was reported.
+class RecordingHooks : public Cluster::ElasticHooks {
+ public:
+  struct Call {
+    int table;
+    uint64_t key;
+    bool inserted;
+    bool landed;
+  };
+
+  explicit RecordingHooks(Cluster* cluster) : cluster_(cluster) {}
+
+  void OnStructuralOp(int node, int table, uint64_t key, bool inserted,
+                      const void*, uint32_t) override {
+    uint64_t value = 0;
+    const bool present = cluster_->hash_table(node, table)->Get(key, &value);
+    std::lock_guard<std::mutex> guard(mu_);
+    calls_.push_back(Call{table, key, inserted, present == inserted});
+  }
+
+  std::vector<Call> calls() {
+    std::lock_guard<std::mutex> guard(mu_);
+    return calls_;
+  }
+
+ private:
+  Cluster* cluster_;
+  std::mutex mu_;
+  std::vector<Call> calls_;
+};
+
+// Runs, on the 2PL fallback, a body that buffers every kind of local
+// structural op — a hash Insert and Remove, an OrderedInsert, an
+// OrderedPut over an existing row and an OrderedRemove — and ends with
+// `commit`. Nothing may be applied or reported before the body returns.
+TxnStatus RunStructuralOpsInFallback(Worker* worker, int table, int tree,
+                                     RecordingHooks* hooks, bool commit) {
+  Transaction txn(worker);
+  txn.AddWrite(table, 0);
+  return txn.Run([&](Transaction& t) {
+    EXPECT_TRUE(t.in_fallback());
+    const uint64_t value = 42;
+    EXPECT_TRUE(t.Insert(table, 1000, &value));
+    EXPECT_TRUE(t.Remove(table, 1));
+    EXPECT_TRUE(t.OrderedInsert(tree, 100, &value));
+    EXPECT_TRUE(t.OrderedPut(tree, 7, &value));
+    EXPECT_TRUE(t.OrderedRemove(tree, 8));
+    uint64_t row = 0;
+    EXPECT_FALSE(t.OrderedGet(tree, 100, &row));  // buffered, not applied
+    EXPECT_TRUE(hooks->calls().empty());
+    return commit && t.Write(table, 0, &value);
+  });
+}
+
+TEST_F(TxnProtocolTest, FallbackAppliesBufferedStructuralOpsAtCommit) {
+  auto config = SmallConfig(1);
+  config.htm_retry_limit = 0;
+  int tree = -1;
+  SetUpCluster(config, &tree);
+  const uint64_t old_row = 5;
+  ASSERT_TRUE(cluster_->ordered_table(0, tree)->Insert(7, &old_row));
+  ASSERT_TRUE(cluster_->ordered_table(0, tree)->Insert(8, &old_row));
+  RecordingHooks hooks(cluster_.get());
+  cluster_->SetElasticHooks(&hooks);
+  cluster_->DrainTxnWindows();
+  Worker worker(cluster_.get(), 0, 0);
+  const TxnStatus status =
+      RunStructuralOpsInFallback(&worker, table_, tree, &hooks, true);
+  cluster_->SetElasticHooks(nullptr);
+  cluster_->DrainTxnWindows();
+  ASSERT_EQ(status, TxnStatus::kCommitted);
+
+  EXPECT_EQ(StrongBalance(0), 42u);
+  EXPECT_EQ(StrongBalance(1000), 42u);
+  uint64_t row = 0;
+  EXPECT_FALSE(cluster_->hash_table(0, table_)->Get(1, &row));
+  store::BPlusTree* ordered = cluster_->ordered_table(0, tree);
+  ASSERT_TRUE(ordered->Get(100, &row));
+  EXPECT_EQ(row, 42u);
+  ASSERT_TRUE(ordered->Get(7, &row));
+  EXPECT_EQ(row, 42u);
+  EXPECT_FALSE(ordered->Get(8, &row));
+
+  // Only the two hash kinds reach the hooks, in buffer order, each after
+  // it landed.
+  const std::vector<RecordingHooks::Call> calls = hooks.calls();
+  ASSERT_EQ(calls.size(), 2u);
+  EXPECT_EQ(calls[0].table, table_);
+  EXPECT_EQ(calls[0].key, 1000u);
+  EXPECT_TRUE(calls[0].inserted);
+  EXPECT_TRUE(calls[0].landed);
+  EXPECT_EQ(calls[1].table, table_);
+  EXPECT_EQ(calls[1].key, 1u);
+  EXPECT_FALSE(calls[1].inserted);
+  EXPECT_TRUE(calls[1].landed);
+}
+
+TEST_F(TxnProtocolTest, UserAbortedFallbackAppliesNoStructuralOps) {
+  auto config = SmallConfig(1);
+  config.htm_retry_limit = 0;
+  int tree = -1;
+  SetUpCluster(config, &tree);
+  const uint64_t old_row = 5;
+  ASSERT_TRUE(cluster_->ordered_table(0, tree)->Insert(7, &old_row));
+  ASSERT_TRUE(cluster_->ordered_table(0, tree)->Insert(8, &old_row));
+  RecordingHooks hooks(cluster_.get());
+  cluster_->SetElasticHooks(&hooks);
+  cluster_->DrainTxnWindows();
+  Worker worker(cluster_.get(), 0, 0);
+  const TxnStatus status =
+      RunStructuralOpsInFallback(&worker, table_, tree, &hooks, false);
+  cluster_->SetElasticHooks(nullptr);
+  cluster_->DrainTxnWindows();
+  ASSERT_EQ(status, TxnStatus::kUserAbort);
+
+  EXPECT_EQ(StrongBalance(0), kInitialBalance);
+  EXPECT_EQ(StrongBalance(1), kInitialBalance);
+  uint64_t row = 0;
+  EXPECT_FALSE(cluster_->hash_table(0, table_)->Get(1000, &row));
+  store::BPlusTree* ordered = cluster_->ordered_table(0, tree);
+  EXPECT_FALSE(ordered->Get(100, &row));
+  ASSERT_TRUE(ordered->Get(7, &row));
+  EXPECT_EQ(row, old_row);
+  EXPECT_TRUE(ordered->Get(8, &row));
+  EXPECT_TRUE(hooks.calls().empty());
 }
 
 TEST_F(TxnProtocolTest, SymmetricCrossNodeConflictsAreDeadlockFree) {

@@ -242,35 +242,54 @@ TEST(PhaseScatter, ScalarVerbToDeadNodeReturnsNodeDown) {
   EXPECT_EQ(fabric.Faa(1, off, 1, &observed), OpStatus::kNodeDown);
 }
 
-// The first failed WQE errors the queue: every later WQE in the batch
-// completes kNodeDown without executing (the RC flush), and the next
-// doorbell runs on a re-armed queue.
+// The first failed WQE errors the queue: every later WQE of the Gather
+// round completes kNodeDown without executing (the RC flush), and the
+// next round runs on a re-armed queue. The second input posts more than
+// kMaxOutstanding WRITEs to one target, so the failure lands in an
+// auto-rung doorbell and must flush the round's last doorbell too.
 TEST(PhaseScatter, FailedWqeFlushesTheRestOfItsBatch) {
-  Fabric fabric(TestConfig(2));
-  const uint64_t off_a = fabric.memory(1).Allocate(8);
-  const uint64_t off_b = fabric.memory(1).Allocate(8);
-  const uint64_t one = 1;
-  chaos::FaultPlan plan;
-  plan.Add(chaos::FaultEvent{"rdma.write.wqe", 1, chaos::FaultKind::kDropOp,
-                             -1, 0});
-  chaos::Injector::Global().Arm(plan);
-  PhaseScatter scatter(fabric);
-  scatter.PostWrite(1, 0, off_a, &one, 8);  // dropped by the plan
-  scatter.PostWrite(1, 1, off_b, &one, 8);  // flushed behind it
-  std::vector<Completion> comps = GatherAll(scatter);
-  ASSERT_EQ(comps.size(), 2u);
-  EXPECT_EQ(comps[0].status, OpStatus::kNodeDown);
-  EXPECT_EQ(comps[1].status, OpStatus::kNodeDown);
-  uint64_t value = 0;
-  ASSERT_EQ(fabric.Read(1, off_b, &value, 8), OpStatus::kOk);
-  EXPECT_EQ(value, 0u);  // the flushed WRITE never executed
-  scatter.PostWrite(1, 2, off_b, &one, 8);
-  comps = GatherAll(scatter);
-  chaos::Injector::Global().Disarm();
-  ASSERT_EQ(comps.size(), 1u);
-  EXPECT_EQ(comps[0].status, OpStatus::kOk);
-  ASSERT_EQ(fabric.Read(1, off_b, &value, 8), OpStatus::kOk);
-  EXPECT_EQ(value, 1u);
+  struct Input {
+    size_t writes;
+    uint64_t failing;  // the arrival at rdma.write.wqe the plan drops
+  };
+  for (const Input& in :
+       {Input{2, 1}, Input{PhaseScatter::kMaxOutstanding + 4, 3}}) {
+    SCOPED_TRACE(in.writes);
+    Fabric fabric(TestConfig(2));
+    std::vector<uint64_t> offs;
+    for (size_t i = 0; i < in.writes; ++i) {
+      offs.push_back(fabric.memory(1).Allocate(8));
+    }
+    const uint64_t one = 1;
+    chaos::FaultPlan plan;
+    plan.Add(chaos::FaultEvent{"rdma.write.wqe", in.failing,
+                               chaos::FaultKind::kDropOp, -1, 0});
+    chaos::Injector::Global().Arm(plan);
+    PhaseScatter scatter(fabric);
+    for (size_t i = 0; i < in.writes; ++i) {
+      scatter.PostWrite(1, i, offs[i], &one, 8);
+    }
+    std::vector<Completion> comps = GatherAll(scatter);
+    ASSERT_EQ(comps.size(), in.writes);
+    for (size_t i = 0; i < in.writes; ++i) {
+      const bool executed = i + 1 < in.failing;
+      EXPECT_EQ(comps[i].wr_id, i);
+      EXPECT_EQ(comps[i].status,
+                executed ? OpStatus::kOk : OpStatus::kNodeDown)
+          << "wr_id " << i;
+      uint64_t value = 0;
+      ASSERT_EQ(fabric.Read(1, offs[i], &value, 8), OpStatus::kOk);
+      EXPECT_EQ(value, executed ? 1u : 0u) << "wr_id " << i;
+    }
+    scatter.PostWrite(1, in.writes, offs.back(), &one, 8);
+    comps = GatherAll(scatter);
+    chaos::Injector::Global().Disarm();
+    ASSERT_EQ(comps.size(), 1u);
+    EXPECT_EQ(comps[0].status, OpStatus::kOk);
+    uint64_t value = 0;
+    ASSERT_EQ(fabric.Read(1, offs.back(), &value, 8), OpStatus::kOk);
+    EXPECT_EQ(value, 1u);
+  }
 }
 
 // Batched CAS must keep NIC-level atomicity against concurrent batched

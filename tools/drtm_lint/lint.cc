@@ -279,6 +279,7 @@ const std::unordered_set<std::string>& SummarySkipNames() {
   static const std::unordered_set<std::string> kSet = {
       "Load",        "Store",       "Read",        "Write",
       "ReadBytes",   "WriteBytes",  "Abort",       "Transact",
+      "TransactUntilCommitted",
       "StrongLoad",  "StrongStore", "StrongRead",  "StrongWrite",
       "StrongCas64", "StrongFaa64", "AbortCurrentTransactionOrDie",
       "static_cast", "reinterpret_cast", "const_cast", "dynamic_cast",
@@ -365,11 +366,13 @@ size_t Analyzer::file_count() const { return files_.size(); }
 
 namespace {
 
-// Finds `Transact(` call sites whose argument list contains a lambda
-// body, and returns the body brace ranges.
+// Finds `Transact(` and `TransactUntilCommitted(` call sites whose
+// argument list contains a lambda body, and returns the body brace
+// ranges.
 void FindTransactBodies(const Tokens& t, size_t file, std::vector<Region>* out) {
   for (size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].kind != Token::kIdent || t[i].text != "Transact" ||
+    if (t[i].kind != Token::kIdent ||
+        (t[i].text != "Transact" && t[i].text != "TransactUntilCommitted") ||
         !Is(t, i + 1, "(")) {
       continue;
     }

@@ -54,6 +54,17 @@ TEST(DrtmLint, FlagsPlantedTx01RawAccesses) {
   }
 }
 
+TEST(DrtmLint, RunToCommitBodiesAreTransactBodies) {
+  Analyzer a = AnalyzeFixtures({"tx01_raw_store.cc"});
+  const bool flagged = std::any_of(
+      a.findings().begin(), a.findings().end(), [](const Finding& f) {
+        return f.rule == "TX01" && !f.suppressed &&
+               f.function == "PlantTx01UntilCommitted";
+      });
+  EXPECT_TRUE(flagged)
+      << "raw store in a TransactUntilCommitted body not found";
+}
+
 TEST(DrtmLint, OneLevelCallSummaryReachesHelpers) {
   Analyzer a = AnalyzeFixtures({"tx01_raw_store.cc"});
   const bool helper_flagged = std::any_of(

@@ -33,6 +33,13 @@ void PlantTx01(drtm::htm::HtmThread& htm, unsigned char* base) {
   });
 }
 
+// The run-to-commit helper's lambda is a Transact body too.
+void PlantTx01UntilCommitted(drtm::htm::HtmThread& htm, unsigned char* base) {
+  htm.TransactUntilCommitted([&] {
+    base[3] = 5;  // TX01: raw store in a run-to-commit body
+  });
+}
+
 void SuppressedTx01(drtm::htm::HtmThread& htm, unsigned char* base) {
   htm.Transact([&] {
     unsigned char* node = base;

@@ -1,17 +1,13 @@
 // Re-sharding benchmark (elastic tier). Not a paper figure — this drives
 // the src/elastic subsystem the way an operator would: a transfer-ledger
-// workload runs continuously while ~10% of the routing buckets migrate
-// from node 0 to node 1, then an admission-control stage saturates a
-// server thread and checks that load is shed at the door instead of
-// letting the queue grow without bound.
+// workload runs continuously through a steady, a migrate and a post
+// phase while ~10% of the routing buckets migrate from node 0 to node 1.
 //
-// Pass criteria (all overridable by env for slow CI hosts):
+// Pass criteria:
 //   - migration completes, mid-migration copy oracle + post-run
 //     conservation + commit-ledger invariants all green
-//   - committed-txn p99 during migration < DRTM_RESHARD_P99_MULT (3x)
-//     of steady-state p99
-//   - admission stage sheds (> 0) while admitted throughput stays within
-//     DRTM_RESHARD_SHED_MARGIN (default 35%) of the unthrottled peak
+//   - committed-txn p99 during migration < DRTM_RESHARD_P99_MULT (default
+//     3x, overridable for slow CI hosts) of steady-state p99
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -25,7 +21,6 @@
 #include "bench/bench_util.h"
 #include "src/chaos/invariants.h"
 #include "src/common/clock.h"
-#include "src/elastic/admission.h"
 #include "src/elastic/migration.h"
 #include "src/elastic/routing.h"
 #include "src/txn/cluster.h"
@@ -38,8 +33,6 @@ using namespace drtm;
 constexpr uint64_t kKeys = 4096;
 constexpr int64_t kInitialBalance = 1000;
 constexpr uint32_t kRoutingBuckets = 256;
-constexpr uint32_t kPingRpc = txn::Cluster::kUserRpcBase + 7;
-constexpr uint64_t kPingServiceNs = 30'000;  // emulated handler work
 
 double EnvDouble(const char* name, double dflt) {
   const char* env = std::getenv(name);
@@ -70,7 +63,7 @@ int main() {
   // sample large enough that its tail is real, whatever DRTM_BENCH_MS says.
   const uint64_t phase_ms =
       std::max<uint64_t>(300, benchutil::DurationMs(quick ? 400 : 1500));
-  benchutil::Header("Re-sharding", "live migration + admission control");
+  benchutil::Header("Re-sharding", "live migration");
   benchutil::PaperNote(
       "beyond the paper: DrTM pins a key to its home node for life; the "
       "elastic tier moves 10% of the buckets under traffic instead");
@@ -78,7 +71,7 @@ int main() {
   const stat::Snapshot window = benchutil::BeginReportWindow();
   stat::BenchReport report;
   report.bench = "resharding";
-  report.title = "bucket migration under traffic + admission shedding";
+  report.title = "bucket migration under traffic";
   report.AddConfig("keys", std::to_string(kKeys));
   report.AddConfig("routing_buckets", std::to_string(kRoutingBuckets));
   report.AddConfig("phase_ms", std::to_string(phase_ms));
@@ -96,10 +89,6 @@ int main() {
   spec.capacity = 1 << 14;
   spec.partition = routing.PartitionFn();
   const int table = cluster.AddTable(spec);
-  cluster.RegisterRpcHandler(kPingRpc, [](const rdma::Message&) {
-    SpinFor(kPingServiceNs);
-    return std::vector<uint8_t>{1};
-  });
   cluster.Start();
   for (uint64_t k = 0; k < kKeys; ++k) {
     const uint64_t balance = kInitialBalance;
@@ -111,7 +100,7 @@ int main() {
     }
   }
 
-  // ---- Phases 1-3: transfer traffic across steady / migrate / post ----
+  // ---- Transfer traffic across steady / migrate / post ----
   std::atomic<int> phase{kSteady};
   std::atomic<uint64_t> committed{0};
   // Commit-intent ledger: per-key signed delta, applied only after a
@@ -300,106 +289,6 @@ int main() {
     ok = false;
   }
 
-  // ---- Phase 4: admission control at the saturation knee ----
-  // Unthrottled probe first: closed-loop clients against a ~30us ping
-  // handler measure the server thread's service capacity (the pre-knee
-  // peak — in the queue-based fabric overload grows the queue and the
-  // latency, not the loss rate, so the peak IS the capacity).
-  constexpr int kProbeClients = 4;
-  const uint64_t probe_ms = quick ? 250 : 800;
-  const double peak_tps = benchutil::MeasureOpsPerSec(
-      kProbeClients, probe_ms, [&](int t) {
-        std::vector<uint8_t> reply;
-        cluster.Rpc(1, 0, kPingRpc, {}, &reply);
-        (void)t;
-      });
-
-  // Saturate open-loop: an arrival generator offers 2x the measured
-  // capacity at the door; the token bucket refills at ~capacity, so the
-  // excess is shed immediately (never queued) while admitted arrivals
-  // are executed by a closed-loop worker pool that can just keep up.
-  // Closed-loop saturation cannot show shedding — blocked clients
-  // self-throttle to capacity — which is exactly the failure mode
-  // admission control exists to prevent in the open-loop world.
-  elastic::AdmissionConfig admission_config;
-  admission_config.base_rate_per_us = peak_tps / 1e6;
-  // Arrivals come in 1ms batches (below); the burst must cover a few
-  // batches of refill or scheduling jitter on a small host caps the
-  // admitted rate below the refill rate.
-  admission_config.burst = std::max(64.0, 4.0 * peak_tps / 1e3);
-  elastic::AdmissionController admission(&cluster, 0, admission_config);
-  std::atomic<bool> saturate{true};
-  std::atomic<int64_t> credits{0};
-  std::atomic<uint64_t> executed{0};
-  std::thread arrivals([&] {
-    // Deficit pacer, batched: sleep 1ms (yield the core — a spinning
-    // generator starves the server thread on a small host), then issue
-    // every arrival that came due. Slow Admit() calls or oversleeping
-    // never depress the offered load below the intended 2x capacity.
-    const double rate_per_ns = 2.0 * peak_tps / 1e9;
-    const uint64_t begin = MonotonicNanos();
-    uint64_t issued = 0;
-    while (saturate.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      const uint64_t due = static_cast<uint64_t>(
-          static_cast<double>(MonotonicNanos() - begin) * rate_per_ns);
-      while (issued < due) {
-        if (admission.Admit()) {
-          credits.fetch_add(1, std::memory_order_relaxed);
-        }
-        ++issued;
-      }
-    }
-  });
-  std::vector<std::thread> executors;
-  for (int t = 0; t < kProbeClients; ++t) {
-    executors.emplace_back([&] {
-      while (saturate.load(std::memory_order_acquire)) {
-        if (credits.fetch_sub(1, std::memory_order_relaxed) <= 0) {
-          credits.fetch_add(1, std::memory_order_relaxed);
-          std::this_thread::yield();
-          continue;
-        }
-        std::vector<uint8_t> reply;
-        cluster.Rpc(1, 0, kPingRpc, {}, &reply);
-        executed.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  const uint64_t sat_begin = MonotonicNanos();
-  std::this_thread::sleep_for(std::chrono::milliseconds(probe_ms));
-  saturate.store(false, std::memory_order_release);
-  const double sat_secs = (MonotonicNanos() - sat_begin) / 1e9;
-  arrivals.join();
-  for (std::thread& t : executors) {
-    t.join();
-  }
-  const double admitted_tps =
-      static_cast<double>(executed.load()) / sat_secs;
-
-  const double shed_margin = EnvDouble("DRTM_RESHARD_SHED_MARGIN", 0.35);
-  std::printf("admission: peak %.0f rpc/s, admitted %.0f rpc/s "
-              "(%.0f%% of peak), shed %llu\n",
-              peak_tps, admitted_tps, 100.0 * admitted_tps / peak_tps,
-              static_cast<unsigned long long>(admission.shed()));
-  if (admission.shed() == 0) {
-    std::printf("FAIL: admission never shed under 2x overload\n");
-    ok = false;
-  }
-  if (admitted_tps < peak_tps * (1.0 - shed_margin)) {
-    std::printf("FAIL: admitted throughput %.0f below %.0f%% of peak "
-                "%.0f\n",
-                admitted_tps, 100.0 * (1.0 - shed_margin), peak_tps);
-    ok = false;
-  }
-
-  stat::BenchReport::Series& adm = report.AddSeries("admission");
-  benchutil::AddPoint(
-      &adm, {{"stage", "saturation"}},
-      {{"peak_rpc_per_sec", peak_tps},
-       {"admitted_rpc_per_sec", admitted_tps},
-       {"shed", static_cast<double>(admission.shed())},
-       {"admitted", static_cast<double>(admission.admitted())}});
   stat::BenchReport::Series& mig_series = report.AddSeries("migration");
   benchutil::AddPoint(
       &mig_series, {{"slice", "10pct"}},

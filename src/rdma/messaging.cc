@@ -37,11 +37,6 @@ bool MessageQueue::PopWait(Message* out, uint64_t timeout_us) {
   return true;
 }
 
-size_t MessageQueue::ApproxSize() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 void MessageQueue::Shutdown() {
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -35,8 +35,6 @@ class MessageQueue {
   // Blocks up to timeout_us for a message.
   bool PopWait(Message* out, uint64_t timeout_us);
 
-  size_t ApproxSize();
-
   void Shutdown();
   bool IsShutdown();
 

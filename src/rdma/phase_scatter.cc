@@ -1,7 +1,6 @@
 #include "src/rdma/phase_scatter.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "src/common/clock.h"
 #include "src/stat/metrics.h"
@@ -16,7 +15,6 @@ struct BatchIds {
   uint32_t wqes = 0;
   uint32_t size = 0;
   uint32_t batch_ns = 0;
-  uint32_t outstanding = 0;
 };
 
 const BatchIds& Batch() {
@@ -27,24 +25,9 @@ const BatchIds& Batch() {
     b.wqes = reg.CounterId("rdma.batch.wqes");
     b.size = reg.TimerId("rdma.batch.size");
     b.batch_ns = reg.TimerId("rdma.batch_ns");
-    b.outstanding = reg.GaugeId("rdma.sendq.outstanding");
     return b;
   }();
   return ids;
-}
-
-// Outstanding-window occupancy, shared by every PhaseScatter in the
-// process so admission control sees the node's aggregate NIC pressure,
-// not one queue's. Targets hash into a fixed slot array; with the
-// repo-wide 64-node ceiling the mapping is collision-free.
-constexpr int kOutstandingSlots = 256;
-std::atomic<int64_t> g_outstanding[kOutstandingSlots];
-std::atomic<int64_t> g_outstanding_total{0};
-
-void TrackOutstanding(int target, int64_t delta) {
-  g_outstanding[target & (kOutstandingSlots - 1)].fetch_add(
-      delta, std::memory_order_relaxed);
-  g_outstanding_total.fetch_add(delta, std::memory_order_relaxed);
 }
 
 void CountDoorbell(size_t wqes, uint64_t batch_ns) {
@@ -57,23 +40,8 @@ void CountDoorbell(size_t wqes, uint64_t batch_ns) {
 
 }  // namespace
 
-int64_t OutstandingForTarget(int target) {
-  return g_outstanding[target & (kOutstandingSlots - 1)].load(
-      std::memory_order_relaxed);
-}
-
 PhaseScatter::PhaseScatter(Fabric& fabric, const stat::ScatterPhaseIds* ids)
     : fabric_(fabric), ids_(ids) {}
-
-PhaseScatter::~PhaseScatter() {
-  // WQEs abandoned without a Gather still left the window; give their
-  // occupancy back or the admission signal drifts upward forever.
-  for (const Queue& q : queues_) {
-    if (!q.wqes.empty()) {
-      TrackOutstanding(q.target, -static_cast<int64_t>(q.wqes.size()));
-    }
-  }
-}
 
 void PhaseScatter::PostRead(int target, WrId wr_id, uint64_t offset,
                             void* dst, size_t len) {
@@ -104,7 +72,6 @@ void PhaseScatter::Enqueue(int target, const Wqe& wqe) {
     it = queues_.end() - 1;
   }
   it->wqes.push_back(wqe);
-  TrackOutstanding(target, 1);
   if (it->wqes.size() >= kMaxOutstanding) {
     Stamp(*it, MonotonicNanos());
     Drain(*it, &early_);
@@ -187,11 +154,7 @@ void PhaseScatter::Drain(Queue& q, std::vector<Completion>* out) {
     out->push_back(comp);
   }
   CountDoorbell(q.wqes.size(), q.batch_ns);
-  TrackOutstanding(q.target, -static_cast<int64_t>(q.wqes.size()));
   q.wqes.clear();
-  stat::Registry::Global().GaugeSet(
-      Batch().outstanding,
-      g_outstanding_total.load(std::memory_order_relaxed));
 }
 
 uint64_t PhaseScatter::DoorbellNs(const LatencyModel& lat, const Wqe* wqes,

@@ -38,7 +38,10 @@
 // A PhaseScatter is owned by one initiator thread and is not
 // thread-safe, like a verbs QP. Given a stat::ScatterPhaseIds set, each
 // Gather() also records the phase's rounds, doorbells, WQEs and the
-// time the overlap saved (sum - max of the batch latencies).
+// time the overlap saved (sum - max of the batch latencies). Every
+// doorbell moves the sharded rdma.batch.* counters; no live occupancy is
+// kept, and a window's mean occupancy is rdma.batch.wqes /
+// rdma.batch.doorbells over that window.
 #ifndef SRC_RDMA_PHASE_SCATTER_H_
 #define SRC_RDMA_PHASE_SCATTER_H_
 
@@ -62,12 +65,6 @@ struct Completion {
   uint64_t observed = 0;
 };
 
-// Process-wide count of WQEs posted toward `target` but not yet executed,
-// summed over every PhaseScatter. This is the NIC-side congestion signal
-// admission control samples; the process-wide total is also exported as
-// the gauge "rdma.sendq.outstanding", refreshed at each doorbell.
-int64_t OutstandingForTarget(int target);
-
 class PhaseScatter {
  public:
   // The hardware send-queue depth: the auto-doorbell threshold per target.
@@ -77,7 +74,6 @@ class PhaseScatter {
   // nullptr disables phase accounting (rdma.batch.* still moves).
   explicit PhaseScatter(Fabric& fabric,
                         const stat::ScatterPhaseIds* ids = nullptr);
-  ~PhaseScatter();
 
   PhaseScatter(const PhaseScatter&) = delete;
   PhaseScatter& operator=(const PhaseScatter&) = delete;

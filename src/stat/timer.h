@@ -11,7 +11,8 @@
 //   phase.htm_attempt_ns     one HTM region attempt (body + commit)
 //   phase.fallback_ns        one full fallback (2PL) execution
 //   phase.lock_acquire_ns    exclusive-lock acquisition (RDMA CAS loop)
-//   phase.lease_wait_ns      shared-lease acquisition (read + CAS loop)
+//   phase.lease_wait_ns      shared-lease acquisition (read + CAS loop);
+//                            a read-only attempt's lease + prefetch
 //   phase.commit_ns          write-back + unlock after XEND
 //   phase.log_append_ns      one NVRAM log append
 #ifndef SRC_STAT_TIMER_H_

@@ -254,12 +254,6 @@ class Cluster {
   int BroadcastCacheInvalidate(int from_node, int source_node,
                                const std::vector<uint64_t>& bucket_offs);
 
-  // Queue depth of a node's server thread — the admission-control
-  // congestion signal on the RPC side.
-  size_t ServerQueueDepth(int node) {
-    return fabric_->queue(node).ApproxSize();
-  }
-
   // Remote access to ordered stores over SEND/RECV verbs (the paper's
   // stated mechanism for ordered tables, sections 3 and 6.5 — DrTM has
   // no RDMA-friendly B+ tree). The host executes the operation inside an

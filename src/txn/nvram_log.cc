@@ -597,8 +597,8 @@ bool NvramLog::ReclaimSpace(int worker) {
   }
 
   // Pass 1: which transactions in [base, limit) are finished? kComplete
-  // closes a plain transaction; a {total, total} kChopInfo closes a
-  // chopped chain (chains never write kComplete).
+  // closes any id: a plain transaction, or a chopped chain given up
+  // before its end; a {total, total} kChopInfo closes a finished chain.
   std::set<uint64_t> done;
   std::map<uint64_t, std::pair<uint32_t, uint32_t>> chains;  // id -> max,total
   auto walk = [&](uint64_t from,

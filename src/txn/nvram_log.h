@@ -52,7 +52,8 @@ enum class LogType : uint8_t {
   kChopInfo = 1,   // remaining pieces of a chopped parent transaction
   kLockAhead = 2,  // remote records this txn will exclusively lock
   kWriteAhead = 3, // all updates (local + remote), logged inside HTM
-  kComplete = 4,   // write-back finished; earlier records are obsolete
+  kComplete = 4,   // write-back finished or locks released after an
+                   // abort; earlier records are obsolete
   // Framing records, never surfaced through ForEach:
   kEpoch = 5,      // epoch header; txn_id is the epoch id, payload is
                    // an EpochInfo backpatched at seal time

@@ -202,13 +202,20 @@ TEST_F(DurabilityTest, UserAbortedTxnLeavesNoWal) {
     return false;  // abort after writing: HTM discards the WAL append
   }),
             TxnStatus::kUserAbort);
+  NvramLog* log = cluster_->log(0);
   bool wal = false;
-  cluster_->log(0)->ForEach([&](int, const LogRecord& record) {
+  log->ForEach([&](int, const LogRecord& record) {
     if (record.type == LogType::kWriteAhead) {
       wal = true;
     }
   });
   EXPECT_FALSE(wal);
+  // Start logged a lock-ahead for the remote write; the abort closes it,
+  // so once everything is durable the whole segment reclaims.
+  log->Externalize(0);
+  log->Poll(0);
+  log->ReclaimSpace(0);
+  EXPECT_EQ(log->UsedBytes(0), 0u);
 }
 
 TEST_F(DurabilityTest, LocalOnlyTxnWritesWal) {

@@ -1,8 +1,6 @@
 // Elastic serving tier tests: routing-table semantics, live shard
-// migration under traffic (conservation + mid-migration oracle),
-// location-cache invalidation across an ownership flip, admission
-// control shedding, hot-key tracking / read-lease replicas, and the
-// send-queue outstanding-window gauge.
+// migration under traffic (conservation + mid-migration oracle), and
+// location-cache invalidation across an ownership flip.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,11 +8,8 @@
 #include <vector>
 
 #include "src/common/clock.h"
-#include "src/elastic/admission.h"
-#include "src/elastic/hotkey.h"
 #include "src/elastic/migration.h"
 #include "src/elastic/routing.h"
-#include "src/rdma/phase_scatter.h"
 #include "src/stat/metrics.h"
 #include "src/store/kv_layout.h"
 #include "src/txn/cluster.h"
@@ -304,117 +299,6 @@ TEST_F(ElasticTest, OwnershipFlipInvalidatesLocationCaches) {
   EXPECT_EQ(observed, new_value);
   EXPECT_EQ(cluster_->hash_table(0, table_)->FindEntry(key),
             store::kInvalidOffset);
-}
-
-TEST_F(ElasticTest, AdmissionControlShedsWhenDrained) {
-  SetUpCluster(1);
-  AdmissionConfig config;
-  config.burst = 4.0;
-  config.base_rate_per_us = 1e-9;  // effectively no refill in-test
-  AdmissionController admission(cluster_.get(), 0, config);
-  int admitted = 0;
-  int shed = 0;
-  for (int i = 0; i < 16; ++i) {
-    (admission.Admit() ? admitted : shed)++;
-  }
-  EXPECT_EQ(admitted, 4);
-  EXPECT_EQ(shed, 12);
-  EXPECT_EQ(admission.admitted(), 4u);
-  EXPECT_EQ(admission.shed(), 12u);
-  EXPECT_GE(admission.LastOverload(), 1.0);
-  stat::Registry& reg = stat::Registry::Global();
-  EXPECT_LE(reg.GaugeValue(reg.GaugeId("elastic.admission.tokens")), 4);
-}
-
-TEST(HotKeyTrackerTest, ZipfHotKeysFloatToTheTop) {
-  HotKeyTracker tracker(8);
-  for (int round = 0; round < 100; ++round) {
-    tracker.RecordRead(0, 7);  // the hot key
-    tracker.RecordRead(0, static_cast<uint64_t>(100 + round));  // cold tail
-    if (round % 2 == 0) {
-      tracker.RecordWrite(0, 9);
-    }
-  }
-  const auto reads = tracker.TopReads(3);
-  ASSERT_FALSE(reads.empty());
-  EXPECT_EQ(reads[0].key, 7u);
-  EXPECT_GE(reads[0].count, 100u);
-
-  const auto writes = tracker.TopWrites(1);
-  ASSERT_EQ(writes.size(), 1u);
-  EXPECT_EQ(writes[0].key, 9u);
-
-  RoutingTable routing(16, 2);
-  const auto candidates = MigrationCandidateBuckets(tracker, routing, 4);
-  ASSERT_FALSE(candidates.empty());
-  EXPECT_EQ(candidates[0], routing.BucketOf(9));
-}
-
-TEST_F(ElasticTest, ReadLeaseReplicaServesUntilLeaseExpiry) {
-  SetUpCluster(2);
-  uint64_t key = kKeys;
-  for (uint64_t k = 0; k < kKeys; ++k) {
-    if (cluster_->PartitionOf(table_, k) == 1) {
-      key = k;
-      break;
-    }
-  }
-  ASSERT_LT(key, kKeys);
-
-  Worker client(cluster_.get(), 0, 0);
-  ReadLeaseReplica replica(cluster_.get(), 0);
-  uint64_t value = 0;
-  uint64_t lease_end = 0;
-  {
-    txn::ReadOnlyTransaction ro(&client);
-    ro.AddRead(table_, key);
-    ASSERT_EQ(ro.Execute(), TxnStatus::kCommitted);
-    ASSERT_TRUE(ro.Get(table_, key, &value));
-    lease_end = ro.LeaseEndOf(table_, key);
-  }
-  ASSERT_GT(lease_end, 0u);
-  replica.Publish(table_, key, &value, sizeof(value), lease_end);
-
-  uint64_t served = 0;
-  EXPECT_TRUE(replica.TryServe(table_, key, &served, sizeof(served)));
-  EXPECT_EQ(served, value);
-  EXPECT_GE(replica.hits(), 1u);
-
-  // Wait out the lease (plus DELTA): the replica must stop serving.
-  const uint64_t delta = cluster_->config().delta_us;
-  while (cluster_->synctime().ReadStrong(0) + delta <= lease_end) {
-    SpinFor(200'000);
-  }
-  EXPECT_FALSE(replica.TryServe(table_, key, &served, sizeof(served)));
-  EXPECT_GE(replica.misses(), 1u);
-}
-
-TEST(SendQueueOccupancyTest, OutstandingWindowGaugeTracksWqes) {
-  rdma::Fabric::Config config;
-  config.num_nodes = 2;
-  config.region_bytes = 1 << 20;
-  rdma::Fabric fabric(config);
-  const int64_t base = rdma::OutstandingForTarget(1);
-
-  uint64_t scratch = 0;
-  rdma::PhaseScatter scatter(fabric);
-  for (int i = 0; i < 5; ++i) {
-    scatter.PostRead(1, i, 0, &scratch, sizeof(scratch));
-  }
-  EXPECT_EQ(rdma::OutstandingForTarget(1), base + 5);
-  std::vector<rdma::Completion> comps;
-  scatter.Gather(&comps);
-  EXPECT_EQ(rdma::OutstandingForTarget(1), base);
-  stat::Registry& reg = stat::Registry::Global();
-  EXPECT_EQ(reg.GaugeValue(reg.GaugeId("rdma.sendq.outstanding")), base);
-
-  // Abandoned WQEs refund their occupancy at destruction.
-  {
-    rdma::PhaseScatter leaky(fabric);
-    leaky.PostRead(1, 0, 0, &scratch, sizeof(scratch));
-    EXPECT_EQ(rdma::OutstandingForTarget(1), base + 1);
-  }
-  EXPECT_EQ(rdma::OutstandingForTarget(1), base);
 }
 
 }  // namespace

@@ -211,6 +211,8 @@ TEST_F(LeaseProtocolTest, ReadOnlyLeasesAllowConcurrentReaders) {
 
   // Two read-only transactions from different nodes read both records
   // concurrently; both commit (shared leases everywhere).
+  stat::Registry& reg = stat::Registry::Global();
+  const stat::Snapshot before = reg.TakeSnapshot();
   std::atomic<int> committed{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 2; ++t) {
@@ -234,6 +236,13 @@ TEST_F(LeaseProtocolTest, ReadOnlyLeasesAllowConcurrentReaders) {
     th.join();
   }
   EXPECT_EQ(committed.load(), 100);
+  // Each attempt, committed or retried, times its lease acquisition once.
+  const stat::Snapshot delta = reg.TakeSnapshot().DeltaSince(before);
+  const Histogram* lease_wait = delta.Hist("phase.lease_wait_ns");
+  ASSERT_NE(lease_wait, nullptr);
+  EXPECT_EQ(lease_wait->count(), delta.Counter("txn.readonly.commit") +
+                                     delta.Counter("txn.readonly.retry"));
+  EXPECT_GE(lease_wait->count(), 100u);
 }
 
 TEST_F(LeaseProtocolTest, OwnerIdSurvivesInLockWord) {

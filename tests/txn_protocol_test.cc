@@ -539,18 +539,39 @@ TEST_F(TxnProtocolTest, ChoppedTransactionRunsAllPieces) {
 }
 
 TEST_F(TxnProtocolTest, ChoppedFirstPieceMayUserAbort) {
-  SetUpCluster(SmallConfig(1));
-  Worker worker(cluster_.get(), 0, 0);
-  ChoppedTransaction chopped;
-  chopped.AddPiece([&](Transaction& t) { t.AddWrite(table_, 0); },
-                   [&](Transaction&) { return false; });
-  chopped.AddPiece([&](Transaction& t) { t.AddWrite(table_, 1); },
-                   [&](Transaction& t) {
-                     const uint64_t v = 0;
-                     return t.Write(table_, 1, &v);
-                   });
-  EXPECT_EQ(chopped.Run(&worker), TxnStatus::kUserAbort);
-  EXPECT_EQ(StrongBalance(1), kInitialBalance);  // second piece never ran
+  // Two inputs: one node without logging, and two logged nodes where the
+  // chain locks the record its second piece writes remotely. The aborted
+  // chain must close what it logged, or its records pin log truncation.
+  for (const bool logged : {false, true}) {
+    SCOPED_TRACE(logged ? "2 nodes, logging" : "1 node");
+    if (cluster_ != nullptr) {
+      cluster_->Stop();
+    }
+    ClusterConfig config = SmallConfig(logged ? 2 : 1);
+    config.logging = logged;
+    SetUpCluster(config);
+    Worker worker(cluster_.get(), 0, 0);
+    ChoppedTransaction chopped;
+    if (logged) {
+      chopped.AddChainLock(table_, 1);
+    }
+    chopped.AddPiece([&](Transaction& t) { t.AddWrite(table_, 0); },
+                     [&](Transaction&) { return false; });
+    chopped.AddPiece([&](Transaction& t) { t.AddWrite(table_, 1); },
+                     [&](Transaction& t) {
+                       const uint64_t v = 0;
+                       return t.Write(table_, 1, &v);
+                     });
+    EXPECT_EQ(chopped.Run(&worker), TxnStatus::kUserAbort);
+    EXPECT_EQ(StrongBalance(1), kInitialBalance);  // second piece never ran
+    if (logged) {
+      NvramLog* log = cluster_->log(0);
+      log->Externalize(0);
+      log->Poll(0);
+      log->ReclaimSpace(0);
+      EXPECT_EQ(log->UsedBytes(0), 0u);
+    }
+  }
 }
 
 TEST_F(TxnProtocolTest, NodeFailureSurfacesAndLocksReleased) {

@@ -85,8 +85,8 @@ Direction DirectionForKey(const std::string& value_key) {
     }
   }
   for (const char* cost : {"latency", "abort", "fallback", "capacity",
-                           "reads", "doorbells", "hops", "retries", "shed",
-                           "stale", "violations", "ack", "overhead"}) {
+                           "reads", "doorbells", "hops", "retries",
+                           "violations", "ack", "overhead"}) {
     if (Contains(value_key, cost)) {
       return Direction::kLowerIsBetter;
     }

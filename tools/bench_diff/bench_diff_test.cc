@@ -47,12 +47,8 @@ TEST(DirectionForKey, ClassifiesMetricFamilies) {
   EXPECT_EQ(DirectionForKey("capacity_aborts"), Direction::kLowerIsBetter);
   EXPECT_EQ(DirectionForKey("record_overhead_pct"), Direction::kLowerIsBetter);
   EXPECT_EQ(DirectionForKey("fallbacks"), Direction::kLowerIsBetter);
-  EXPECT_EQ(DirectionForKey("shed"), Direction::kLowerIsBetter);
-  EXPECT_EQ(DirectionForKey("stale_serves"), Direction::kLowerIsBetter);
   EXPECT_EQ(DirectionForKey("invariant_violations"),
             Direction::kLowerIsBetter);
-  EXPECT_EQ(DirectionForKey("admitted_rpc_per_sec"),
-            Direction::kHigherIsBetter);
   EXPECT_EQ(DirectionForKey("mystery_metric"), Direction::kUnknown);
 }
 

@@ -388,8 +388,8 @@ Acquirer::Result Acquirer::Prefetch(const std::vector<LockRequest*>& reqs) {
     store::EntryHeader header;
     std::memcpy(&header, raws[i].data(), sizeof(header));
     if (header.key != r.key) {
-      if (r.locked) {
-        DropLock(r);
+      if (r.locked && !DropLock(r)) {
+        return Result::kNodeDown;  // the lock stays held for recovery
       }
       r.leased = false;
       r.found = false;
@@ -411,13 +411,15 @@ bool Acquirer::LeasesValid(const std::vector<LockRequest*>& reqs) const {
   return true;
 }
 
-void Acquirer::Release(const std::vector<LockRequest*>& reqs) {
+bool Acquirer::Release(const std::vector<LockRequest*>& reqs) {
+  bool landed = true;
   for (LockRequest* r : reqs) {
     r->leased = false;
     if (r->locked) {
-      DropLock(*r);
+      landed &= DropLock(*r);
     }
   }
+  return landed;
 }
 
 bool Acquirer::DropLock(LockRequest& r) {

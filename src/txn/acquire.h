@@ -122,15 +122,17 @@ class Acquirer {
   // Reads the header and value of every held (or chain-locked) request
   // in one overlapped scatter round. kConflict when an entry was deleted
   // (and possibly recycled) under us: its lock is dropped and it is
-  // marked not found, so the retry re-resolves it.
+  // marked not found, so the retry re-resolves it (kNodeDown if that
+  // unlock cannot land).
   Result Prefetch(const std::vector<LockRequest*>& reqs);
 
   // True when every lease held in `reqs` is still valid at one instant,
   // now: the confirmation that makes leased reads serializable.
   bool LeasesValid(const std::vector<LockRequest*>& reqs) const;
 
-  // Drops every held lock; leases simply expire.
-  void Release(const std::vector<LockRequest*>& reqs);
+  // Drops every held lock; leases simply expire. Returns false when some
+  // unlock did not land (see DropLock).
+  bool Release(const std::vector<LockRequest*>& reqs);
   // Returns false when the unlock could not land on a dead target; the
   // lock then stays held until recovery releases it.
   bool DropLock(LockRequest& r);

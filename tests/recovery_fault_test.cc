@@ -9,7 +9,10 @@
 //     updates and clear every lock the dead machine owned;
 //   * a commit whose write-back target stays down past the retry budget
 //     writes no Complete record either, so recovery of the committer's
-//     log finishes the write-back once the target is back.
+//     log finishes the write-back once the target is back; nor does an
+//     abort whose unlock misses a dead target, so recovery clears it;
+//   * a chopped chain given up on a live node closes only if none of
+//     its pieces committed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -253,6 +256,51 @@ TEST_F(RecoveryFaultTest,
   CommitWhileTargetStaysDownThenRecover();
 }
 
+// An abort whose unlock cannot reach a dead target must not close its
+// log obligation: the lock stays held there, and only recovery of the
+// aborter's log, once the target is back, can clear it. Two inputs, a
+// transaction and a chopped chain, each holding the write lock on key 1
+// (node 1) when the body kills node 1 and user-aborts.
+TEST_F(RecoveryFaultTest, AbortWhoseUnlockCannotLandStaysOpenForRecovery) {
+  for (const bool chained : {false, true}) {
+    SCOPED_TRACE(chained ? "chopped chain" : "transaction");
+    if (cluster_ != nullptr) {
+      cluster_->Stop();
+    }
+    SetUpCluster(2);
+    Worker worker(cluster_.get(), 0, 0);
+    const auto kill_and_abort = [this](Transaction&) {
+      cluster_->Crash(1);
+      return false;
+    };
+    TxnStatus status = TxnStatus::kCommitted;
+    if (chained) {
+      ChoppedTransaction chain;
+      chain.AddChainLock(table_, 1);
+      chain.AddPiece([this](Transaction& t) { t.AddWrite(table_, 0); },
+                     kill_and_abort);
+      chain.AddPiece([this](Transaction& t) { t.AddWrite(table_, 1); },
+                     [](Transaction&) { return true; });
+      status = chain.Run(&worker);
+    } else {
+      Transaction txn(&worker);
+      txn.AddWrite(table_, 1);
+      status = txn.Run(kill_and_abort);
+    }
+    EXPECT_EQ(status, TxnStatus::kUserAbort);
+
+    cluster_->Revive(1);
+    store::ClusterHashTable* host = cluster_->hash_table(1, table_);
+    const uint64_t entry = host->FindEntry(1);
+    EXPECT_NE(htm::StrongLoad(host->StatePtr(entry)), kStateInit)
+        << "the unlock was expected to miss the dead target";
+    RecoveryManager recovery(cluster_.get());
+    EXPECT_EQ(recovery.Recover(0).released_locks, 1);
+    EXPECT_EQ(htm::StrongLoad(host->StatePtr(entry)), kStateInit)
+        << "key 1 still locked after recovery";
+  }
+}
+
 TEST_F(RecoveryFaultTest, CrashMidChainResumesFromLoggedRemainder) {
   SetUpCluster(2);
   Worker worker(cluster_.get(), 0, 0);
@@ -409,6 +457,57 @@ TEST_F(ChainMarkerFaultTest, DroppedCompletionMarkerStillReleasesChainLocks) {
                 .DeltaSince(before)
                 .Counter("txn.chop.marker_dropped"),
             1u);
+}
+
+// A chain given up on a live node closes only when nothing of it has
+// committed. Two unstarted inputs close, so their records no longer pin
+// the log and recovery ignores them: the chain lock held by another
+// machine (AcquireChainLocks gives up after logging its lock-ahead), and
+// piece 0's resume marker dropped. A later piece's marker dropped: piece
+// 0 has committed, so the chain stays open and a crash before the
+// caller's retry resumes it from its highest durable marker instead of
+// leaving it half applied.
+TEST_F(ChainMarkerFaultTest, GivenUpChainClosesOnlyWhenUnstarted) {
+  SetUpCluster(2);
+  Worker worker(cluster_.get(), 0, 0);
+  const uint64_t per_chain = CalibrateAppendsPerChain(&worker);
+  const uint64_t per_piece = (per_chain - 5) / 3;
+  NvramLog* log = cluster_->log(0);
+
+  store::ClusterHashTable* host = cluster_->hash_table(0, table_);
+  uint64_t* lock_word = host->StatePtr(host->FindEntry(0));
+  htm::StrongStore(lock_word, MakeWriteLocked(1));
+  ChoppedTransaction blocked;
+  BuildChain(&blocked);
+  EXPECT_EQ(blocked.Run(&worker), TxnStatus::kAborted);
+  htm::StrongStore(lock_word, kStateInit);
+
+  // Arrival 2: the lock-ahead, then piece 0's resume marker.
+  ChoppedTransaction unstarted;
+  BuildChain(&unstarted);
+  ArmOne("log.append", 2, chaos::FaultKind::kDropOp);
+  EXPECT_EQ(unstarted.Run(&worker), TxnStatus::kAborted);
+  chaos::Injector::Global().Disarm();
+  EXPECT_EQ(ChainLockWord(), kStateInit);
+  log->Externalize(0);
+  log->Poll(0);
+  log->ReclaimSpace(0);
+  EXPECT_EQ(log->UsedBytes(0), 0u) << "an unstarted chain pins the log";
+
+  ChoppedTransaction half_applied;
+  BuildChain(&half_applied);
+  ArmOne("log.append", 3 + per_piece, chaos::FaultKind::kDropOp);
+  EXPECT_EQ(half_applied.Run(&worker), TxnStatus::kAborted);
+  chaos::Injector::Global().Disarm();
+  EXPECT_EQ(ChainLockWord(), kStateInit);
+
+  cluster_->Crash(0);
+  RecoveryManager recovery(cluster_.get());
+  const auto report = recovery.Recover(0);
+  EXPECT_EQ(report.aborted_txns, 0);
+  ASSERT_EQ(report.pending_chains.size(), 1u);
+  EXPECT_EQ(report.pending_chains[0].next_piece, 0u);
+  EXPECT_EQ(report.pending_chains[0].total, 3u);
 }
 
 // --- group commit: crashes at the epoch boundary ----------------------------

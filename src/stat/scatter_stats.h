@@ -33,8 +33,8 @@ ScatterPhaseIds RegisterScatterPhase(std::string_view phase);
 // Canonical phase sets used by the transaction layer and the remote KV
 // client, resolved once per process.
 const ScatterPhaseIds& ScatterLookupIds();     // chain-walk lookups
-const ScatterPhaseIds& ScatterStartLockIds();  // Start: lock CAS + probes
-const ScatterPhaseIds& ScatterPrefetchIds();   // Start: value prefetch
+const ScatterPhaseIds& ScatterStartLockIds();  // Start: CAS/probe + READ
+const ScatterPhaseIds& ScatterPrefetchIds();   // images not yet fetched
 const ScatterPhaseIds& ScatterWritebackIds();  // Commit: write-back+unlock
 const ScatterPhaseIds& ScatterRoLeaseIds();    // read-only lease + confirm
 

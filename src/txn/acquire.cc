@@ -29,6 +29,20 @@ void SleepUs(uint64_t us) {
   std::this_thread::sleep_for(std::chrono::microseconds(us));
 }
 
+// Takes `raw` (a record's header and value) as the request's image when
+// its header still names the request's key; false on a recycled entry.
+bool TakeImage(LockRequest& r, const std::vector<uint8_t>& raw) {
+  store::EntryHeader header;
+  std::memcpy(&header, raw.data(), sizeof(header));
+  if (header.key != r.key) {
+    return false;
+  }
+  r.version = header.version;
+  r.buf.assign(raw.begin() + sizeof(header), raw.end());
+  r.fetched = true;
+  return true;
+}
+
 // The phase timer a waiting acquisition is charged to.
 uint32_t WaitTimer(bool exclusive) {
   stat::Registry& reg = stat::Registry::Global();
@@ -67,34 +81,55 @@ struct Acquirer::Step {
   uint64_t expected = kStateInit;
   uint64_t observed = 0;
   bool lost = false;  // a CAS of ours has lost a race
+  // The record's header and value, read behind this round's verb;
+  // `image_read` once that READ completed.
+  std::vector<uint8_t> image;
+  bool image_read = false;
 };
 
 // One overlapped scatter round. Each verb's wr_id is its step's address,
-// so a completion finds its step directly.
+// so a completion finds its step directly; the image READ behind it
+// carries the same address with its low bit set.
 class Acquirer::Round {
  public:
   Round(rdma::Fabric& fabric, const stat::ScatterPhaseIds& ids)
       : scatter_(fabric, &ids) {}
 
-  // Posts the step's verb on `node`'s queue: a CAS to `*desired`, or a
-  // probe READ when `desired` is null.
-  void Post(int node, uint64_t offset, Step& step, const uint64_t* desired) {
+  // Posts the step's verb on the record's queue — a CAS to `*desired`,
+  // or a probe READ when `desired` is null — and behind it, unless
+  // `image_len` is 0, a READ of the record's header and value. The queue
+  // executes in post order, so the image is read after the verb acted.
+  void Post(const LockRequest& r, Step& step, const uint64_t* desired,
+            size_t image_len) {
     const rdma::WrId id = reinterpret_cast<uintptr_t>(&step);
+    const uint64_t state_off = r.entry_off + store::kEntryStateOffset;
     if (desired != nullptr) {
-      scatter_.PostCas(node, id, offset, step.expected, *desired);
+      scatter_.PostCas(r.node, id, state_off, step.expected, *desired);
     } else {
-      scatter_.PostRead(node, id, offset, &step.observed,
+      scatter_.PostRead(r.node, id, state_off, &step.observed,
                         sizeof(step.observed));
     }
+    if (image_len == 0) {
+      return;
+    }
+    step.image.resize(image_len);
+    scatter_.PostRead(r.node, id | kImageTag, r.entry_off, step.image.data(),
+                      image_len);
   }
 
   // Rings every target's doorbell, then records each CAS's observed
-  // word. A failed completion ends its step; returns false if any did.
+  // word. A failed verb ends its step; returns false if any did. A
+  // failed image READ only leaves its record for Prefetch.
   bool Gather() {
     std::vector<rdma::Completion> comps;
     scatter_.Gather(&comps);
     bool ok = true;
     for (const rdma::Completion& comp : comps) {
+      if ((comp.wr_id & kImageTag) != 0) {
+        reinterpret_cast<Step*>(comp.wr_id & ~kImageTag)->image_read =
+            comp.status == rdma::OpStatus::kOk;
+        continue;
+      }
       Step& step = *reinterpret_cast<Step*>(comp.wr_id);
       if (comp.status != rdma::OpStatus::kOk) {
         step.op = Step::kDone;
@@ -107,6 +142,9 @@ class Acquirer::Round {
   }
 
  private:
+  static constexpr rdma::WrId kImageTag = 1;
+  static_assert(alignof(Step) > kImageTag, "wr_id tag needs a free bit");
+
   rdma::PhaseScatter scatter_;
 };
 
@@ -123,6 +161,7 @@ Acquirer::Acquirer(Worker* worker, uint64_t lease_end, uint64_t lease_us)
 void Acquirer::Route(LockRequest& r) const {
   r.node = cluster_.PartitionOf(r.table, r.key);
   r.local = r.node == node_;
+  r.fetched = false;
 }
 
 bool Acquirer::Resolve(const std::vector<LockRequest*>& reqs) {
@@ -169,10 +208,15 @@ uint64_t* Acquirer::StatePtr(const LockRequest& r) const {
   return cluster_.hash_table(r.node, r.table)->StatePtr(r.entry_off);
 }
 
+size_t Acquirer::ImageBytes(const LockRequest& r) const {
+  return sizeof(store::EntryHeader) + cluster_.table(r.table).value_size;
+}
+
 // The engine's single CAS entry point (drtm-lint EL01's acquire
 // primitive): a processor CAS on a local record when GLOB-level NICs keep
 // it coherent with RDMA CAS (§6.3), answered at once; otherwise an RDMA
-// CAS, posted on `round` or issued as a scalar verb.
+// CAS, posted on `round` with the record's READ behind it, or issued as a
+// scalar verb.
 rdma::OpStatus Acquirer::StateCas(const LockRequest& r, Step& step,
                                   Round* round) {
   const uint64_t desired =
@@ -184,13 +228,14 @@ rdma::OpStatus Acquirer::StateCas(const LockRequest& r, Step& step,
     step.observed = htm::StrongCas64(StatePtr(r), step.expected, desired);
     return rdma::OpStatus::kOk;
   }
-  const uint64_t state_off = r.entry_off + store::kEntryStateOffset;
   if (round != nullptr) {
-    round->Post(r.node, state_off, step, &desired);
+    // A local record's image is a strong CPU read in Prefetch instead.
+    round->Post(r, step, &desired, r.local ? 0 : ImageBytes(r));
     return rdma::OpStatus::kOk;
   }
-  return cluster_.fabric().Cas(r.node, state_off, step.expected, desired,
-                               &step.observed);
+  return cluster_.fabric().Cas(r.node,
+                               r.entry_off + store::kEntryStateOffset,
+                               step.expected, desired, &step.observed);
 }
 
 rdma::OpStatus Acquirer::IssueStep(const LockRequest& r, Step& step,
@@ -203,13 +248,12 @@ rdma::OpStatus Acquirer::IssueStep(const LockRequest& r, Step& step,
     step.observed = htm::StrongLoad(StatePtr(r));
     return rdma::OpStatus::kOk;
   }
-  const uint64_t state_off = r.entry_off + store::kEntryStateOffset;
   if (round != nullptr) {
-    round->Post(r.node, state_off, step, nullptr);
+    round->Post(r, step, nullptr, ImageBytes(r));
     return rdma::OpStatus::kOk;
   }
-  return cluster_.fabric().Read(r.node, state_off, &step.observed,
-                                sizeof(step.observed));
+  return cluster_.fabric().Read(r.node, r.entry_off + store::kEntryStateOffset,
+                                &step.observed, sizeof(step.observed));
 }
 
 // The one decode of an observed state word (Fig. 4). Takes the request
@@ -303,16 +347,28 @@ Acquirer::Result Acquirer::TryAll(const std::vector<LockRequest*>& reqs,
     // Take every request whose verb succeeded before acting on any
     // failure, so the caller's release sees all of them.
     for (size_t i = 0; i < reqs.size(); ++i) {
-      if (steps[i].op == Step::kDone ||
-          Advance(*reqs[i], steps[i]) != Outcome::kBlocked) {
+      Step& step = steps[i];
+      if (step.op == Step::kDone) {
+        continue;
+      }
+      const Outcome outcome = Advance(*reqs[i], step);
+      // An image is safe only behind the verb that took the request: it
+      // was read under our lock, or under a shared lease too long to
+      // expire before commit confirms it. A recycled entry's image is
+      // left for Prefetch to find.
+      if (outcome == Outcome::kHeld && step.image_read) {
+        TakeImage(*reqs[i], step.image);
+      }
+      step.image_read = false;
+      if (outcome != Outcome::kBlocked) {
         continue;
       }
       if (round == 0 && reqs[i]->exclusive) {
         // A lock holder is usually mid-commit, one write-back from
         // releasing: a lock's first CAS that lost gets one immediate
         // second try from INIT before the set fails.
-        steps[i].op = Step::kCas;
-        steps[i].expected = kStateInit;
+        step.op = Step::kCas;
+        step.expected = kStateInit;
       } else if (result == Result::kOk) {
         result = Result::kConflict;
       }
@@ -364,13 +420,20 @@ Acquirer::Result Acquirer::Prefetch(const std::vector<LockRequest*>& reqs) {
     rdma::PhaseScatter scatter(cluster_.fabric(), &stat::ScatterPrefetchIds());
     for (size_t i = 0; i < reqs.size(); ++i) {
       const LockRequest& r = *reqs[i];
-      if (!r.found || !(r.locked || r.leased || r.chain_locked)) {
+      if (r.fetched || !r.found || !(r.locked || r.leased || r.chain_locked)) {
         continue;
       }
-      raws[i].resize(sizeof(store::EntryHeader) +
-                     cluster_.table(r.table).value_size);
-      scatter.PostRead(r.node, i, r.entry_off, raws[i].data(),
-                       raws[i].size());
+      raws[i].resize(ImageBytes(r));
+      if (r.local) {
+        // drtm-lint: allow(TX03 read of a held local record outside any HTM region, stands in for a one-sided RDMA READ)
+        htm::StrongRead(raws[i].data(),
+                        cluster_.hash_table(r.node, r.table)
+                            ->EntryPtr(r.entry_off),
+                        raws[i].size());
+      } else {
+        scatter.PostRead(r.node, i, r.entry_off, raws[i].data(),
+                         raws[i].size());
+      }
     }
     std::vector<rdma::Completion> comps;
     scatter.Gather(&comps);
@@ -385,9 +448,7 @@ Acquirer::Result Acquirer::Prefetch(const std::vector<LockRequest*>& reqs) {
       continue;
     }
     LockRequest& r = *reqs[i];
-    store::EntryHeader header;
-    std::memcpy(&header, raws[i].data(), sizeof(header));
-    if (header.key != r.key) {
+    if (!TakeImage(r, raws[i])) {
       if (r.locked && !DropLock(r)) {
         return Result::kNodeDown;  // the lock stays held for recovery
       }
@@ -395,8 +456,6 @@ Acquirer::Result Acquirer::Prefetch(const std::vector<LockRequest*>& reqs) {
       r.found = false;
       return Result::kConflict;
     }
-    r.version = header.version;
-    r.buf.assign(raws[i].begin() + sizeof(header), raws[i].end());
   }
   return Result::kOk;
 }

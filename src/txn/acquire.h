@@ -12,16 +12,23 @@
 // record when the NIC offers GLOB-level atomicity, an RDMA CAS otherwise
 // (§6.3), and the elastic freeze gate is consulted before each one.
 //
+// A held record's image (header and value) comes with its acquisition
+// where it can: each remote probe or CAS posted on a TryAll round carries
+// a READ of the record behind it on the same in-order queue. Prefetch
+// reads only what is still unfetched, a local record by a strong CPU
+// read like its probe and write-back, so no local image crosses the NIC.
+//
 // Two modes drive those moves:
 //   TryAll         non-waiting, for the HTM Start phase and read-only
 //                  transactions: each round posts every unsettled
 //                  request's first attempt on one overlapped PhaseScatter
-//                  round (a CAS retried after losing a race goes out as
-//                  its own one-WQE doorbell, Fabric::Cas). A lock blocked
-//                  on its first CAS gets one immediate retry; after
-//                  that, any request that would have to wait fails the
-//                  whole set (acquiring out of order is then still
-//                  deadlock-free: nothing waits).
+//                  round, each remote verb followed by its record's READ
+//                  (a CAS retried after losing a race goes out as its
+//                  own one-WQE doorbell, Fabric::Cas, with no READ). A
+//                  lock blocked on its first CAS gets one immediate
+//                  retry; after that, any request that would have to
+//                  wait fails the whole set (acquiring out of order is
+//                  then still deadlock-free: nothing waits).
 //   AcquireInOrder waiting, for the 2PL fallback, its dynamic reads and
 //                  chain locks: requests are taken one at a time in the
 //                  global <table, key> order, waiting out lock holders
@@ -64,7 +71,10 @@ struct LockRequest {
   bool locked = false;
   bool leased = false;
   uint64_t lease_end = 0;
-  // Prefetched image (Acquirer::Prefetch).
+  // The record's image, read by the round that acquired it (TryAll) or by
+  // Acquirer::Prefetch. `fetched` marks it as this attempt's; Route
+  // clears it, so no image outlives the attempt that read it.
+  bool fetched = false;
   uint32_t version = 0;
   std::vector<uint8_t> buf;
 };
@@ -103,7 +113,7 @@ class Acquirer {
                     uint64_t lease_us = 0);
 
   // Sets the request's owner node from the current routing (a live
-  // migration may move it between attempts).
+  // migration may move it between attempts) and drops its image.
   void Route(LockRequest& r) const;
   // Resolves every request's entry offset: local records by a direct
   // lookup, remote chains walked in lockstep by one scatter lookup.
@@ -111,6 +121,8 @@ class Acquirer {
   bool Resolve(const std::vector<LockRequest*>& reqs);
 
   // Non-waiting batched acquisition of every found request (see above).
+  // A remote request held by a round's batched verb also takes the image
+  // read behind it, unless that READ failed or found the entry recycled.
   // On kConflict or kNodeDown some requests may be held; the caller
   // releases them.
   Result TryAll(const std::vector<LockRequest*>& reqs,
@@ -120,7 +132,8 @@ class Acquirer {
   Result AcquireInOrder(std::vector<LockRequest*> reqs);
 
   // Reads the header and value of every held (or chain-locked) request
-  // in one overlapped scatter round. kConflict when an entry was deleted
+  // not yet fetched: a local record by a strong CPU read, remote ones in
+  // one overlapped scatter round. kConflict when an entry was deleted
   // (and possibly recycled) under us: its lock is dropped and it is
   // marked not found, so the retry re-resolves it (kNodeDown if that
   // unlock cannot land).
@@ -146,6 +159,8 @@ class Acquirer {
   rdma::OpStatus StateCas(const LockRequest& r, Step& step, Round* round);
   Outcome Advance(LockRequest& r, Step& step);
   uint64_t* StatePtr(const LockRequest& r) const;
+  // Bytes of a record's image: its header and value.
+  size_t ImageBytes(const LockRequest& r) const;
 
   Worker* worker_;
   Cluster& cluster_;

@@ -45,6 +45,10 @@ void SyncTime::Start() {
   if (running_.exchange(true)) {
     return;
   }
+  // Catch up on the setup time now: until the timer thread is first
+  // scheduled, readers would see the construction-time value, and a
+  // lease taken on it would look expired at the first tick.
+  PublishNow();
   timer_ = std::thread([this] {
     while (running_.load(std::memory_order_acquire)) {
       PublishNow();

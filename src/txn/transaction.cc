@@ -1015,6 +1015,12 @@ Transaction::StartResult Transaction::FallbackAcquire() {
   if (!acq.Resolve(all)) {
     return StartResult::kNodeDown;
   }
+  // Logged before the first CAS, as in Start, local locks included: the
+  // fallback takes those by CAS too, and a crash would strand them.
+  if (cfg_.logging &&
+      !LogLockAhead(worker_, txn_id_, all, &obligation_open_)) {
+    return StartResult::kConflict;
+  }
   const StartResult result = acq.AcquireInOrder(all);
   return result == StartResult::kOk ? acq.Prefetch(all) : result;
 }

@@ -247,8 +247,9 @@ class Transaction {
   // HTM path.
   // Start: resolve the remote refs, log the lock-ahead record, then lock
   // (CAS) or lease (probe READ) them all in one non-waiting overlapped
-  // scatter round and prefetch them in a second — a k-node transaction
-  // pays ~2 overlapped round trips, not 2k serial ones.
+  // scatter round, each verb with its record's READ behind it — a k-node
+  // transaction pays one overlapped round trip per acquisition step, not
+  // 2k serial ones.
   StartResult StartPhase();
   void ConfirmLeasesInHtm();
   // Stages the WAL inside the HTM region (StageWal), then appends it, or
@@ -283,9 +284,10 @@ class Transaction {
 
   // Fallback path (section 6.2).
   TxnStatus RunFallback(const Body& body);
-  // Takes every lock and lease of a fallback attempt by the waiting
-  // acquisition in global <table, key> order, then prefetches every
-  // record in one scatter round.
+  // Logs the lock-ahead record, takes every lock and lease of a fallback
+  // attempt by the waiting acquisition in global <table, key> order, then
+  // prefetches every record: remote ones in one scatter round, local ones
+  // by strong reads.
   StartResult FallbackAcquire();
   // Every held lease, declared and dynamic, still valid now.
   bool LeasesValid();

@@ -117,9 +117,10 @@ class DurabilityTest : public ::testing::Test {
   int table_ = -1;
 };
 
-// Both paths stage the WAL at one commit point: the HTM path and the
-// fallback (htm_retry_limit = 0) log the same updates, one per dirty
-// ref, also when the body writes the local side twice.
+// Both paths log a lock-ahead before locking and stage the WAL at one
+// commit point: the HTM path and the fallback (htm_retry_limit = 0) log
+// the same updates, one per dirty ref, also when the body writes the
+// local side twice.
 TEST_F(DurabilityTest, CommittedDistributedTxnLogsEverything) {
   struct Input {
     const char* name;
@@ -149,9 +150,7 @@ TEST_F(DurabilityTest, CommittedDistributedTxnLogsEverything) {
       wal_records += record.type == LogType::kWriteAhead ? 1 : 0;
       complete |= record.type == LogType::kComplete;
     });
-    if (in.htm_retry_limit > 0) {
-      EXPECT_TRUE(lock_ahead);
-    }
+    EXPECT_TRUE(lock_ahead);
     EXPECT_EQ(wal_records, 1);
     EXPECT_TRUE(complete);
     const std::vector<WalUpdate> expected = {

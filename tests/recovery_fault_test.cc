@@ -7,6 +7,9 @@
 //   * a machine dying inside the fallback's lock-release loop leaves
 //     locks held and no Complete record; recovery must redo the WAL
 //     updates and clear every lock the dead machine owned;
+//   * a machine dying between the fallback's lock acquisition and its
+//     WAL append leaves only the lock-ahead record, by which recovery
+//     releases the locks;
 //   * a commit whose write-back target stays down past the retry budget
 //     writes no Complete record either, so recovery of the committer's
 //     log finishes the write-back once the target is back; nor does an
@@ -243,6 +246,46 @@ TEST_F(RecoveryFaultTest, CrashDuringFallbackLockReleaseIsRecovered) {
     total += value;
   }
   EXPECT_EQ(total, 2 * kInitialBalance);
+}
+
+// The fallback logs its lock-ahead before its first lock CAS, local
+// locks included. Node 0 dies at the fallback's WAL append (log.append
+// arrival 2, after the lock-ahead), holding locks on key 0 (node 0) and
+// key 1 (node 1). The abandoned attempt's unlock of key 0 cannot land on
+// the dead node; only the lock-ahead record lets recovery release it.
+TEST_F(RecoveryFaultTest, CrashBetweenFallbackLocksAndWalIsRecovered) {
+  SetUpCluster(2, /*htm_retry_limit=*/0);
+  Worker worker(cluster_.get(), 0, 0);
+  chaos::Injector::Global().SetCrashHandler(
+      [this](int node) { cluster_->Crash(node); });
+  chaos::FaultPlan plan;
+  plan.Add(chaos::FaultEvent{"log.append", 2, chaos::FaultKind::kCrashNode, 0,
+                             0});
+  chaos::Injector::Global().Arm(plan);
+  EXPECT_EQ(Transfer(&worker, 0, 1, 50), TxnStatus::kNodeFailure);
+  chaos::Injector::Global().Disarm();
+
+  cluster_->Revive(0);
+  int stranded = 0;
+  for (uint64_t k = 0; k <= 1; ++k) {
+    store::ClusterHashTable* host =
+        cluster_->hash_table(cluster_->PartitionOf(table_, k), table_);
+    stranded += IsWriteLocked(
+        htm::StrongLoad(host->StatePtr(host->FindEntry(k))));
+  }
+  ASSERT_GT(stranded, 0) << "the crash was expected to strand a lock";
+  RecoveryManager recovery(cluster_.get());
+  EXPECT_EQ(recovery.Recover(0).released_locks, stranded);
+  for (uint64_t k = 0; k <= 1; ++k) {
+    store::ClusterHashTable* host =
+        cluster_->hash_table(cluster_->PartitionOf(table_, k), table_);
+    const uint64_t entry = host->FindEntry(k);
+    EXPECT_EQ(htm::StrongLoad(host->StatePtr(entry)), kStateInit)
+        << "key " << k << " still locked after recovery";
+    uint64_t value = 0;
+    ASSERT_TRUE(host->Get(k, &value));
+    EXPECT_EQ(value, kInitialBalance) << "key " << k;
+  }
 }
 
 TEST_F(RecoveryFaultTest, HtmWriteBackToTargetDownPastRetryBudgetIsRedone) {

@@ -191,6 +191,7 @@ TEST_F(TxnProtocolTest, RemoteReadTakesLease) {
   uint64_t observed_state = 0;
   store::ClusterHashTable* host = cluster_->hash_table(1, table_);
   const uint64_t entry = host->FindEntry(1);
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
   const TxnStatus status = txn.Run([&](Transaction& t) {
     uint64_t v = 0;
     EXPECT_TRUE(t.Read(table_, 1, &v));
@@ -201,10 +202,17 @@ TEST_F(TxnProtocolTest, RemoteReadTakesLease) {
   EXPECT_EQ(status, TxnStatus::kCommitted);
   EXPECT_TRUE(HasLease(observed_state));
   EXPECT_FALSE(IsWriteLocked(observed_state));
+  // The image rode behind the lease CAS: no separate prefetch round.
+  EXPECT_EQ(Gained(before, "rdma.scatter.prefetch.rounds"), 0u);
 }
 
 TEST_F(TxnProtocolTest, ReadersShareALease) {
-  SetUpCluster(SmallConfig(2));
+  // A lease long enough that a slow (sanitizer) build cannot outlive its
+  // shareable window between the two readers: past it, the second reader
+  // would renew the lease with a CAS instead of sharing it.
+  auto config = SmallConfig(2);
+  config.lease_rw_us = 40000;
+  SetUpCluster(config);
   // First reader installs a lease; a concurrent reader shares it (no
   // second CAS is needed: the state word keeps the original end time).
   Worker w1(cluster_.get(), 0, 0);
@@ -224,11 +232,23 @@ TEST_F(TxnProtocolTest, ReadersShareALease) {
 
   Transaction t2(&w2);
   t2.AddRead(table_, 1);
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
   ASSERT_EQ(t2.Run([&](Transaction& t) {
-    uint64_t v;
-    return t.Read(table_, 1, &v);
+    uint64_t v = 0;
+    EXPECT_TRUE(t.Read(table_, 1, &v));
+    EXPECT_EQ(v, kInitialBalance);
+    return true;
   }),
             TxnStatus::kCommitted);
+  // With the location cache warm, each Start attempt of the second
+  // reader (one, unless an HTM abort retries it) is one doorbell: its
+  // probe with the image READ behind it. It shares the lease without a
+  // CAS and posts nothing else.
+  const uint64_t rounds = Gained(before, "rdma.scatter.start_lock.rounds");
+  EXPECT_GE(rounds, 1u);
+  EXPECT_EQ(Gained(before, "rdma.batch.doorbells"), rounds);
+  EXPECT_EQ(Gained(before, "rdma.scatter.start_lock.wqes"), 2 * rounds);
+  EXPECT_EQ(Gained(before, "rdma.cas.ops"), 0u);
   const uint64_t state_after_second = htm::StrongLoad(host->StatePtr(entry));
   EXPECT_EQ(LeaseEnd(state_after_second), LeaseEnd(state_after_first));
 }
@@ -371,10 +391,16 @@ TEST_F(TxnProtocolTest, ReadOnlyMissingKey) {
   ReadOnlyTransaction ro(&worker);
   ro.AddRead(table_, 0);
   ro.AddRead(table_, 9999);
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
   ASSERT_EQ(ro.Execute(), TxnStatus::kCommitted);
   uint64_t v = 0;
   EXPECT_TRUE(ro.Get(table_, 0, &v));
+  EXPECT_EQ(v, kInitialBalance);
   EXPECT_FALSE(ro.Get(table_, 9999, &v));
+  // The only READs are the missing remote key's lookup: the local key's
+  // image is a strong CPU read, not a loopback READ.
+  EXPECT_EQ(Gained(before, "rdma.read.ops"),
+            Gained(before, "rdma.scatter.lookup.wqes"));
 }
 
 TEST_F(TxnProtocolTest, FallbackOnlyModeStillSerializable) {
@@ -604,6 +630,28 @@ TEST_F(TxnProtocolTest, FailedLookupReadOnLiveNodeIsNodeFailure) {
   EXPECT_EQ(StrongBalance(1), kInitialBalance + 10);
 }
 
+TEST_F(TxnProtocolTest, DroppedImageReadBehindALockIsReadAgain) {
+  // A worker on node 1 locks key 0 on node 0. A zero-filled image would
+  // pass key 0's header check, so a dropped image READ must leave the
+  // record for Prefetch to read again, never hand the body that image.
+  SetUpCluster(SmallConfig(2));
+  Worker worker(cluster_.get(), 1, 0);
+  // Warm the location cache, so the next transfer's first READ is the
+  // image behind key 0's lock CAS.
+  ASSERT_EQ(Transfer(&worker, 1, 0, 10), TxnStatus::kCommitted);
+  chaos::FaultPlan plan;
+  plan.Add(chaos::FaultEvent{"rdma.read.wqe", 1, chaos::FaultKind::kDropOp,
+                             -1, 0});
+  chaos::Injector::Global().Arm(plan);
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
+  const TxnStatus status = Transfer(&worker, 1, 0, 10);
+  chaos::Injector::Global().Disarm();
+  ASSERT_EQ(status, TxnStatus::kCommitted);
+  EXPECT_EQ(Gained(before, "rdma.scatter.prefetch.rounds"), 1u);
+  EXPECT_EQ(StrongBalance(0), kInitialBalance + 20);
+  EXPECT_EQ(StrongBalance(1), kInitialBalance - 20);
+}
+
 TEST_F(TxnProtocolTest, FallbackWaitsOutAHeldLock) {
   auto config = SmallConfig(2);
   config.htm_retry_limit = 0;  // every transaction uses the 2PL fallback
@@ -643,6 +691,11 @@ TEST_F(TxnProtocolTest, FallbackWritesBackInOneScatterRound) {
   ASSERT_EQ(Transfer(&worker, 0, 1, 10), TxnStatus::kCommitted);
   EXPECT_EQ(Gained(before, "txn.fallback"), 1u);
   EXPECT_EQ(Gained(before, "rdma.scatter.writeback.rounds"), 1u);
+  // Past the remote key's lookup, one READ: the remote image. The local
+  // image is a strong CPU read.
+  EXPECT_EQ(Gained(before, "rdma.read.ops") -
+                Gained(before, "rdma.scatter.lookup.wqes"),
+            1u);
   EXPECT_EQ(StrongBalance(0), kInitialBalance - 10);
   EXPECT_EQ(StrongBalance(1), kInitialBalance + 10);
   for (uint64_t k = 0; k <= 1; ++k) {

@@ -3,6 +3,7 @@
 // lock-word helpers. These are regression guards, not paper figures.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -203,6 +204,37 @@ void BM_BPlusTreeInsertInHtm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BPlusTreeInsertInHtm);
+
+// New-order's order lines: each region appends a run of 10 consecutive
+// keys to one of 4 ascending ranges (districts). Every 2000 regions the
+// tree is rebuilt with the clock stopped, before its pool runs out.
+void BM_BPlusTreeInsertRunInHtm(benchmark::State& state) {
+  constexpr uint64_t kRanges = 4;
+  constexpr uint64_t kRun = 10;
+  constexpr uint64_t kRegionsPerTree = 2000;
+  auto tree = std::make_unique<store::BPlusTree>(MicroTreeConfig());
+  std::vector<uint64_t> next(kRanges, 0);
+  htm::HtmThread htm;
+  uint64_t i = 0;
+  for (auto _ : state) {
+    const uint64_t range = i * 7919 % kRanges;
+    const uint64_t base = (range << 32) | next[range];
+    htm.Transact([&] {
+      for (uint64_t j = 0; j < kRun; ++j) {
+        const uint64_t key = base + j;
+        benchmark::DoNotOptimize(tree->Insert(key, &key));
+      }
+    });
+    next[range] += kRun;
+    if (++i % kRegionsPerTree == 0) {
+      state.PauseTiming();
+      tree = std::make_unique<store::BPlusTree>(MicroTreeConfig());
+      std::fill(next.begin(), next.end(), 0);
+      state.ResumeTiming();
+    }
+  }
+}
+BENCHMARK(BM_BPlusTreeInsertRunInHtm);
 
 // Scans state.range(0) consecutive keys, about one TPC-C stock-level
 // order-line range.

@@ -21,6 +21,7 @@ static_assert(kAbortCapacity == stat::kRtmCapacityBit);
 namespace {
 
 thread_local HtmThread* g_current_tx = nullptr;
+thread_local uint64_t g_region_serial = 0;
 
 // Replay seam (SetReplayHooks). The armed flag is the only thing commits
 // load on the fast path; the pointers themselves are written only while
@@ -112,7 +113,12 @@ void HtmThread::Begin() {
   assert(g_current_tx == nullptr && "another HtmThread active on this thread");
   depth_ = 1;
   g_current_tx = this;
+  ++g_region_serial;
   Reset();
+}
+
+uint64_t CurrentRegionSerial() {
+  return HtmThread::Current() != nullptr ? g_region_serial : 0;
 }
 
 void HtmThread::AbortWith(unsigned status) { throw AbortException{status}; }
@@ -130,7 +136,19 @@ void HtmThread::Rollback(unsigned status) {
     g_replay_hooks.on_abort(status);
   }
   stat::RecordHtmOutcome(status);
+  rolled_back_read_lines_ = read_lines_;
+  rolled_back_write_lines_ = images_.size();
   Reset();
+}
+
+void HtmThread::DieOnCapacityAbort() const {
+  std::fprintf(stderr,
+               "htm: capacity abort in a region retried until commit; it "
+               "can never commit (read lines %zu of %zu, write lines %zu "
+               "of %zu)\n",
+               rolled_back_read_lines_, config_.max_read_lines,
+               rolled_back_write_lines_, config_.max_write_lines);
+  std::abort();
 }
 
 size_t HtmThread::Bucket(uintptr_t key) const {

@@ -108,10 +108,19 @@ class HtmThread {
   // Runs fn as a transaction, retrying every abort until one commits:
   // for short regions whose aborts are all transient (one store op, a
   // reconnaissance read). fn resets its own per-attempt state. Inside an
-  // enclosing region it flattens into it, like Transact.
+  // enclosing region it flattens into it, like Transact. A capacity
+  // abort is not transient (the same footprint overflows again), so it
+  // ends the process with the region's line counts instead of spinning.
   template <typename Fn>
   void TransactUntilCommitted(Fn&& fn) {
-    while (Transact(fn) != kCommitted) {
+    while (true) {
+      const unsigned status = Transact(fn);
+      if (status == kCommitted) {
+        return;
+      }
+      if ((status & kAbortCapacity) != 0) {
+        DieOnCapacityAbort();
+      }
     }
   }
 
@@ -156,6 +165,8 @@ class HtmThread {
   void Commit();
   void Rollback(unsigned status);
   [[noreturn]] void AbortWith(unsigned status);
+  // Reports the last rolled-back region's footprint and aborts.
+  [[noreturn]] void DieOnCapacityAbort() const;
 
   // One tracked cache line: the emulated read/write bits RTM keeps per
   // line in the L1/L2 (§2.2), plus the line's write image when written.
@@ -200,7 +211,16 @@ class HtmThread {
   std::vector<Image> images_;
   // Entry positions of the lines the current Read spans.
   std::vector<uint32_t> span_;
+  // Footprint of the last rolled-back region, for DieOnCapacityAbort.
+  size_t rolled_back_read_lines_ = 0;
+  size_t rolled_back_write_lines_ = 0;
 };
+
+// Serial of the HTM region running on this OS thread, 0 outside one.
+// Every top-level Begin bumps it and flattened inner regions keep it, so
+// state cached under one serial (the B+ tree's leaf finger) is never
+// seen by a later region, an aborted region's retry included.
+uint64_t CurrentRegionSerial();
 
 // --- Replay hooks -----------------------------------------------------------
 //

@@ -32,6 +32,52 @@ constexpr size_t kChildBytes = sizeof(uint32_t);
 size_t KeyOff(int i) {
   return kKeysOff + sizeof(uint64_t) * static_cast<size_t>(i);
 }
+
+// One tree's leaf finger, made by one HTM region on this thread.
+struct Finger {
+  const BPlusTree* tree = nullptr;
+  uint64_t serial = 0;  // htm::CurrentRegionSerial() of its region; 0: none
+  uint32_t leaf = 0;
+  uint64_t first = 0;  // the leaf's key range [first, last]
+  uint64_t last = 0;
+};
+
+// A region touches a handful of trees (TPC-C's new-order: four).
+constexpr int kFingers = 8;
+thread_local Finger t_fingers[kFingers];
+
+// The finger region `serial` holds on tree, or nullptr (always outside a
+// region, where serial is 0).
+Finger* FingerOf(const BPlusTree* tree, uint64_t serial) {
+  if (serial == 0) {
+    return nullptr;
+  }
+  for (Finger& f : t_fingers) {
+    if (f.serial == serial && f.tree == tree) {
+      return &f;
+    }
+  }
+  return nullptr;
+}
+
+void AimFinger(const BPlusTree* tree, uint64_t serial, uint32_t leaf,
+               uint64_t first, uint64_t last) {
+  if (serial == 0) {
+    return;
+  }
+  Finger* slot = FingerOf(tree, serial);
+  if (slot == nullptr) {
+    // A slot no finger of this region holds, else the first.
+    slot = &t_fingers[0];
+    for (Finger& f : t_fingers) {
+      if (f.serial != serial) {
+        slot = &f;
+        break;
+      }
+    }
+  }
+  *slot = Finger{tree, serial, leaf, first, last};
+}
 }  // namespace
 
 BPlusTree::BPlusTree(const Config& config) : config_(config) {
@@ -149,7 +195,18 @@ int BPlusTree::UpperBoundIn(const NodeKeys& node, uint64_t key) {
       node.keys);
 }
 
-BPlusTree::Leaf BPlusTree::DescendToLeaf(uint64_t key) {
+BPlusTree::KeyRange BPlusTree::ChildRange(const NodeKeys& node, int i,
+                                          KeyRange range) {
+  if (i > 0) {
+    range.first = node.keys[i - 1];
+  }
+  if (i < node.num_keys) {
+    range.last = node.keys[i] - 1;  // keys[i] > every key under child i
+  }
+  return range;
+}
+
+BPlusTree::Leaf BPlusTree::FindLeaf(uint64_t key) {
   Leaf leaf;
   uint32_t id = static_cast<uint32_t>(ControlLoad(kControlRoot));
   for (int depth = 0; id != 0; ++depth) {
@@ -161,33 +218,68 @@ BPlusTree::Leaf BPlusTree::DescendToLeaf(uint64_t key) {
       leaf.id = id;
       return leaf;
     }
-    id = ChildAt(id, UpperBoundIn(leaf.node, key));
+    const int i = UpperBoundIn(leaf.node, key);
+    leaf.range = ChildRange(leaf.node, i, leaf.range);
+    id = ChildAt(id, i);
   }
   return leaf;
 }
 
-void BPlusTree::InsertIntoLeaf(uint32_t leaf, NodeKeys& node, int pos,
-                               uint64_t key, const void* value) {
+BPlusTree::Leaf BPlusTree::DescendToLeaf(uint64_t key) {
+  const uint64_t serial = htm::CurrentRegionSerial();
+  if (const Finger* f = FingerOf(this, serial);
+      f != nullptr && key >= f->first && key <= f->last) {
+    Leaf leaf;
+    leaf.id = f->leaf;
+    leaf.range = KeyRange{f->first, f->last};
+    leaf.node = ReadKeys(leaf.id);
+    return leaf;
+  }
+  Leaf leaf = FindLeaf(key);
+  if (leaf.id != 0) {
+    AimFinger(this, serial, leaf.id, leaf.range.first, leaf.range.last);
+  }
+  return leaf;
+}
+
+bool BPlusTree::InsertIntoLeaf(uint32_t leaf, NodeKeys& node, uint64_t key,
+                               const void* value) {
+  const int pos = LowerBoundIn(node, key);
   const int n = node.num_keys;
+  if (pos < n && node.keys[pos] == key) {
+    return false;  // duplicate
+  }
   std::copy_backward(node.keys + pos, node.keys + n, node.keys + n + 1);
   node.keys[pos] = key;
   node.num_keys = static_cast<uint16_t>(n + 1);
+  node.last_pos = static_cast<uint8_t>(pos);
   WriteImage(leaf, node);
   MovePayload(leaf, pos, n, leaf, pos + 1, config_.value_size);
   WriteValueAt(leaf, pos, value);
+  ControlStore(kControlLive, ControlLoad(kControlLive) + 1);
+  return true;
 }
 
 uint32_t BPlusTree::SplitChild(uint32_t parent, NodeKeys& parent_keys,
                                int idx, uint32_t child, NodeKeys& child_keys,
-                               NodeKeys& right_keys) {
+                               uint64_t key, NodeKeys& right_keys) {
   const uint32_t right = AllocateNode();
   if (right == 0) {
     return 0;
   }
   const int n = child_keys.num_keys;  // == kFanout
-  const int mid = n / 2;
+  // Where key goes in the child (a leaf's duplicate splits either way).
+  const int at = UpperBoundIn(child_keys, key);
+  int mid = n / 2;
+  if (at == child_keys.last_pos + 1) {
+    // An ascending run: split at the insertion point, so the left side
+    // ends where key goes, unless the right side would be left without
+    // a key.
+    mid = std::min(at, child_keys.is_leaf != 0 ? n - 1 : n - 2);
+  }
   right_keys = NodeKeys();
   right_keys.is_leaf = child_keys.is_leaf;
+  child_keys.last_pos = kNoPos;
   uint64_t promote;
   if (child_keys.is_leaf != 0) {
     // Copy-up: right gets keys[mid..n), promote right's first key.
@@ -215,6 +307,7 @@ uint32_t BPlusTree::SplitChild(uint32_t parent, NodeKeys& parent_keys,
                      parent_keys.keys + pn + 1);
   parent_keys.keys[idx] = promote;
   parent_keys.num_keys = static_cast<uint16_t>(pn + 1);
+  parent_keys.last_pos = static_cast<uint8_t>(idx);
   WriteImage(parent, parent_keys);
   MovePayload(parent, idx + 1, pn + 1, parent, idx + 2, kChildBytes);
   SetChildAt(parent, idx + 1, right);
@@ -222,6 +315,18 @@ uint32_t BPlusTree::SplitChild(uint32_t parent, NodeKeys& parent_keys,
 }
 
 bool BPlusTree::Insert(uint64_t key, const void* value) {
+  const uint64_t serial = htm::CurrentRegionSerial();
+  if (Finger* f = FingerOf(this, serial)) {
+    if (key >= f->first && key <= f->last) {
+      NodeKeys keys = ReadKeys(f->leaf);
+      if (keys.num_keys < kFanout) {
+        return InsertIntoLeaf(f->leaf, keys, key, value);
+      }
+    }
+    // The descent may split the finger's leaf and re-aims the finger at
+    // the leaf it reaches; dropped first so that no exit leaves it stale.
+    f->serial = 0;
+  }
   uint32_t node = static_cast<uint32_t>(ControlLoad(kControlRoot));
   if (node == 0) {
     const uint32_t leaf = AllocateNode();
@@ -231,11 +336,13 @@ bool BPlusTree::Insert(uint64_t key, const void* value) {
     NodeKeys keys;
     keys.is_leaf = 1;
     keys.num_keys = 1;
+    keys.last_pos = 0;
     keys.keys[0] = key;
     WriteImage(leaf, keys);
     WriteValueAt(leaf, 0, value);
     ControlStore(kControlRoot, static_cast<uint64_t>(leaf));
     ControlStore(kControlLive, ControlLoad(kControlLive) + 1);
+    AimFinger(this, serial, leaf, 0, ~uint64_t{0});
     return true;
   }
 
@@ -250,7 +357,8 @@ bool BPlusTree::Insert(uint64_t key, const void* value) {
     }
     NodeKeys root_keys;
     SetChildAt(new_root, 0, node);
-    if (SplitChild(new_root, root_keys, 0, node, keys, right_keys) == 0) {
+    if (SplitChild(new_root, root_keys, 0, node, keys, key, right_keys) ==
+        0) {
       return false;
     }
     ControlStore(kControlRoot, static_cast<uint64_t>(new_root));
@@ -258,33 +366,29 @@ bool BPlusTree::Insert(uint64_t key, const void* value) {
     keys = root_keys;
   }
 
+  KeyRange range;
   while (keys.is_leaf == 0) {
-    const int i = UpperBoundIn(keys, key);
-    const uint32_t child = ChildAt(node, i);
+    int i = UpperBoundIn(keys, key);
+    uint32_t child = ChildAt(node, i);
     NodeKeys child_keys = ReadKeys(child);
     if (child_keys.num_keys == kFanout) {
       const uint32_t right =
-          SplitChild(node, keys, i, child, child_keys, right_keys);
+          SplitChild(node, keys, i, child, child_keys, key, right_keys);
       if (right == 0) {
         return false;
       }
       if (key >= keys.keys[i]) {
-        node = right;
-        keys = right_keys;
-        continue;
+        ++i;
+        child = right;
+        child_keys = right_keys;
       }
     }
+    range = ChildRange(keys, i, range);
     node = child;
     keys = child_keys;
   }
-
-  const int pos = LowerBoundIn(keys, key);
-  if (pos < keys.num_keys && keys.keys[pos] == key) {
-    return false;  // duplicate
-  }
-  InsertIntoLeaf(node, keys, pos, key, value);
-  ControlStore(kControlLive, ControlLoad(kControlLive) + 1);
-  return true;
+  AimFinger(this, serial, node, range.first, range.last);
+  return InsertIntoLeaf(node, keys, key, value);
 }
 
 bool BPlusTree::Get(uint64_t key, void* value_out) {
@@ -319,6 +423,12 @@ bool BPlusTree::Remove(uint64_t key) {
   }
   std::copy(node.keys + pos + 1, node.keys + n, node.keys + pos);
   node.num_keys = static_cast<uint16_t>(n - 1);
+  if (node.last_pos != kNoPos && pos <= node.last_pos) {
+    // Keep tracking the last added key; forget it once it is removed.
+    node.last_pos = pos < node.last_pos
+                        ? static_cast<uint8_t>(node.last_pos - 1)
+                        : kNoPos;
+  }
   WriteImage(leaf.id, node);
   MovePayload(leaf.id, pos + 1, n, leaf.id, pos, config_.value_size);
   ControlStore(kControlLive, ControlLoad(kControlLive) - 1);
@@ -328,6 +438,14 @@ bool BPlusTree::Remove(uint64_t key) {
 size_t BPlusTree::Scan(uint64_t lo, uint64_t hi,
                        const std::function<bool(uint64_t, const void*)>& fn) {
   Leaf leaf = DescendToLeaf(lo);
+  // The walk ends at the leaf whose range holds hi: the first leaf when
+  // its range reaches hi. Otherwise a key past hi usually stops it, and
+  // the end leaf is looked up only on reaching an emptied leaf, which
+  // holds none.
+  uint32_t end = leaf.range.last >= hi ? leaf.id : 0;
+  // The first leaf's lower bound, then the largest key read: the end
+  // leaf's range starts past it until the walk has read that leaf.
+  uint64_t reached = leaf.range.first;
   size_t visited = 0;
   size_t hops = 0;
   uint8_t values[kFanout * kMaxValueSize];
@@ -347,11 +465,21 @@ size_t BPlusTree::Scan(uint64_t lo, uint64_t hi,
         return visited;
       }
     }
-    if (to < node.num_keys || node.next_leaf == 0) {
-      return visited;  // passed hi, or the last leaf
+    if (leaf.id == end || to < node.num_keys || node.next_leaf == 0) {
+      return visited;  // hi's leaf, passed hi, or the last leaf
+    }
+    if (node.num_keys > 0) {
+      reached = node.keys[node.num_keys - 1];
     }
     leaf.id = node.next_leaf;
     leaf.node = ReadKeys(leaf.id);
+    if (end == 0 && leaf.node.num_keys == 0) {
+      const Leaf last = FindLeaf(hi);
+      if (last.range.first <= reached) {
+        return visited;  // hi's leaf was already read
+      }
+      end = last.id;
+    }
   }
   return visited;
 }
@@ -371,6 +499,10 @@ bool BPlusTree::FindFloor(uint64_t lo, uint64_t bound, uint64_t* key_out,
 
 size_t BPlusTree::size() {
   return static_cast<size_t>(ControlLoad(kControlLive));
+}
+
+size_t BPlusTree::node_count() {
+  return static_cast<size_t>(ControlLoad(kControlBump));
 }
 
 }  // namespace store

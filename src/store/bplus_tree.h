@@ -15,6 +15,25 @@
 // line-aligned, so a node's header and first 7 keys share one line, as
 // in DBX's line-aligned nodes.
 //
+// Inside one HTM region an operation walks from the root at most once
+// per leaf: each thread keeps, per tree, a finger on the leaf its last
+// descent in the current region reached and that leaf's key range, cut
+// from the separators on the way down. Get, Put, Remove, Scan, and an
+// Insert into a leaf with room, start at the finger when the key is in
+// its range. The finger is safe because every line of the path that
+// produced it is in the region's read set (a concurrent change aborts
+// the region), the region's own splits all go through Insert, which
+// re-aims the finger, and removes never change a leaf's range. A finger
+// made by another region (htm::CurrentRegionSerial) or outside any
+// region is never read.
+//
+// Splits follow InnoDB's last-insert heuristic: a node's header records
+// where its last key or separator was added, and when a full node's next
+// insertion lands right after it, the node splits at the insertion
+// point (the right side keeps at least one key) instead of in the
+// middle, so append-ordered trees (TPC-C's orders and order lines) fill
+// their nodes instead of leaving them half full.
+//
 // Structural simplifications, both standard for in-memory stores:
 //   * deletes remove keys from leaves without rebalancing;
 //   * nodes come from a fixed pool whose bump pointer lives in
@@ -62,7 +81,8 @@ class BPlusTree {
   // Visits [lo, hi] in ascending key order; fn returns false to stop.
   // Returns the number of visited entries. Each leaf's in-range values
   // are copied in one read before fn sees them, so fn must not modify
-  // this tree.
+  // this tree. The walk along the leaf chain ends at the leaf whose
+  // range holds hi, so it never reads past emptied leaves.
   size_t Scan(uint64_t lo, uint64_t hi,
               const std::function<bool(uint64_t, const void*)>& fn);
 
@@ -72,19 +92,36 @@ class BPlusTree {
 
   size_t size();
 
+  // Nodes taken from the pool, leaves and internal nodes together.
+  size_t node_count();
+
  private:
+  // last_pos of a node with no recorded insertion.
+  static constexpr uint8_t kNoPos = 0xff;
+
   // A node's header and keys, laid out exactly as the node's first
   // 8 + 8 * kFanout bytes. Key slots at or past num_keys are stale in
   // the image: past the header's line they are never read at all.
   struct NodeKeys {
-    uint16_t is_leaf = 0;
+    uint8_t is_leaf = 0;
+    // Where the last key (leaf) or separator (internal node) was added;
+    // kNoPos after a split. Drives the split point, never correctness.
+    uint8_t last_pos = kNoPos;
     uint16_t num_keys = 0;
     uint32_t next_leaf = 0;  // leaves only; 0 = last leaf
     uint64_t keys[kFanout] = {};
   };
 
+  // The keys a node covers, [first, last], cut from its ancestors'
+  // separators.
+  struct KeyRange {
+    uint64_t first = 0;
+    uint64_t last = ~uint64_t{0};
+  };
+
   struct Leaf {
     uint32_t id = 0;  // 0: the tree is empty
+    KeyRange range;
     NodeKeys node;
   };
 
@@ -126,19 +163,28 @@ class BPlusTree {
   // smallest key under child[i + 1].
   static int LowerBoundIn(const NodeKeys& node, uint64_t key);
   static int UpperBoundIn(const NodeKeys& node, uint64_t key);
+  // Child i's share of an internal node's range.
+  static KeyRange ChildRange(const NodeKeys& node, int i, KeyRange range);
 
-  // Descends to the leaf that should contain key: one image read plus
-  // one child read per level.
+  // Descends from the root to the leaf whose range holds key: one image
+  // read plus one child read per level.
+  Leaf FindLeaf(uint64_t key);
+  // The region's finger when key is in its range, else FindLeaf, which
+  // then re-aims the finger.
   Leaf DescendToLeaf(uint64_t key);
 
-  // Splits full child (slot idx of parent) around its middle key,
-  // updating both images to match memory and filling right's. Returns
-  // the new right sibling's id, or 0 if the pool is exhausted.
+  // Splits full child (slot idx of parent), updating both images to
+  // match memory and filling right's. The split point is where key
+  // would go when that follows the child's last insertion, else the
+  // middle. Returns the new right sibling's id, or 0 if the pool is
+  // exhausted.
   uint32_t SplitChild(uint32_t parent, NodeKeys& parent_keys, int idx,
-                      uint32_t child, NodeKeys& child_keys,
+                      uint32_t child, NodeKeys& child_keys, uint64_t key,
                       NodeKeys& right_keys);
 
-  void InsertIntoLeaf(uint32_t leaf, NodeKeys& node, int pos, uint64_t key,
+  // Adds key -> value to leaf (image node, which has room); false on a
+  // duplicate.
+  bool InsertIntoLeaf(uint32_t leaf, NodeKeys& node, uint64_t key,
                       const void* value);
 
   Config config_;

@@ -62,7 +62,10 @@ uint64_t NuRand(Xoshiro256& rng, uint64_t a, uint64_t n) {
 }  // namespace
 
 TpccDb::TpccDb(txn::Cluster* cluster, const Params& params)
-    : cluster_(cluster), params_(params) {
+    : cluster_(cluster),
+      params_(params),
+      new_order_floor_(static_cast<size_t>(params.warehouses) *
+                       kDistrictsPerWarehouse) {
   const int nodes = cluster->num_nodes();
   const uint64_t warehouses_per_node =
       static_cast<uint64_t>((params.warehouses + nodes - 1) / nodes);
@@ -467,7 +470,19 @@ txn::TxnStatus TpccDb::RunNewOrderWithCross(txn::Worker* worker,
   };
   planner.AddFragment(std::move(inserts));
 
-  return planner.Run(worker);
+  const txn::TxnStatus status = planner.Run(worker);
+  if (status == txn::TxnStatus::kCommitted) {
+    // Only after the commit: lowered earlier, a delivery could scan from
+    // o_id before the row is visible and advance the floor past it.
+    std::atomic<uint64_t>& floor = new_order_floor_[DistrictKey(w, d)];
+    uint64_t from = floor.load(std::memory_order_relaxed);
+    while (from > ctx->o_id &&
+           !floor.compare_exchange_weak(from, ctx->o_id,
+                                        std::memory_order_release,
+                                        std::memory_order_relaxed)) {
+    }
+  }
+  return status;
 }
 
 txn::TxnStatus TpccDb::RunPayment(txn::Worker* worker) {
@@ -638,11 +653,13 @@ txn::TxnStatus TpccDb::RunDelivery(txn::Worker* worker) {
   std::vector<Target> targets;
   htm::HtmThread& htm = worker->htm();
   for (uint64_t d = 0; d < kDistrictsPerWarehouse; ++d) {
+    std::atomic<uint64_t>& floor = new_order_floor_[DistrictKey(w, d)];
+    uint64_t from = floor.load(std::memory_order_acquire);
     uint64_t oldest = ~uint64_t{0};
     htm.TransactUntilCommitted([&] {
       oldest = ~uint64_t{0};
       cluster_->ordered_table(worker->node(), new_order_)
-          ->Scan(OrderKey(w, d, 0), OrderKey(w, d, 0xffffffff),
+          ->Scan(OrderKey(w, d, from), OrderKey(w, d, 0xffffffff),
                  [&](uint64_t key, const void*) {
                    oldest = key & 0xffffffff;
                    return false;  // first = oldest
@@ -651,6 +668,9 @@ txn::TxnStatus TpccDb::RunDelivery(txn::Worker* worker) {
     if (oldest == ~uint64_t{0}) {
       continue;
     }
+    // Fails when a new-order lowered the floor meanwhile; its row may
+    // lie below the scanned range.
+    floor.compare_exchange_strong(from, oldest, std::memory_order_relaxed);
     OrderRow orow{};
     bool found = false;
     htm.TransactUntilCommitted([&] {

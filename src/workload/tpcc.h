@@ -225,6 +225,15 @@ class TpccDb {
   int warehouse_, district_, customer_, stock_, item_, history_;
   int order_, new_order_, order_line_, name_index_, cust_order_;
   std::atomic<uint64_t> history_seq_{1};
+  // Per district (indexed by DistrictKey), an o_id at or below every
+  // NEW-ORDER row whose new-order has returned: delivery's
+  // reconnaissance scans from it, not from 0, so it never walks the
+  // emptied leaves of delivered orders (Silo's last_no_o_ids). A
+  // delivery advances it by CAS from the value it scanned from. A
+  // committed new-order lowers it with a fetch-min, so an order whose
+  // inserts commit after a later order's (a chopped chain's insert
+  // piece) is still delivered.
+  std::vector<std::atomic<uint64_t>> new_order_floor_;
   std::vector<std::unique_ptr<txn::Worker>> shipped_workers_;
 };
 

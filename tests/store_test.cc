@@ -1172,6 +1172,284 @@ TEST(BPlusTreeHtmTest, LookupDoesNotReadKeySlotsPastNumKeys) {
   EXPECT_EQ(v0, 100u);
 }
 
+// --- Leaf finger and insertion-point splits ---------------------------------
+//
+// Inside one region the tree starts at the leaf its last descent reached
+// when the key is in that leaf's range. These check every way a finger
+// could outlive the range it recorded: splits in the region itself, a
+// rolled-back region, strong inserts between regions, and two trees in
+// one region.
+
+BPlusTree::Config FingerTreeConfig() {
+  BPlusTree::Config config;
+  config.value_size = 8;
+  config.max_nodes = 1 << 10;
+  return config;
+}
+
+// Every row of tree, read outside any region.
+std::vector<std::pair<uint64_t, uint64_t>> AllRows(BPlusTree* tree) {
+  std::vector<std::pair<uint64_t, uint64_t>> rows;
+  tree->Scan(0, ~uint64_t{0}, [&](uint64_t k, const void* v) {
+    uint64_t value;
+    std::memcpy(&value, v, sizeof(value));
+    rows.emplace_back(k, value);
+    return true;
+  });
+  return rows;
+}
+
+// The tree holds exactly reference, by scan and by a lookup of each key.
+void ExpectTreeIs(BPlusTree* tree,
+                  const std::map<uint64_t, uint64_t>& reference) {
+  const std::vector<std::pair<uint64_t, uint64_t>> expect(reference.begin(),
+                                                          reference.end());
+  EXPECT_EQ(AllRows(tree), expect);
+  EXPECT_EQ(tree->size(), reference.size());
+  for (const auto& [k, v] : reference) {
+    uint64_t value = 0;
+    ASSERT_TRUE(tree->Get(k, &value)) << k;
+    EXPECT_EQ(value, v) << k;
+  }
+}
+
+TEST(BPlusTreeFingerTest, AscendingRunAcrossSplitsInOneRegion) {
+  BPlusTree tree(FingerTreeConfig());
+  htm::HtmThread htm;
+  std::map<uint64_t, uint64_t> reference;
+  bool all_seen = false;
+  ASSERT_EQ(htm.Transact([&] {
+              all_seen = true;
+              for (uint64_t k = 0; k < 300; ++k) {
+                const uint64_t v = 3 * k;
+                all_seen &= tree.Insert(k, &v);
+                uint64_t seen = 0;
+                all_seen &= tree.Get(k, &seen) && seen == v;
+              }
+              for (uint64_t k = 0; k < 300; ++k) {
+                uint64_t seen = 0;
+                all_seen &= tree.Get(k, &seen) && seen == 3 * k;
+              }
+            }),
+            htm::kCommitted);
+  EXPECT_TRUE(all_seen);
+  for (uint64_t k = 0; k < 300; ++k) {
+    reference[k] = 3 * k;
+  }
+  ExpectTreeIs(&tree, reference);
+}
+
+TEST(BPlusTreeFingerTest, FingerOfAbortedRegionIsNotReused) {
+  BPlusTree tree(FingerTreeConfig());
+  std::map<uint64_t, uint64_t> reference;
+  for (uint64_t k = 0; k < 200; k += 2) {
+    ASSERT_TRUE(tree.Insert(k, &k));
+    reference[k] = k;
+  }
+  htm::HtmThread htm;
+  // The rolled-back region leaves its finger on the tail leaf, whose
+  // range is unbounded above (or on a tail leaf it split off itself).
+  EXPECT_NE(htm.Transact([&] {
+              uint64_t v;
+              tree.Get(198, &v);
+              tree.Insert(1000, &v);
+              htm.Abort(1);
+            }),
+            htm::kCommitted);
+  // Strong appends split that leaf (or reuse the rolled-back node ids):
+  // the old tail leaf no longer covers the tail.
+  for (uint64_t k = 200; k < 400; ++k) {
+    ASSERT_TRUE(tree.Insert(k, &k));
+    reference[k] = k;
+  }
+  bool ok = false;
+  uint64_t got = 0;
+  ASSERT_EQ(htm.Transact([&] {
+              const uint64_t v = 7;
+              ok = tree.Get(399, &got) && tree.Insert(1000, &v);
+            }),
+            htm::kCommitted);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(got, 399u);
+  reference[1000] = 7;
+  ExpectTreeIs(&tree, reference);
+}
+
+TEST(BPlusTreeFingerTest, StrongInsertBetweenRegionsIsRouted) {
+  BPlusTree tree(FingerTreeConfig());
+  std::map<uint64_t, uint64_t> reference;
+  for (uint64_t k = 0; k < 10; ++k) {
+    ASSERT_TRUE(tree.Insert(k, &k));
+    reference[k] = k;
+  }
+  htm::HtmThread htm;
+  uint64_t got = 0;
+  // The finger: the one leaf, range unbounded.
+  ASSERT_EQ(htm.Transact([&] { tree.Get(5, &got); }), htm::kCommitted);
+  // Strong inserts split that leaf. Each must descend from the root: the
+  // old leaf has room again after its split but no longer holds the tail.
+  for (uint64_t k = 10; k < 60; ++k) {
+    ASSERT_TRUE(tree.Insert(k, &k));
+    reference[k] = k;
+  }
+  bool ok = false;
+  ASSERT_EQ(htm.Transact([&] {
+              const uint64_t v = 99;
+              ok = tree.Get(17, &got) && tree.Insert(60, &v);
+            }),
+            htm::kCommitted);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(got, 17u);
+  reference[60] = 99;
+  ExpectTreeIs(&tree, reference);
+}
+
+TEST(BPlusTreeFingerTest, TwoTreesInterleavedInOneRegion) {
+  BPlusTree a(FingerTreeConfig());
+  BPlusTree b(FingerTreeConfig());
+  std::map<uint64_t, uint64_t> ref_a;
+  std::map<uint64_t, uint64_t> ref_b;
+  // Different shapes, so one tree's leaf ids mean other ranges in the other.
+  for (uint64_t k = 0; k < 300; k += 2) {
+    ASSERT_TRUE(b.Insert(k, &k));
+    ref_b[k] = k;
+  }
+  htm::HtmThread htm;
+  bool ok = false;
+  ASSERT_EQ(htm.Transact([&] {
+              ok = true;
+              for (uint64_t k = 0; k < 150; ++k) {
+                const uint64_t va = k + 1000;
+                const uint64_t vb = k + 2000;
+                uint64_t seen = 0;
+                ok &= a.Insert(k, &va);
+                ok &= b.Insert(2 * k + 1, &vb);
+                ok &= a.Get(k, &seen) && seen == va;
+                ok &= b.Get(2 * k, &seen) && seen == 2 * k;
+                ok &= b.Put(2 * k, &vb);
+              }
+            }),
+            htm::kCommitted);
+  EXPECT_TRUE(ok);
+  for (uint64_t k = 0; k < 150; ++k) {
+    ref_a[k] = k + 1000;
+    ref_b[2 * k + 1] = k + 2000;
+    ref_b[2 * k] = k + 2000;
+  }
+  ExpectTreeIs(&a, ref_a);
+  ExpectTreeIs(&b, ref_b);
+}
+
+// New-order's shape: each region appends a run of 10 keys to one of 4
+// ascending ranges (districts). Middle splits would leave the nodes
+// about half full (~8,500 nodes for these 80,000 keys).
+TEST(BPlusTreeFingerTest, AscendingRunsFillNodes) {
+  constexpr uint64_t kRanges = 4;
+  constexpr uint64_t kPerRange = 20000;
+  constexpr uint64_t kRun = 10;
+  BPlusTree::Config config;
+  config.value_size = 8;
+  config.max_nodes = 1 << 14;
+  BPlusTree tree(config);
+  std::vector<uint64_t> order;
+  for (uint64_t r = 0; r < kRanges; ++r) {
+    order.insert(order.end(), kPerRange / kRun, r);
+  }
+  Xoshiro256 rng(23);
+  for (size_t i = order.size() - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.NextBounded(i + 1)]);
+  }
+  std::vector<uint64_t> next(kRanges, 0);
+  htm::HtmThread htm;
+  for (const uint64_t r : order) {
+    const uint64_t base = (r << 32) | next[r];
+    bool ok = false;
+    ASSERT_EQ(htm.Transact([&] {
+                ok = true;
+                for (uint64_t j = 0; j < kRun; ++j) {
+                  const uint64_t key = base + j;
+                  ok &= tree.Insert(key, &key);
+                }
+              }),
+              htm::kCommitted);
+    ASSERT_TRUE(ok);
+    next[r] += kRun;
+  }
+  ASSERT_EQ(tree.size(), kRanges * kPerRange);
+  const double keys_per_node =
+      static_cast<double>(tree.size()) / static_cast<double>(tree.node_count());
+  EXPECT_GE(keys_per_node, 12.0) << tree.node_count() << " nodes";
+  for (uint64_t r = 0; r < kRanges; ++r) {
+    for (uint64_t i = 0; i < kPerRange; i += 997) {
+      uint64_t v = 0;
+      ASSERT_TRUE(tree.Get((r << 32) | i, &v));
+      EXPECT_EQ(v, (r << 32) | i);
+    }
+  }
+}
+
+// Removes leave emptied leaves in the chain. A scan must end at the leaf
+// whose range holds hi rather than walk on through them looking for a
+// key past hi: here the walk to the last live key would take more lines
+// than the read set holds.
+TEST(BPlusTreeFingerTest, ScanEndsAtHisLeafPastEmptiedLeaves) {
+  BPlusTree tree(FingerTreeConfig());
+  for (uint64_t k = 0; k < 3000; ++k) {
+    ASSERT_TRUE(tree.Insert(k, &k));
+  }
+  for (uint64_t k = 0; k < 2999; ++k) {
+    if (k != 50) {
+      ASSERT_TRUE(tree.Remove(k));
+    }
+  }
+  htm::Config htm_config;
+  htm_config.max_read_lines = 64;  // fewer lines than the tree has leaves
+  htm::HtmThread htm(htm_config);
+  std::vector<uint64_t> seen;
+  for (const uint64_t lo : {0, 40, 60}) {
+    ASSERT_EQ(htm.Transact([&] {
+                seen.clear();
+                tree.Scan(lo, 100, [&](uint64_t k, const void*) {
+                  seen.push_back(k);
+                  return true;
+                });
+              }),
+              htm::kCommitted)
+        << "lo " << lo;
+    EXPECT_EQ(seen, lo <= 50 ? std::vector<uint64_t>{50}
+                             : std::vector<uint64_t>{});
+  }
+}
+
+// A region whose footprint overflows the read set can never commit, so
+// TransactUntilCommitted must fail loudly rather than retry it forever:
+// here a scan walking more emptied leaves than the read set holds.
+TEST(BPlusTreeDeathTest, CapacityAbortInRetriedRegionFailsLoudly) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  BPlusTree::Config config;
+  config.value_size = 8;
+  config.max_nodes = 1 << 10;
+  BPlusTree tree(config);
+  for (uint64_t k = 0; k < 3000; ++k) {
+    ASSERT_TRUE(tree.Insert(k, &k));
+  }
+  for (uint64_t k = 0; k < 3000; ++k) {
+    ASSERT_TRUE(tree.Remove(k));
+  }
+  htm::Config htm_config;
+  htm_config.max_read_lines = 64;  // fewer lines than the tree has leaves
+  EXPECT_DEATH(
+      {
+        htm::HtmThread htm(htm_config);
+        htm.TransactUntilCommitted([&] {
+          tree.Scan(0, ~uint64_t{0}, [](uint64_t, const void*) {
+            return true;
+          });
+        });
+      },
+      "capacity abort.*read lines 64 of 64");
+}
+
 }  // namespace
 }  // namespace store
 }  // namespace drtm

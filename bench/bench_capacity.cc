@@ -2,9 +2,9 @@
 // toward the write-set line budget (htm::Config::max_write_lines x 64 B
 // cache lines, ~32 KB by default). Once a value no longer fits, every
 // HTM attempt aborts with kAbortCapacity deterministically — retrying is
-// pure waste. The monolithic run (`adaptive`) shows the adaptive retry
-// budget at work: it stops retrying a capacity-dominant mix and reaches
-// the 2PL fallback sooner. The `chopped` run adds the chop planner
+// pure waste. The `monolithic` run shows the retry rule at work: after a
+// capacity abort a transaction makes at most 4 HTM attempts before the
+// 2PL fallback. The `chopped` run adds the chop planner
 // (ClusterConfig::enable_chop_planner), which slices the oversized write
 // into a chain of budget-sized WriteRange pieces that commit in HTM —
 // flattening the capacity cliff instead of falling back over it.
@@ -27,7 +27,6 @@ struct Outcome {
   double tps = 0;
   double capacity_abort_rate = 0;  // capacity aborts / HTM attempts
   double fallback_rate = 0;        // fallbacks / committed
-  int64_t retry_budget = 0;        // txn.adaptive.retry_budget at the end
   stat::Snapshot stats;
 };
 
@@ -69,7 +68,6 @@ Outcome Measure(uint32_t value_size, bool chop, uint64_t duration_ms) {
   out.capacity_abort_rate = benchutil::CapacityAbortRate(result.stats_delta);
   out.fallback_rate = benchutil::Ratio(
       result.stats_delta.Counter("txn.fallback"), result.committed);
-  out.retry_budget = result.stats_delta.Gauge("txn.adaptive.retry_budget");
   out.stats = result.stats_delta;
   return out;
 }
@@ -81,7 +79,7 @@ int main() {
   benchutil::Header("capacity", "YCSB-A vs HTM write-set capacity");
   benchutil::PaperNote(
       "values past the write-line budget (512 lines x 64 B) abort every "
-      "HTM attempt; the adaptive budget stops retrying them and the chop "
+      "HTM attempt; the retry rule caps them at 4 attempts and the chop "
       "planner slices them into chains that commit in HTM");
 
   // The write-set budget in bytes, from the default htm::Config.
@@ -104,29 +102,28 @@ int main() {
   report.AddConfig("write_budget_bytes", std::to_string(budget_bytes));
   report.AddConfig("quick", benchutil::Quick() ? "1" : "0");
   stat::BenchReport::Series& chopped_series = report.AddSeries("chopped");
-  stat::BenchReport::Series& adaptive_series = report.AddSeries("adaptive");
+  stat::BenchReport::Series& monolithic_series =
+      report.AddSeries("monolithic");
   stat::BenchReport::Series& abort_series = report.AddSeries("abort_causes");
 
-  std::printf("%-12s %12s %12s %10s %10s %8s\n", "value_bytes", "chop_tps",
-              "adapt_tps", "cap_abort", "fallback", "budget");
+  std::printf("%-12s %12s %12s %10s %10s\n", "value_bytes", "chop_tps",
+              "mono_tps", "cap_abort", "fallback");
   for (const uint32_t value_size : value_sizes) {
     const Outcome chopped = Measure(value_size, true, duration_ms);
-    const Outcome adaptive = Measure(value_size, false, duration_ms);
-    std::printf("%-12u %12.0f %12.0f %9.1f%% %9.2f %8lld\n", value_size,
-                chopped.tps, adaptive.tps, chopped.capacity_abort_rate * 100,
-                chopped.fallback_rate,
-                static_cast<long long>(adaptive.retry_budget));
+    const Outcome monolithic = Measure(value_size, false, duration_ms);
+    std::printf("%-12u %12.0f %12.0f %9.1f%% %9.2f\n", value_size,
+                chopped.tps, monolithic.tps, chopped.capacity_abort_rate * 100,
+                chopped.fallback_rate);
     benchutil::AddPoint(
         &chopped_series, {{"value_bytes", std::to_string(value_size)}},
         {{"tps", chopped.tps},
          {"capacity_abort_rate", chopped.capacity_abort_rate},
          {"fallback_rate", chopped.fallback_rate}});
     benchutil::AddPoint(
-        &adaptive_series, {{"value_bytes", std::to_string(value_size)}},
-        {{"tps", adaptive.tps},
-         {"capacity_abort_rate", adaptive.capacity_abort_rate},
-         {"fallback_rate", adaptive.fallback_rate},
-         {"retry_budget", static_cast<double>(adaptive.retry_budget)}});
+        &monolithic_series, {{"value_bytes", std::to_string(value_size)}},
+        {{"tps", monolithic.tps},
+         {"capacity_abort_rate", monolithic.capacity_abort_rate},
+         {"fallback_rate", monolithic.fallback_rate}});
     benchutil::AddAbortCauses(
         &abort_series,
         {{"value_bytes", std::to_string(value_size)}, {"config", "chopped"}},
@@ -134,7 +131,7 @@ int main() {
     benchutil::AddAbortCauses(
         &abort_series,
         {{"value_bytes", std::to_string(value_size)}, {"config", "monolithic"}},
-        adaptive.stats);
+        monolithic.stats);
     report.stats.Merge(chopped.stats);
   }
 

@@ -209,7 +209,7 @@ void PartB(uint64_t duration_ms, stat::BenchReport* report) {
   stat::BenchReport::Series& series = report->AddSeries("get_tput_vs_value");
   for (const uint32_t size : sizes) {
     Stores stores = BuildStores(size);
-    store::LocationCache cache(store::LocationCache::BudgetFromEnv(8 << 20));
+    store::LocationCache cache(8 << 20);
     double results[5];
     for (const System system :
          {System::kPilaf, System::kFarmInline, System::kFarmOffset,
@@ -241,7 +241,7 @@ void PartC(uint64_t duration_ms, stat::BenchReport* report) {
   for (const System system :
        {System::kPilaf, System::kFarmInline, System::kFarmOffset,
         System::kDrtm, System::kDrtmCached}) {
-    store::LocationCache cache(store::LocationCache::BudgetFromEnv(8 << 20));
+    store::LocationCache cache(8 << 20);
     for (const int threads : thread_counts) {
       const GetResult result =
           MeasureGets(stores, system, 64, threads, duration_ms, false, &cache);
@@ -352,7 +352,7 @@ void PartE(stat::BenchReport* report) {
   // content snapshot has been dropped (what an incarnation miss does).
   // The walk refetches every hop, pipelined into one doorbell.
   {
-    store::LocationCache cache(store::LocationCache::BudgetFromEnv(8 << 20));
+    store::LocationCache cache(8 << 20);
     store::RemoteKv client(fabric.get(), 1, table.geometry(), &cache);
     std::vector<uint8_t> out(64);
     for (uint64_t k = 0; k < keys; ++k) {

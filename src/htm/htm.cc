@@ -20,6 +20,9 @@ static_assert(kAbortCapacity == stat::kRtmCapacityBit);
 
 namespace {
 
+// Bounded spin (iterations) on a locked line before declaring conflict.
+constexpr int kLockSpinLimit = 256;
+
 thread_local HtmThread* g_current_tx = nullptr;
 thread_local uint64_t g_region_serial = 0;
 
@@ -208,7 +211,7 @@ void HtmThread::Read(void* dst, const void* src, size_t len) {
     uint64_t v = line.slot->load(std::memory_order_acquire);
     int spins = 0;
     while (VersionTable::IsLocked(v)) {
-      if (++spins > config_.lock_spin_limit) {
+      if (++spins > kLockSpinLimit) {
         AbortWith(kAbortConflict | kAbortRetry);
       }
       v = line.slot->load(std::memory_order_acquire);
@@ -321,7 +324,7 @@ void HtmThread::Commit() {
         it->base = v;
         break;
       }
-      if (++spins > config_.lock_spin_limit) {
+      if (++spins > kLockSpinLimit) {
         release(it, 0);
         AbortWith(kAbortConflict | kAbortRetry);
       }

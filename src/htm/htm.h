@@ -52,8 +52,6 @@ struct Config {
   // mirror a 32 KB L1 write set and a larger read-set tracking structure.
   size_t max_write_lines = 512;
   size_t max_read_lines = 8192;
-  // Bounded spin (iterations) on a locked line before declaring conflict.
-  int lock_spin_limit = 256;
 };
 
 // Thrown internally to unwind a transaction body on abort. Transaction

@@ -1,6 +1,5 @@
 #include "src/store/location_cache.h"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "src/stat/metrics.h"
@@ -16,7 +15,6 @@ struct CacheMetricIds {
   uint32_t install = 0;
   uint32_t invalidate = 0;
   uint32_t hint_hit = 0;
-  uint32_t admit_skip = 0;
 };
 
 const CacheMetricIds& CacheIds() {
@@ -28,7 +26,6 @@ const CacheMetricIds& CacheIds() {
     c.install = reg.CounterId("cache.install");
     c.invalidate = reg.CounterId("cache.invalidate");
     c.hint_hit = reg.CounterId("cache.hint_hit");
-    c.admit_skip = reg.CounterId("cache.admit_skip");
     return c;
   }();
   return ids;
@@ -61,38 +58,19 @@ uint64_t ChainNext(const Bucket& bucket) {
 
 }  // namespace
 
-size_t LocationCache::BudgetFromEnv(size_t default_bytes) {
-  const char* env = std::getenv("DRTM_LOC_CACHE_ENTRIES");
-  if (env == nullptr || *env == '\0') {
-    return default_bytes;
-  }
-  char* end = nullptr;
-  const unsigned long long entries = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0' || entries == 0) {
-    return default_bytes;
-  }
-  const size_t frame_bytes = sizeof(Bucket) + 16;
-  return static_cast<size_t>(entries) * frame_bytes;
-}
-
-LocationCache::LocationCache(size_t budget_bytes, std::string shard_label,
-                             bool adaptive_admission)
+LocationCache::LocationCache(size_t budget_bytes, std::string shard_label)
     : frames_count_(FramesForBudget(budget_bytes)),
-      frame_mask_(frames_count_ - 1),
-      adaptive_(adaptive_admission) {
+      frame_mask_(frames_count_ - 1) {
   frames_ = std::make_unique<Frame[]>(frames_count_);
   stat::Registry& reg = stat::Registry::Global();
   std::string capacity_name = "cache.capacity_entries";
   std::string occupancy_name = "cache.occupied_entries";
-  std::string admit_name = "cache.admit_shift";
   if (!shard_label.empty()) {
     capacity_name += "." + shard_label;
     occupancy_name += "." + shard_label;
-    admit_name += "." + shard_label;
   }
   capacity_gauge_ = reg.GaugeId(capacity_name);
   occupancy_gauge_ = reg.GaugeId(occupancy_name);
-  admit_shift_gauge_ = reg.GaugeId(admit_name);
   reg.GaugeAdd(capacity_gauge_, static_cast<int64_t>(frames_count_));
 }
 
@@ -101,34 +79,6 @@ LocationCache::~LocationCache() {
   reg.GaugeAdd(capacity_gauge_, -static_cast<int64_t>(frames_count_));
   reg.GaugeAdd(occupancy_gauge_,
                -static_cast<int64_t>(occupied_.load(std::memory_order_relaxed)));
-  reg.GaugeAdd(admit_shift_gauge_,
-               -static_cast<int64_t>(admit_shift_.load(std::memory_order_relaxed)));
-}
-
-void LocationCache::AdaptAdmission() {
-  const uint32_t window_hits = window_hits_.exchange(0, std::memory_order_relaxed);
-  const size_t occupancy = occupied_.load(std::memory_order_relaxed);
-  const uint32_t shift = admit_shift_.load(std::memory_order_relaxed);
-  uint32_t next = shift;
-  if (window_hits * 100 >= kAdmitWindow * 25) {
-    // Healthy window: decay the throttle one step.
-    if (shift > 0) {
-      next = shift - 1;
-    }
-  } else if (occupancy * 8 >= frames_count_ * 7 &&
-             window_hits * 100 < kAdmitWindow * 10) {
-    // Nearly full and thrashing: churning frames buys nothing, halve
-    // the install rate.
-    if (shift < kMaxAdmitShift) {
-      next = shift + 1;
-    }
-  }
-  if (next != shift) {
-    admit_shift_.store(next, std::memory_order_relaxed);
-    stat::Registry::Global().GaugeAdd(
-        admit_shift_gauge_,
-        static_cast<int64_t>(next) - static_cast<int64_t>(shift));
-  }
 }
 
 bool LocationCache::Lookup(uint64_t bucket_off, Bucket* out) {
@@ -141,24 +91,7 @@ bool LocationCache::Lookup(uint64_t bucket_off, Bucket* out) {
       hit = true;
     }
   }
-  if (hit) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    stat::Registry::Global().Add(CacheIds().hit);
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    stat::Registry::Global().Add(CacheIds().miss);
-  }
-  if (adaptive_) {
-    if (hit) {
-      window_hits_.fetch_add(1, std::memory_order_relaxed);
-    }
-    const uint32_t seen =
-        window_lookups_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (seen >= kAdmitWindow) {
-      window_lookups_.store(0, std::memory_order_relaxed);
-      AdaptAdmission();
-    }
-  }
+  stat::Registry::Global().Add(hit ? CacheIds().hit : CacheIds().miss);
   return hit;
 }
 
@@ -167,18 +100,6 @@ void LocationCache::Install(uint64_t bucket_off, const Bucket& bucket) {
   bool newly_occupied = false;
   {
     SpinLatchGuard guard(frame.latch);
-    if (frame.tag != bucket_off) {
-      // Claiming (or stealing) a frame is what the admission throttle
-      // rations; refreshing a frame the bucket already owns is free.
-      const uint32_t shift =
-          adaptive_ ? admit_shift_.load(std::memory_order_relaxed) : 0;
-      if (shift > 0 &&
-          (admit_tick_.fetch_add(1, std::memory_order_relaxed) &
-           ((uint64_t{1} << shift) - 1)) != 0) {
-        stat::Registry::Global().Add(CacheIds().admit_skip);
-        return;
-      }
-    }
     newly_occupied = frame.tag == kInvalidOffset;
     frame.tag = bucket_off;
     frame.hint_tag = bucket_off;

@@ -35,27 +35,11 @@ class LocationCache {
   // the capacity/occupancy gauge names ("cache.capacity_entries.<label>")
   // so per-machine shards are distinguishable; caches sharing a label
   // aggregate into one gauge.
-  //
-  // adaptive_admission arms the install throttle: every kAdmitWindow
-  // lookups the cache re-reads its own live hit/miss counters, and when
-  // the shard is both nearly full (occupancy >= 7/8) and thrashing
-  // (window hit rate < 10%) it halves the install rate, doubling the
-  // throttle (up to 1/32) each window the thrash persists — a
-  // direct-mapped cache that misses anyway gains nothing from churning
-  // its frames. A window with a healthy hit rate (>= 25%) decays the
-  // throttle one step. The current step is exported as the
-  // cache.admit_shift gauge (installs admitted = 1 in 2^shift).
-  explicit LocationCache(size_t budget_bytes, std::string shard_label = "",
-                         bool adaptive_admission = false);
+  explicit LocationCache(size_t budget_bytes, std::string shard_label = "");
   ~LocationCache();
 
   LocationCache(const LocationCache&) = delete;
   LocationCache& operator=(const LocationCache&) = delete;
-
-  // Applies the DRTM_LOC_CACHE_ENTRIES env override (frame count) to a
-  // byte budget: set and positive, it wins over default_bytes, so cache
-  // sweeps don't need rebuilds. Invalid or unset leaves default_bytes.
-  static size_t BudgetFromEnv(size_t default_bytes);
 
   // Copies the cached bucket at remote offset bucket_off into *out.
   bool Lookup(uint64_t bucket_off, Bucket* out);
@@ -80,21 +64,6 @@ class LocationCache {
   size_t occupied() const {
     return occupied_.load(std::memory_order_relaxed);
   }
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  void ResetStats() {
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-  }
-
-  // Adaptive-admission observation window, in lookups.
-  static constexpr uint32_t kAdmitWindow = 2048;
-  static constexpr uint32_t kMaxAdmitShift = 5;
-  // Current throttle step: installs claiming a new frame are admitted
-  // 1 in 2^admit_shift (0 = every install, the non-adaptive behaviour).
-  uint32_t admit_shift() const {
-    return admit_shift_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct Frame {
@@ -111,25 +80,12 @@ class LocationCache {
     return frames_[index];
   }
 
-  // Called by the lookup that completes an observation window: reads
-  // the window's hit count and the live occupancy, and moves
-  // admit_shift_ one step (and the cache.admit_shift gauge with it).
-  void AdaptAdmission();
-
   std::unique_ptr<Frame[]> frames_;
   size_t frames_count_;
   uint64_t frame_mask_;
-  const bool adaptive_;
   std::atomic<size_t> occupied_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint32_t> window_lookups_{0};
-  std::atomic<uint32_t> window_hits_{0};
-  std::atomic<uint32_t> admit_shift_{0};
-  std::atomic<uint64_t> admit_tick_{0};
   uint32_t capacity_gauge_;
   uint32_t occupancy_gauge_;
-  uint32_t admit_shift_gauge_;
 };
 
 }  // namespace store

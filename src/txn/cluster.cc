@@ -177,11 +177,9 @@ store::LocationCache* Cluster::cache(int local_node, int target_node) {
   auto& slot = caches_[static_cast<size_t>(local_node)]
                       [static_cast<size_t>(target_node)];
   if (slot == nullptr) {
-    // DRTM_LOC_CACHE_ENTRIES sweeps the per-shard frame count without a
-    // rebuild; all caches owned by one machine share a gauge label.
+    // All caches owned by one machine share a gauge label.
     slot = std::make_unique<store::LocationCache>(
-        store::LocationCache::BudgetFromEnv(config_.location_cache_bytes),
-        "n" + std::to_string(local_node), /*adaptive_admission=*/true);
+        config_.location_cache_bytes, "n" + std::to_string(local_node));
   }
   return slot.get();
 }

@@ -42,10 +42,10 @@ struct ClusterConfig {
   uint64_t softtime_interval_us = 200;
 
   // Contention management: HTM retries before the fallback handler.
-  // Each worker scales it from its live abort-cause mix
-  // (Worker::AdaptiveRetryLimit); 0 sends every transaction straight to
+  // Lock-observed aborts extend it and a capacity abort caps it
+  // (Transaction::RunAttempts); 0 sends every transaction straight to
   // the fallback.
-  int htm_retry_limit = 8;
+  int htm_retry_limit = 16;
   // Auto-chopping planner (paper section 3 / ROADMAP "transaction
   // chopping"): workloads route capacity-bound transactions through
   // txn::ChopPlanner, which splits a declared footprint that exceeds the

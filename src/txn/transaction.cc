@@ -28,9 +28,12 @@ constexpr int kFallbackAttempts = 512;
 constexpr int kStartRetryLimit = 64;
 // Lock-observed XABORTs (the body saw a 2PL write lock) mean the holder
 // is mid-commit: the retry budget stretches by up to this many extra
-// attempts, each after a stronger bounded backoff, before the abort mix
-// scales it (Worker::AdaptiveLockExtraRetries).
-constexpr int kLockAbortExtraRetries = 8;
+// attempts, each after a stronger bounded backoff.
+constexpr int kLockAbortExtraRetries = 16;
+// A capacity abort is deterministic: the same footprint overflows again,
+// so once one is seen the transaction makes at most this many HTM
+// attempts in total before the fallback.
+constexpr int kCapacityAttemptCap = 4;
 
 void SleepUs(uint64_t us) {
   std::this_thread::sleep_for(std::chrono::microseconds(us));
@@ -69,7 +72,6 @@ struct TxnMetricIds {
   uint32_t ro_commit = 0;
   uint32_t ro_retry = 0;
   uint32_t lock_backoff = 0;
-  uint32_t adaptive_budget_gauge = 0;
   uint32_t htm_attempt_ns = 0;
   uint32_t fallback_ns = 0;
   uint32_t lock_acquire_ns = 0;
@@ -94,7 +96,6 @@ const TxnMetricIds& Ids() {
     t.ro_commit = reg.CounterId("txn.readonly.commit");
     t.ro_retry = reg.CounterId("txn.readonly.retry");
     t.lock_backoff = reg.CounterId("txn.lock_backoff");
-    t.adaptive_budget_gauge = reg.GaugeId("txn.adaptive.retry_budget");
     t.htm_attempt_ns = reg.TimerId("phase.htm_attempt_ns");
     t.fallback_ns = reg.TimerId("phase.fallback_ns");
     t.lock_acquire_ns = reg.TimerId("phase.lock_acquire_ns");
@@ -172,50 +173,6 @@ void Worker::LockBackoff(int consecutive_lock_aborts) {
       consecutive_lock_aborts < 6 ? consecutive_lock_aborts : 6;
   const uint64_t ceiling = uint64_t{4} << shift;
   SleepUs(2 + backoff_rng_.NextBounded(ceiling));
-}
-
-int Worker::MixRegime() const {
-  if (abort_mix_.total() < AbortMixWindow::kMinSamples) {
-    return -1;
-  }
-  if (abort_mix_.capacity * 2 >= abort_mix_.total()) {
-    return 0;  // capacity-dominant
-  }
-  if ((abort_mix_.conflict + abort_mix_.lock) * 4 >=
-      abort_mix_.total() * 3) {
-    return 1;  // contention-dominant
-  }
-  return -1;
-}
-
-int Worker::AdaptiveRetryLimit() {
-  const int base = cluster_->config().htm_retry_limit;
-  int chosen = base;
-  if (base > 0) {
-    switch (MixRegime()) {
-      case 0:
-        chosen = std::max(1, base / 2);
-        break;
-      case 1:
-        chosen = base * 2;
-        break;
-      default:
-        break;
-    }
-  }
-  stat::Registry::Global().GaugeSet(Ids().adaptive_budget_gauge, chosen);
-  return chosen;
-}
-
-int Worker::AdaptiveLockExtraRetries() const {
-  switch (MixRegime()) {
-    case 0:
-      return kLockAbortExtraRetries / 2;
-    case 1:
-      return kLockAbortExtraRetries * 2;
-    default:
-      return kLockAbortExtraRetries;
-  }
 }
 
 Transaction::Transaction(Worker* worker)
@@ -602,12 +559,8 @@ TxnStatus Transaction::RunAttempts(const Body& body) {
   int start_conflicts = 0;
   int attempt = 0;
   int lock_aborts = 0;
-  // The retry budget and its lock-abort extension come from the live
-  // abort-cause mix (AdaptiveRetryLimit); with too few samples they are
-  // htm_retry_limit and kLockAbortExtraRetries.
-  const int base_budget = worker_->AdaptiveRetryLimit();
-  const int lock_extra = worker_->AdaptiveLockExtraRetries();
-  int retry_budget = base_budget;
+  bool capacity_seen = false;
+  int retry_budget = cfg_.htm_retry_limit;
   while (attempt < retry_budget) {
     WindowGuard window(cluster_);
     const StartResult sr = StartPhase();
@@ -685,43 +638,42 @@ TxnStatus Transaction::RunAttempts(const Body& body) {
       return TxnStatus::kUserAbort;
     }
     bool lock_observed = false;
-    AbortMixWindow& mix = worker_->abort_mix();
     if (hstatus & htm::kAbortCapacity) {
       stat::Registry::Global().Add(Ids().capacity_abort);
-      mix.Observe(&mix.capacity);
+      capacity_seen = true;
     } else if (hstatus & htm::kAbortExplicit) {
       const unsigned code = htm::AbortUserCode(hstatus);
       if (code == kCodeLogFull) {
         // The in-HTM WAL append found the segment full; reclaim durable
-        // completed epochs out here and retry. Deterministic like a
-        // capacity overflow, so it feeds that bucket.
+        // completed epochs out here and retry. Counted with capacity
+        // overflows, but reclaiming makes room, so it is not capped.
         cluster_.log(worker_->node())->ReclaimSpace(worker_->worker_id());
         stat::Registry::Global().Add(Ids().capacity_abort);
-        mix.Observe(&mix.capacity);
       } else if (code == kCodeLease) {
         stat::Registry::Global().Add(Ids().lease_abort);
-        mix.Observe(&mix.conflict);
       } else {
         stat::Registry::Global().Add(Ids().lock_abort);
         lock_observed = true;
-        mix.Observe(&mix.lock);
       }
     } else {
       stat::Registry::Global().Add(Ids().conflict_abort);
-      mix.Observe(&mix.conflict);
     }
     ++attempt;
-    if (lock_observed && lock_extra > 0) {
+    if (lock_observed) {
       // A lock-observed XABORT means the holder is mid-commit: grant up
-      // to lock_extra extra attempts and wait it out with the stronger
-      // bounded backoff, rather than burning straight through the budget
-      // into the ~1000x-costlier 2PL fallback.
+      // to kLockAbortExtraRetries extra attempts and wait it out with the
+      // stronger bounded backoff, rather than burning straight through
+      // the budget into the ~1000x-costlier 2PL fallback.
       ++lock_aborts;
-      retry_budget = base_budget + std::min(lock_aborts, lock_extra);
+      retry_budget = cfg_.htm_retry_limit +
+                     std::min(lock_aborts, kLockAbortExtraRetries);
       stat::Registry::Global().Add(Ids().lock_backoff);
       worker_->LockBackoff(lock_aborts);
     } else {
       worker_->Backoff(attempt);
+    }
+    if (capacity_seen) {
+      retry_budget = std::min(retry_budget, kCapacityAttemptCap);
     }
   }
 

@@ -49,30 +49,6 @@ inline constexpr uint8_t kCodeMissing = 4;  // record vanished mid-run
 inline constexpr uint8_t kCodeLogFull = 5;  // WAL append hit a full log
                                             // segment; reclaim + retry
 
-// Decayed per-worker window of recent HTM abort causes — the input to
-// the adaptive retry budget (Worker::AdaptiveRetryLimit).
-// Counts halve once the window fills, so the mix tracks the live
-// workload rather than process history.
-struct AbortMixWindow {
-  static constexpr uint64_t kWindow = 512;
-  // Below this many observed aborts the budgets are left unscaled.
-  static constexpr uint64_t kMinSamples = 32;
-
-  uint64_t capacity = 0;  // read/write-set overflow: retries are futile
-  uint64_t conflict = 0;  // data conflicts + lease-confirm failures
-  uint64_t lock = 0;      // lock-observed XABORTs: holder mid-commit
-
-  uint64_t total() const { return capacity + conflict + lock; }
-  void Observe(uint64_t* bucket) {
-    ++*bucket;
-    if (total() >= kWindow) {
-      capacity /= 2;
-      conflict /= 2;
-      lock /= 2;
-    }
-  }
-};
-
 class Worker {
  public:
   Worker(Cluster* cluster, int node, int worker_id);
@@ -103,30 +79,13 @@ class Worker {
   // retries and falling through to the 2PL fallback.
   void LockBackoff(int consecutive_lock_aborts);
 
-  // Adaptive contention management: the HTM retry budget and the
-  // lock-abort extension derived from this worker's live abort-cause
-  // mix. With too few samples these are htm_retry_limit and the fixed
-  // extension; a capacity-dominant mix halves them (retrying a
-  // deterministic overflow only delays the fallback), a contention-
-  // dominant mix doubles them (retries are ~1000x cheaper than a 2PL
-  // rerun). htm_retry_limit == 0 (fallback-only mode) is never touched.
-  // The chosen budget is exported as gauge txn.adaptive.retry_budget.
-  int AdaptiveRetryLimit();
-  int AdaptiveLockExtraRetries() const;
-  AbortMixWindow& abort_mix() { return abort_mix_; }
-
  private:
-  // -1 neutral, 0 capacity-dominant (shrink), 1 contention-dominant
-  // (stretch); computed from abort_mix_.
-  int MixRegime() const;
-
   Cluster* cluster_;
   int node_;
   int worker_id_;
   htm::HtmThread htm_;
   Xoshiro256 rng_;
   Xoshiro256 backoff_rng_;
-  AbortMixWindow abort_mix_;
 };
 
 // A record whose exclusive lock spans a whole chopped-transaction chain

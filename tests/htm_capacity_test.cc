@@ -3,6 +3,7 @@
 // causes no functional test exercised before: the capacity budget
 // (read/write-set line limits) and the bounded lock spin that raises a
 // retry hint alongside the conflict bit.
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -85,9 +86,7 @@ TEST(HtmCapacity, ReadSetOverflowRaisesCapacityAbort) {
 }
 
 TEST(HtmRetry, LockedLineSpinsThenAbortsWithRetryHint) {
-  htm::Config cfg;
-  cfg.lock_spin_limit = 16;  // keep the bounded spin short
-  htm::HtmThread htm(cfg);
+  htm::HtmThread htm;
   uint64_t word = 0;
 
   // Lock the line's version slot the way a concurrent committer (or a
@@ -131,6 +130,45 @@ TEST(HtmRetry, BareRetryHintClassifiesAsRetry) {
       stat::Registry::Global().TakeSnapshot().DeltaSince(before);
   EXPECT_EQ(delta.Counter("htm.abort.retry"), 1u);
   EXPECT_EQ(delta.Counter("htm.abort.total"), 1u);
+}
+
+// A write set past the line budget overflows on every HTM attempt, so
+// after the first capacity abort a transaction makes at most 4 HTM
+// attempts in total, then commits through the 2PL fallback.
+TEST(HtmCapacity, CapacityAbortCapsHtmAttemptsAtFour) {
+  txn::ClusterConfig config;
+  config.num_nodes = 1;
+  config.workers_per_node = 1;
+  config.region_bytes = 16 << 20;
+  config.htm.max_write_lines = 4;
+  txn::Cluster cluster(config);
+  txn::TableSpec spec;
+  spec.value_size = 1024;  // 16 lines
+  spec.main_buckets = 1 << 4;
+  spec.capacity = 1 << 6;
+  spec.partition = [](uint64_t) { return 0; };
+  const int table = cluster.AddTable(spec);
+  cluster.Start();
+  std::vector<uint8_t> value(spec.value_size, 0);
+  ASSERT_TRUE(cluster.hash_table(0, table)->Insert(1, value.data()));
+
+  txn::Worker worker(&cluster, 0, 0);
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
+  txn::Transaction txn(&worker);
+  txn.AddWrite(table, 1);
+  std::fill(value.begin(), value.end(), uint8_t{7});
+  const txn::TxnStatus status = txn.Run(
+      [&](txn::Transaction& t) { return t.Write(table, 1, value.data()); });
+  const stat::Snapshot delta =
+      stat::Registry::Global().TakeSnapshot().DeltaSince(before);
+
+  EXPECT_EQ(status, txn::TxnStatus::kCommitted);
+  EXPECT_EQ(delta.Counter("htm.abort.capacity"), 4u);
+  EXPECT_EQ(delta.Counter("txn.fallback"), 1u);
+  std::vector<uint8_t> out(spec.value_size, 0);
+  ASSERT_TRUE(cluster.hash_table(0, table)->Get(1, out.data()));
+  EXPECT_EQ(out, value);
+  cluster.Stop();
 }
 
 // End-to-end capacity stretching: with a write-line budget too small for

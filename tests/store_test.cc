@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <set>
@@ -332,50 +331,14 @@ TEST(LocationCache, TracksHitMissStats) {
   LocationCache cache(64 << 10);
   Bucket bucket{};
   Bucket out{};
+  const stat::Snapshot before = stat::Registry::Global().TakeSnapshot();
   EXPECT_FALSE(cache.Lookup(0, &out));
   cache.Install(0, bucket);
   EXPECT_TRUE(cache.Lookup(0, &out));
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(LocationCache, AdaptiveAdmissionThrottlesThrashingAndDecays) {
-  LocationCache cache(1 << 10, "", /*adaptive_admission=*/true);
-  ASSERT_EQ(cache.admit_shift(), 0u);
-  Bucket bucket{};
-  Bucket out{};
-  // Fill every frame so occupancy crosses the 7/8 arming threshold.
-  for (uint64_t off = 0; off < 64 * cache.frames() * kBucketBytes;
-       off += kBucketBytes) {
-    cache.Install(off, bucket);
-  }
-  ASSERT_GE(cache.occupied() * 8, cache.frames() * 7);
-  // A full window of pure misses on a full cache must raise the
-  // throttle one step.
-  for (uint32_t i = 0; i < LocationCache::kAdmitWindow; ++i) {
-    (void)cache.Lookup((1000000 + i) * kBucketBytes, &out);
-  }
-  EXPECT_EQ(cache.admit_shift(), 1u);
-  // With the throttle up, only 1 in 2 frame-claiming installs land.
-  const uint64_t probe = 5000000 * kBucketBytes;
-  uint32_t landed = 0;
-  for (uint64_t i = 0; i < 8; ++i) {
-    cache.Install(probe + i * 977 * kBucketBytes, bucket);
-    if (cache.Lookup(probe + i * 977 * kBucketBytes, &out)) {
-      ++landed;
-    }
-  }
-  EXPECT_LT(landed, 8u);
-  // A healthy window (>= 25% hits) decays the throttle back to zero.
-  // At shift 1 at most one of two consecutive frame claims is rationed,
-  // so the second install is guaranteed to land (or the first already
-  // did and the second is a free refresh).
-  cache.Install(128, bucket);
-  cache.Install(128, bucket);
-  for (uint32_t i = 0; i < LocationCache::kAdmitWindow; ++i) {
-    ASSERT_TRUE(cache.Lookup(128, &out));
-  }
-  EXPECT_EQ(cache.admit_shift(), 0u);
+  const stat::Snapshot delta =
+      stat::Registry::Global().TakeSnapshot().DeltaSince(before);
+  EXPECT_EQ(delta.Counter("cache.hit"), 1u);
+  EXPECT_EQ(delta.Counter("cache.miss"), 1u);
 }
 
 TEST(LocationCache, NextHintRecordsChainShape) {
@@ -435,20 +398,6 @@ TEST(LocationCache, OccupancyAndGaugesTrackResidency) {
   // The destructor returns both gauges to their prior levels.
   EXPECT_EQ(reg.GaugeValue(cap_id), cap_before);
   EXPECT_EQ(reg.GaugeValue(occ_id), occ_before);
-}
-
-TEST(LocationCache, BudgetFromEnvOverridesEntries) {
-  const size_t kDefault = 16 << 20;
-  unsetenv("DRTM_LOC_CACHE_ENTRIES");
-  EXPECT_EQ(LocationCache::BudgetFromEnv(kDefault), kDefault);
-  setenv("DRTM_LOC_CACHE_ENTRIES", "1024", 1);
-  EXPECT_EQ(LocationCache::BudgetFromEnv(kDefault),
-            1024 * (sizeof(Bucket) + 16));
-  setenv("DRTM_LOC_CACHE_ENTRIES", "nonsense", 1);
-  EXPECT_EQ(LocationCache::BudgetFromEnv(kDefault), kDefault);
-  setenv("DRTM_LOC_CACHE_ENTRIES", "0", 1);
-  EXPECT_EQ(LocationCache::BudgetFromEnv(kDefault), kDefault);
-  unsetenv("DRTM_LOC_CACHE_ENTRIES");
 }
 
 // --- Pipelined chain walks --------------------------------------------------

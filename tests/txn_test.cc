@@ -2,6 +2,8 @@
 // state word, synchronized time, NVRAM logging, and the cluster plumbing.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -473,6 +475,51 @@ TEST_F(ClusterTest, WorkerOutcomesMatchRegistryDeltas) {
   EXPECT_EQ(commits + user_aborts, uint64_t{kTxns});
   EXPECT_EQ(delta.Counter("txn.commit"), commits);
   EXPECT_EQ(delta.Counter("txn.user_abort"), user_aborts);
+}
+
+// A local record write-locked by another holder aborts every HTM attempt
+// (kCodeLocked). Each lock abort extends the budget of 16 by one attempt,
+// up to 16 more, so exactly 32 lock aborts precede the fallback, which
+// waits out the holder (released here once txn.fallback ticks).
+TEST_F(ClusterTest, LockedLocalRecordCostsFixedLockAbortsBeforeFallback) {
+  const uint64_t key = 0;  // partition 0: local to the worker
+  const uint64_t zero = 0;
+  store::ClusterHashTable* host = cluster_->hash_table(0, table_);
+  ASSERT_TRUE(host->Insert(key, &zero));
+  uint64_t* state = host->StatePtr(host->FindEntry(key));
+  htm::StrongStore(state, MakeWriteLocked(1));
+
+  stat::Registry& reg = stat::Registry::Global();
+  const stat::Snapshot before = reg.TakeSnapshot();
+  std::atomic<bool> done{false};
+  std::thread holder([&] {
+    while (!done.load() &&
+           reg.TakeSnapshot().DeltaSince(before).Counter("txn.fallback") == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    htm::StrongStore(state, kStateInit);
+  });
+  Worker worker(cluster_.get(), 0, 0);
+  Transaction txn(&worker);
+  txn.AddWrite(table_, key);
+  const TxnStatus status = txn.Run([&](Transaction& t) {
+    uint64_t v = 0;
+    if (!t.Read(table_, key, &v)) {
+      return false;
+    }
+    ++v;
+    return t.Write(table_, key, &v);
+  });
+  done.store(true);
+  holder.join();
+
+  const stat::Snapshot delta = reg.TakeSnapshot().DeltaSince(before);
+  EXPECT_EQ(status, TxnStatus::kCommitted);
+  EXPECT_EQ(delta.Counter("txn.lock_abort"), 32u);
+  EXPECT_EQ(delta.Counter("txn.fallback"), 1u);
+  uint64_t out = 0;
+  ASSERT_TRUE(host->Get(key, &out));
+  EXPECT_EQ(out, 1u);
 }
 
 TEST_F(ClusterTest, TxnIdsAreUniquePerNode) {
